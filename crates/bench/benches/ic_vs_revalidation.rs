@@ -6,7 +6,8 @@
 //! (a class the criterion proves independent):
 //!
 //! * `revalidate_full`  — apply + full re-verification, per document size;
-//! * `incremental`      — [14]-style stored-state recheck, per document size;
+//! * `incremental`      — delta-scoped [`IncrementalChecker`] recheck over a
+//!   [`VersionedDocument`], per document size;
 //! * `criterion_once`   — the IC, **independent of any document**.
 //!
 //! The expected shape: the first two grow with the document, the criterion
@@ -24,18 +25,17 @@ use regtree_bench::{
     fd_with_conditions, fresh_independence, fresh_matrix, session, update_chain, CANDIDATE_COUNTS,
 };
 use regtree_core::{
-    check_independence_eager, revalidate_full, revalidate_full_many, RelevantSetChecker, Update,
+    check_independence_eager, revalidate_full, revalidate_full_many, IncrementalChecker, Update,
     UpdateOp,
 };
+use regtree_xml::VersionedDocument;
 
 fn bench_strategies(c: &mut Criterion) {
     let a = regtree_gen::exam_alphabet();
     let fd1 = regtree_gen::fd1(&a);
     let schema = regtree_gen::exam_schema(&a);
-    let class = regtree_core::UpdateClass::new(
-        regtree_pattern::parse_corexpath(&a, "/session/candidate/level").expect("parses"),
-    )
-    .expect("leaf");
+    let class =
+        regtree_core::parse_update_class(&a, "/session/candidate/level").expect("leaf parses");
     let update = Update::new(class.clone(), UpdateOp::SetText("E".into()));
 
     let mut group = c.benchmark_group("ic_vs_revalidation");
@@ -58,13 +58,17 @@ fn bench_strategies(c: &mut Criterion) {
             b.iter(|| revalidate_full(&fd1, &update, d).expect("applies").is_ok())
         });
         group.bench_with_input(BenchmarkId::new("incremental", n), &doc, |b, d| {
-            // Snapshot once outside the timing loop (amortized across the
-            // update stream), recheck inside.
-            let checker = RelevantSetChecker::new(&fd1, d);
+            // Seed once outside the timing loop (amortized across the
+            // update stream), recheck inside. The level edit rewrites the
+            // same values every time, so the state stays steady.
+            let mut vdoc = VersionedDocument::new(d.clone());
+            let mut checker = IncrementalChecker::new(vec![fd1.clone()], &vdoc);
             b.iter(|| {
-                let mut doc = d.clone();
-                let mut ck = checker.clone();
-                ck.recheck(&fd1, &update, &mut doc).expect("applies")
+                checker
+                    .apply_and_recheck(&mut vdoc, &update)
+                    .expect("applies")
+                    .outcomes[0]
+                    .is_satisfied()
             })
         });
     }

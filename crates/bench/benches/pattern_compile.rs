@@ -1,12 +1,13 @@
 //! E9 companion — pattern → tree-automaton compilation (the `A_R`
-//! construction of Proposition 3) and CoreXPath translation costs.
+//! construction of Proposition 3) and update-class parsing costs.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use regtree_bench::rng;
+use regtree_core::parse_update_class;
 use regtree_gen::random_pattern;
-use regtree_pattern::{compile_pattern, parse_corexpath};
+use regtree_pattern::compile_pattern;
 
 fn bench_compile(c: &mut Criterion) {
     let a = regtree_alphabet::Alphabet::with_labels(["p", "q", "r", "s"]);
@@ -28,16 +29,16 @@ fn bench_compile(c: &mut Criterion) {
         });
     }
 
-    // CoreXPath translation.
+    // Update-class parsing (positive CoreXPath through the pattern language).
     let xpaths = [
         "/a/b/c/d",
         "/a//b[c]/d",
-        "/a/b[c and d]//e[f/g]",
+        "/a/b[c and d]//e[f/g]/h",
         "/session/candidate[toBePassed]/level",
     ];
     for (i, xp) in xpaths.iter().enumerate() {
-        group.bench_with_input(BenchmarkId::new("corexpath_translate", i), xp, |b, xp| {
-            b.iter(|| parse_corexpath(&a, xp).expect("parses").size())
+        group.bench_with_input(BenchmarkId::new("update_class_parse", i), xp, |b, xp| {
+            b.iter(|| parse_update_class(&a, xp).expect("parses").size())
         });
     }
     group.finish();

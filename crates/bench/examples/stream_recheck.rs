@@ -1,12 +1,11 @@
-//! E14: streaming ingest and impact-scoped incremental rechecking vs the
-//! reparse-and-recheck baseline, over a size ladder of exam sessions.
+//! E14: impact-scoped incremental rechecking vs the reparse-and-recheck
+//! baseline, over a size ladder of exam sessions.
 //!
-//! Two comparisons, printed as flat `stream/<axis>/<point>/<metric>` lines
-//! (integers) for `scripts/bench_json.sh` to fold into `BENCH_stream.json`:
+//! Printed as flat `stream/<axis>/<point>/<metric>` lines (integers) for
+//! `scripts/bench_json.sh` to fold into `BENCH_stream.json`:
 //!
-//! * `stream/ingest/*` — one-pass [`stream_document`] (document + label
-//!   index fused into the parse) against the two-pass baseline
-//!   (`parse_document`, then [`LabelIndex::build`]).
+//! * `stream/ingest/*` — the ingest cost the baseline pays per update:
+//!   `parse_document`, then [`LabelIndex::build`].
 //! * `stream/recheck/*` — a stream of point edits applied through an
 //!   [`IncrementalChecker`] over a [`VersionedDocument`] against the
 //!   naive client loop: serialize, reparse, rebuild the index, recheck
@@ -26,9 +25,7 @@ use regtree_core::{
     UpdateOp,
 };
 use regtree_gen as gen;
-use regtree_xml::{
-    parse_document, stream_document, to_xml, LabelIndex, NullSink, VersionedDocument,
-};
+use regtree_xml::{parse_document, to_xml, LabelIndex, VersionedDocument};
 
 /// Candidates per session at each ladder point (×3 exams each).
 const SIZES: &[usize] = &[50, 200, 800];
@@ -86,18 +83,12 @@ fn main() {
         let doc = gen::generate_session(&a, n, 3, &mut rng);
         let xml = to_xml(&doc);
 
-        // Ingest: fused single pass vs parse-then-index.
-        let t = Instant::now();
-        let (streamed, index) = stream_document(&a, &xml, &mut NullSink).expect("streams");
-        let stream_ns = t.elapsed().as_nanos();
+        // Ingest: parse, then index.
         let t = Instant::now();
         let parsed = parse_document(&a, &xml).expect("parses");
-        let rebuilt = LabelIndex::build(&parsed);
+        let _index = LabelIndex::build(&parsed);
         let two_pass_ns = t.elapsed().as_nanos();
-        assert_eq!(to_xml(&streamed), to_xml(&parsed), "ingest parity");
-        assert_eq!(index, rebuilt, "index parity");
         println!("stream/ingest/c{n}/nodes {}", parsed.len());
-        println!("stream/ingest/c{n}/stream_ns {stream_ns}");
         println!("stream/ingest/c{n}/two_pass_ns {two_pass_ns}");
 
         // Recheck: incremental maintenance vs reparse-and-recheck.

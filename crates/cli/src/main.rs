@@ -18,9 +18,9 @@
 //! [`regtree_hedge::Schema::parse`]; FDs use the textual pattern language
 //! of [`regtree_core::parse_fd`] — a superset of the \[8\] path formalism
 //! adding descendant axes, wildcards and counting predicates (see
-//! `docs/PATTERN_LANGUAGE.md`); update classes are positive-CoreXPath
-//! queries whose final step is predicate-free (the selected node must be a
-//! leaf of the update template).
+//! `docs/PATTERN_LANGUAGE.md`); update classes are absolute paths in the
+//! same language, without value tests, whose final step is predicate-free
+//! (the selected node must be a leaf of the update template).
 //!
 //! Analysis commands run through the [`regtree_core::Analyzer`] façade and
 //! accept resource budgets (`--deadline-ms`, `--max-states`, `--max-memo`,
@@ -45,11 +45,12 @@ use regtree_core::api::{
     PatternParseResponse, UpdateCheckEntry, UpdateResponse,
 };
 use regtree_core::{
-    parse_fd, Analyzer, ChromeTraceSink, EventKind, FdOutcome, FdSet, RunLimits, RunMetrics,
-    SpanId, SpanKind, SummarySink, TraceFormat, TraceSummary, Tracer, UpdateClass, Verdict,
+    parse_fd, parse_update_class, Analyzer, ChromeTraceSink, Error as CoreError, EventKind,
+    FdOutcome, FdSet, RunLimits, RunMetrics, SpanId, SpanKind, SummarySink, TraceFormat,
+    TraceSummary, Tracer, UpdateClass, Verdict,
 };
 use regtree_hedge::Schema;
-use regtree_pattern::{parse_corexpath, CompiledPattern};
+use regtree_pattern::CompiledPattern;
 use regtree_xml::{parse_document, to_xml_with, SerializeOptions, VersionedDocument};
 
 fn main() -> ExitCode {
@@ -115,9 +116,10 @@ USAGE:
   FD EXPR syntax:   /ctx/path : cond1, cond2[N] -> target
                     (paths use the full pattern language: //, *, @attr,
                     text(), [q], [count(p) >= n] — docs/PATTERN_LANGUAGE.md)
-  PATH syntax:      positive CoreXPath, e.g. /session/candidate/level
-                    (predicate branches map in document order: [p] before
-                    the continuation — Definition 2 order semantics)
+  PATH syntax:      the pattern language, e.g. /session/candidate/level
+                    (update classes: no value tests, predicate-free final
+                    step; predicate branches map in document order: [p]
+                    before the continuation — Definition 2 order semantics)
   update request:   one JSON object per line ('#' comments skipped):
                     {\"select\": PATH, \"op\": replace|append_child|
                      prepend_child|delete|set_text, \"xml\": SUBTREE,
@@ -444,9 +446,7 @@ fn cmd_fd_check(args: &[&str]) -> Result<String, CliError> {
     let mut names: Vec<String> = Vec::new();
     let mut fds: Vec<regtree_core::Fd> = Vec::new();
     if let Some(path) = flags.get("fds") {
-        for (name, expr) in parse_named_list(&read_file(path)?)? {
-            let fd =
-                parse_fd(&alphabet, &expr).map_err(|e| runtime(format!("fd '{name}': {e}")))?;
+        for (name, fd) in parse_named_list(&alphabet, path, "fd", parse_fd)? {
             names.push(name);
             fds.push(fd);
         }
@@ -714,7 +714,9 @@ fn cmd_fd_check_updates(
 fn cmd_eval(args: &[&str]) -> Result<String, CliError> {
     let flags = parse_flags(args)?;
     let alphabet = Alphabet::new();
-    let pattern = parse_corexpath(&alphabet, flags.require("xpath")?).map_err(runtime)?;
+    let src = flags.require("xpath")?;
+    let pattern = CompiledPattern::from_text(&alphabet, src)
+        .map_err(|e| CliError::Runtime(render_parse_error(src, &e)))?;
     let docs = load_docs(&alphabet, &flags.positional)?;
     let mut out = String::new();
     for (path, doc) in &docs {
@@ -805,18 +807,25 @@ fn render_parse_error(src: &str, e: &regtree_pattern::lang::ParseError) -> Strin
     out
 }
 
+/// Renders an FD or update-class parse failure: pattern-text errors get
+/// the [`render_parse_error`] caret under the offending byte of `src`.
+fn render_error(src: &str, e: &CoreError) -> String {
+    match e {
+        CoreError::PatternText(pe) => render_parse_error(src, pe),
+        CoreError::UpdateClass(_) => format!("{e}; the final step must be predicate-free"),
+        _ => e.to_string(),
+    }
+}
+
 fn cmd_independence(args: &[&str]) -> Result<String, CliError> {
     let flags = parse_flags(args)?;
     let json = flags.wants_json()?;
     let tracing = Tracing::from_flags(&flags)?;
     let alphabet = Alphabet::new();
     let fd = parse_fd(&alphabet, flags.require("fd")?).map_err(runtime)?;
-    let update_pattern = parse_corexpath(&alphabet, flags.require("update")?).map_err(runtime)?;
-    let class = UpdateClass::new(update_pattern).map_err(|e| {
-        runtime(format!(
-            "{e}; the final CoreXPath step must be predicate-free"
-        ))
-    })?;
+    let update = flags.require("update")?;
+    let class = parse_update_class(&alphabet, update)
+        .map_err(|e| CliError::Runtime(render_error(update, &e)))?;
     let (analyzer, with_schema) = build_analyzer(&alphabet, &flags, &tracing)?;
     let analysis = analyzer.independence(&fd, &class);
     let phases = tracing.finish()?;
@@ -884,10 +893,17 @@ fn cmd_independence(args: &[&str]) -> Result<String, CliError> {
     }
 }
 
-/// Parses a `name = expression` list file (one entry per line; `#` comments).
-fn parse_named_list(src: &str) -> Result<Vec<(String, String)>, CliError> {
+/// Reads a `name = expression` list file (one entry per line; `#`
+/// comments) and parses every expression with `parse` (`parse_fd` or
+/// `parse_update_class`); a failure reads `<item> '<name>': …`.
+fn parse_named_list<T>(
+    alphabet: &Alphabet,
+    path: &str,
+    item: &str,
+    parse: fn(&Alphabet, &str) -> Result<T, CoreError>,
+) -> Result<Vec<(String, T)>, CliError> {
     let mut out = Vec::new();
-    for (lineno, raw) in src.lines().enumerate() {
+    for (lineno, raw) in read_file(path)?.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -895,7 +911,10 @@ fn parse_named_list(src: &str) -> Result<Vec<(String, String)>, CliError> {
         let (name, expr) = line
             .split_once('=')
             .ok_or_else(|| runtime(format!("line {}: expected 'name = expr'", lineno + 1)))?;
-        out.push((name.trim().to_string(), expr.trim().to_string()));
+        let (name, expr) = (name.trim(), expr.trim());
+        let parsed = parse(alphabet, expr)
+            .map_err(|e| runtime(format!("{item} '{name}': {}", render_error(expr, &e))))?;
+        out.push((name.to_string(), parsed));
     }
     if out.is_empty() {
         return Err(runtime("empty list file"));
@@ -911,11 +930,9 @@ fn cmd_fds_minimize(args: &[&str]) -> Result<String, CliError> {
     let flags = parse_flags(args)?;
     let json = flags.wants_json()?;
     let alphabet = Alphabet::new();
-    let fd_list = parse_named_list(&read_file(flags.require("fds")?)?)?;
     let mut set = FdSet::new();
-    for (name, expr) in &fd_list {
-        let fd = parse_fd(&alphabet, expr).map_err(|e| runtime(format!("fd '{name}': {e}")))?;
-        set.push(name.clone(), fd);
+    for (name, fd) in parse_named_list(&alphabet, flags.require("fds")?, "fd", parse_fd)? {
+        set.push(name, fd);
     }
     let min = set.minimize(&flags.limits()?);
     let out = if json {
@@ -980,21 +997,13 @@ fn cmd_fds_minimize(args: &[&str]) -> Result<String, CliError> {
 fn cmd_matrix(args: &[&str]) -> Result<String, CliError> {
     let flags = parse_flags(args)?;
     let alphabet = Alphabet::new();
-    let fd_list = parse_named_list(&read_file(flags.require("fds")?)?)?;
-    let update_list = parse_named_list(&read_file(flags.require("updates")?)?)?;
-    let mut fds = Vec::new();
-    for (name, expr) in &fd_list {
-        let fd = parse_fd(&alphabet, expr).map_err(|e| runtime(format!("fd '{name}': {e}")))?;
-        fds.push((name.clone(), fd));
-    }
-    let mut classes = Vec::new();
-    for (name, expr) in &update_list {
-        let pattern = parse_corexpath(&alphabet, expr)
-            .map_err(|e| runtime(format!("update '{name}': {e}")))?;
-        let class =
-            UpdateClass::new(pattern).map_err(|e| runtime(format!("update '{name}': {e}")))?;
-        classes.push((name.clone(), class));
-    }
+    let fds = parse_named_list(&alphabet, flags.require("fds")?, "fd", parse_fd)?;
+    let classes = parse_named_list(
+        &alphabet,
+        flags.require("updates")?,
+        "update",
+        parse_update_class,
+    )?;
     let fd_refs: Vec<(&str, &regtree_core::Fd)> =
         fds.iter().map(|(n, f)| (n.as_str(), f)).collect();
     let class_refs: Vec<(&str, &UpdateClass)> =
@@ -1409,6 +1418,69 @@ mod tests {
         let doc = tmp("<s><c/><c/></s>", "xml");
         let out = run(&["eval", "--xpath", "/s/c", doc.0.to_str().unwrap()]).unwrap();
         assert!(out.contains("2 match(es)"), "{out}");
+
+        // The full pattern language: counting predicates and value tests.
+        let doc = tmp(r#"<s><c k="x"><v/><v/></c><c k="y"><v/></c></s>"#, "xml");
+        let path = doc.0.to_str().unwrap();
+        let out = run(&["eval", "--xpath", "/s/c[count(v) >= 2]", path]).unwrap();
+        assert!(out.contains("1 match(es)"), "{out}");
+        let out = run(&["eval", "--xpath", r#"/s/c[@k = "y"]"#, path]).unwrap();
+        assert!(out.contains("1 match(es)"), "{out}");
+        let Err(CliError::Runtime(msg)) = run(&["eval", "--xpath", "/s/[c]", path]) else {
+            panic!("expected a parse error");
+        };
+        assert!(msg.lines().last().unwrap().ends_with('^'), "{msg}");
+    }
+
+    #[test]
+    fn update_class_errors_point_at_the_byte() {
+        let err = run(&[
+            "independence",
+            "--fd",
+            "/s : i/k -> i/v",
+            "--update",
+            "/s/i[",
+        ]);
+        let Err(CliError::Runtime(msg)) = err else {
+            panic!("expected runtime error, got {err:?}");
+        };
+        assert!(msg.contains("byte 5"), "{msg}");
+        assert!(msg.lines().last().unwrap().ends_with('^'), "{msg}");
+
+        // A predicate on the final step makes the updated node an inner
+        // template node.
+        let err = run(&[
+            "independence",
+            "--fd",
+            "/s : i/k -> i/v",
+            "--update",
+            "/s/i[v]",
+        ]);
+        let Err(CliError::Runtime(msg)) = err else {
+            panic!("expected runtime error, got {err:?}");
+        };
+        assert!(msg.contains("predicate-free"), "{msg}");
+
+        let fds = tmp("price = /catalog : item/sku -> item/price\n", "lst");
+        let ups = tmp(
+            "restock = /catalog/item/stock\nbad = /catalog//[x]\n",
+            "lst",
+        );
+        let err = run(&[
+            "matrix",
+            "--fds",
+            fds.0.to_str().unwrap(),
+            "--updates",
+            ups.0.to_str().unwrap(),
+        ]);
+        let Err(CliError::Runtime(msg)) = err else {
+            panic!("expected runtime error, got {err:?}");
+        };
+        assert!(
+            msg.starts_with("update 'bad': pattern parse error at byte 10"),
+            "{msg}"
+        );
+        assert!(msg.lines().last().unwrap().ends_with('^'), "{msg}");
     }
 
     #[test]

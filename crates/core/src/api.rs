@@ -34,7 +34,6 @@
 use std::fmt::Write as _;
 
 use regtree_alphabet::Alphabet;
-use regtree_pattern::parse_corexpath;
 use regtree_runtime::{EventKind, RunMetrics, SpanKind, TraceSummary};
 use regtree_xml::{parse_document, TreeSpec};
 
@@ -42,7 +41,8 @@ use crate::fdset::{FdSet, Minimization};
 use crate::independence::IndependenceAnalysis;
 use crate::matrix::{CellProvenance, IndependenceMatrix};
 use crate::satisfy::FdOutcome;
-use crate::update::{Update, UpdateClass, UpdateOp};
+use crate::textfd::parse_update_class;
+use crate::update::{Update, UpdateOp};
 
 /// Version of the serializable request/response surface. Exchanged in the
 /// `rtpserved` `initialize` handshake; a client built against an
@@ -999,7 +999,8 @@ impl FdCheckResponse {
 ///  "value": "9", "first_only": true}
 /// ```
 ///
-/// * `select` — an absolute CoreXPath expression naming the updated nodes;
+/// * `select` — the update class: an absolute pattern-language path
+///   ([`parse_update_class`]) whose final step selects the updated nodes;
 /// * `op` — `replace` | `append_child` | `prepend_child` | `delete` |
 ///   `set_text`;
 /// * `xml` — the replacement/child subtree, for the first three ops;
@@ -1010,9 +1011,8 @@ pub fn parse_update_json(alphabet: &Alphabet, json: &Json) -> Result<Update, Str
     let select = json
         .get("select")
         .and_then(Json::as_str)
-        .ok_or("update needs a 'select' CoreXPath string")?;
-    let pattern = parse_corexpath(alphabet, select).map_err(|e| format!("bad 'select': {e}"))?;
-    let class = UpdateClass::new(pattern).map_err(|e| format!("bad 'select': {e}"))?;
+        .ok_or("update needs a 'select' path string")?;
+    let class = parse_update_class(alphabet, select).map_err(|e| format!("bad 'select': {e}"))?;
 
     let spec = |key: &str| -> Result<TreeSpec, String> {
         let xml = json

@@ -58,12 +58,12 @@ pub use independence::{
 pub use matrix::{CellProvenance, IndependenceMatrix, MatrixCell};
 pub use pathfd::{expressible_in_path_formalism, Inexpressibility, PathFd, PathFdError};
 pub use reduction::{build_patterns, build_reduction, gadget_alphabet, ReductionInstance};
-pub use revalidate::{revalidate_full, revalidate_full_many, RelevantSetChecker};
+pub use revalidate::{revalidate_full, revalidate_full_many};
 pub use satisfy::{
     check_fd, check_fd_governed, check_fd_indexed, satisfies, FdBatchReport, FdOutcome, FdViolation,
 };
 pub use subsume::subsumes;
-pub use textfd::{fd_from_expr, parse_fd};
+pub use textfd::{fd_from_expr, parse_fd, parse_update_class};
 // Re-exported so downstreams govern runs without a direct dependency on
 // `regtree-runtime`.
 pub use regtree_runtime::{

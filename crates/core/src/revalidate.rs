@@ -4,12 +4,12 @@
 //! the post-update document. The paper's closing question — “estimate how
 //! much time it saves to launch the independence criterion instead of
 //! verifying the functional dependency again” — is answered by benchmarking
-//! [`revalidate_full`] (and the mildly smarter [`RelevantSetChecker`])
-//! against [`crate::Analyzer::independence`]; see
-//! `crates/bench/benches/ic_vs_revalidation.rs`. The delta-scoped
-//! [`crate::IncrementalChecker`] is the production-grade successor of both.
+//! [`revalidate_full`] against [`crate::Analyzer::independence`] and the
+//! delta-scoped [`crate::IncrementalChecker`], the production-grade
+//! successor of this baseline; see
+//! `crates/bench/benches/ic_vs_revalidation.rs`.
 
-use regtree_xml::{Document, NodeId, UndoJournal};
+use regtree_xml::{Document, UndoJournal};
 
 use crate::fd::Fd;
 use crate::satisfy::{check_fd, check_fds_parallel_internal, FdViolation};
@@ -55,101 +55,6 @@ pub fn revalidate_full_many(
             journal.rollback(doc);
             Err(e)
         }
-    }
-}
-
-/// A document-level incremental checker in the spirit of \[14\]: it stores,
-/// from the last full verification, the set of document nodes *relevant* to
-/// the FD (trace nodes plus condition/target subtrees). An update whose
-/// selected nodes avoid that set **and** whose application leaves the FD
-/// pattern unable to reach the updated region still requires a (cheap)
-/// containment probe rather than a full re-verification.
-#[derive(Clone, Debug)]
-pub struct RelevantSetChecker {
-    relevant: std::collections::HashSet<NodeId>,
-    satisfied: bool,
-}
-
-impl RelevantSetChecker {
-    /// Runs a full verification and snapshots the relevant-node set.
-    pub fn new(fd: &Fd, doc: &Document) -> RelevantSetChecker {
-        let mut relevant = std::collections::HashSet::new();
-        for m in regtree_pattern::enumerate_mappings(fd.template(), doc) {
-            relevant.extend(m.trace_nodes(doc));
-            for &sel in fd.pattern().selected() {
-                relevant.extend(doc.descendants_or_self(m.image(sel)));
-            }
-        }
-        let satisfied = check_fd(fd, doc).is_ok();
-        RelevantSetChecker {
-            relevant,
-            satisfied,
-        }
-    }
-
-    /// Was the snapshotted document satisfying the FD?
-    pub fn satisfied(&self) -> bool {
-        self.satisfied
-    }
-
-    /// Number of relevant nodes stored.
-    pub fn relevant_len(&self) -> usize {
-        self.relevant.len()
-    }
-
-    /// Re-checks after `update`; skips the full pass when the update
-    /// provably could not have affected the FD:
-    /// the updated nodes avoid the stored relevant set *and* the post-update
-    /// document contains no FD mapping through the updated regions (probed
-    /// with the pattern automaton restricted to a membership run).
-    pub fn recheck(
-        &mut self,
-        fd: &Fd,
-        update: &Update,
-        doc: &mut Document,
-    ) -> Result<bool, ApplyError> {
-        let touched = update.apply(doc)?;
-        let disjoint = touched.iter().all(|n| !self.relevant.contains(n));
-        // The cheap path only applies to in-place updates: when a selected
-        // node was detached (replaced/deleted), the replacement subtree is
-        // unknown here and a full pass is required.
-        let in_place = touched.iter().all(|&n| doc.is_alive(n));
-        if disjoint && in_place && self.satisfied {
-            // The old traces are untouched; the only risk is a *new* trace
-            // through an updated subtree. Probe: enumerate mappings and see
-            // whether any trace intersects the updated subtrees
-            // (set-based: linear in trace size, not in |touched|).
-            let touched_set: std::collections::HashSet<NodeId> = touched.iter().copied().collect();
-            let fresh = regtree_pattern::enumerate_mappings(fd.template(), doc);
-            let mut hits_update = false;
-            'outer: for m in &fresh {
-                for n in m.trace_nodes(doc) {
-                    if touched_set.contains(&n) {
-                        hits_update = true;
-                        break 'outer;
-                    }
-                }
-                for &sel in fd.pattern().selected() {
-                    for n in doc.descendants_or_self(m.image(sel)) {
-                        if touched_set.contains(&n) {
-                            hits_update = true;
-                            break 'outer;
-                        }
-                    }
-                }
-            }
-            if !hits_update {
-                // Verified-cheap path: still satisfied.
-                return Ok(true);
-            }
-        }
-        // Full re-verification.
-        let ok = check_fd(fd, doc).is_ok();
-        self.satisfied = ok;
-        if ok {
-            *self = RelevantSetChecker::new(fd, doc);
-        }
-        Ok(ok)
     }
 }
 
@@ -208,84 +113,5 @@ mod tests {
             })),
         );
         assert!(revalidate_full(&fd, &uneven, &d).unwrap().is_err());
-    }
-
-    #[test]
-    fn incremental_skips_disjoint_updates() {
-        let a = Alphabet::new();
-        let fd = fd_rank(&a);
-        let mut d = doc(&a);
-        let mut checker = RelevantSetChecker::new(&fd, &d);
-        assert!(checker.satisfied());
-        assert!(checker.relevant_len() > 0);
-        // Level updates never touch the FD region.
-        let class = update_class_from_edges(&a, &["session/candidate/level"]).unwrap();
-        let up = Update::new(class, UpdateOp::SetText("E".into()));
-        assert!(checker.recheck(&fd, &up, &mut d).unwrap());
-    }
-
-    #[test]
-    fn incremental_catches_real_violations() {
-        let a = Alphabet::new();
-        let fd = fd_rank(&a);
-        let mut d = doc(&a);
-        let mut checker = RelevantSetChecker::new(&fd, &d);
-        let class = update_class_from_edges(&a, &["session/candidate/exam/rank"]).unwrap();
-        let once = std::sync::atomic::AtomicBool::new(false);
-        let uneven = Update::new(
-            class,
-            UpdateOp::Custom(std::sync::Arc::new(move |doc, n| {
-                if !once.swap(true, std::sync::atomic::Ordering::SeqCst) {
-                    let kids: Vec<_> = doc.children(n).to_vec();
-                    for k in kids {
-                        let _ = regtree_xml::set_value(doc, k, "99");
-                    }
-                }
-            })),
-        );
-        assert!(!checker.recheck(&fd, &uneven, &mut d).unwrap());
-        assert!(!checker.satisfied());
-    }
-
-    #[test]
-    fn incremental_catches_new_traces_outside_old_region() {
-        let a = Alphabet::new();
-        let fd = fd_rank(&a);
-        // Start with a document with no exams at all: no mappings, relevant
-        // set empty, trivially satisfied.
-        let mut d = parse_document(
-            &a,
-            "<session><candidate><stash/></candidate><candidate><stash/></candidate></session>",
-        )
-        .unwrap();
-        let mut checker = RelevantSetChecker::new(&fd, &d);
-        assert!(checker.satisfied());
-        // An update grafting *conflicting* exams into the stashes creates
-        // brand-new violating traces the old region knew nothing about.
-        let class = update_class_from_edges(&a, &["session/candidate/stash"]).unwrap();
-        let once = std::sync::atomic::AtomicBool::new(false);
-        let graft = Update::new(
-            class,
-            UpdateOp::Custom(std::sync::Arc::new(move |doc, n| {
-                let first = !once.swap(true, std::sync::atomic::Ordering::SeqCst);
-                let rank = if first { "1" } else { "2" };
-                let a = doc.alphabet().clone();
-                let parent = doc.parent(n).unwrap();
-                let _ = regtree_xml::edit::replace_subtree(
-                    doc,
-                    n,
-                    &TreeSpec::elem_named(
-                        &a,
-                        "exam",
-                        vec![
-                            TreeSpec::elem_named(&a, "discipline", vec![TreeSpec::text("m")]),
-                            TreeSpec::elem_named(&a, "rank", vec![TreeSpec::text(rank)]),
-                        ],
-                    ),
-                );
-                let _ = parent;
-            })),
-        );
-        assert!(!checker.recheck(&fd, &graft, &mut d).unwrap());
     }
 }

@@ -1,5 +1,7 @@
-//! Textual functional dependencies: the richer grammar behind
-//! [`PathFd::parse`](crate::PathFd::parse).
+//! Textual functional dependencies and update classes: the richer grammar
+//! behind [`PathFd::parse`](crate::PathFd::parse), and
+//! [`parse_update_class`], which compiles the same path language into the
+//! monadic patterns that select updated nodes.
 //!
 //! [`parse_fd`] accepts every line the original path-FD syntax accepted —
 //! `context : p1, p2[N] -> q` with simple label paths — and extends every
@@ -18,15 +20,61 @@
 //! the `PathFd` one, so existing FD corpora keep byte-identical verdicts.
 
 use regtree_alphabet::Alphabet;
-use regtree_pattern::lang::{self, append_relpath, parse_fd_expr, EqTag, FdExpr, Predicate, Step};
+use regtree_pattern::lang::{
+    self, append_relpath, parse_fd_expr, parse_pattern, EqTag, FdExpr, ParseError, Predicate, Step,
+};
 use regtree_pattern::{RegularTreePattern, Template, TemplateNodeId};
 
 use crate::error::Error;
 use crate::fd::{EqualityType, Fd};
 use crate::pathfd::PathFdError;
+use crate::update::UpdateClass;
 
 fn err(m: impl Into<String>) -> PathFdError {
     PathFdError { message: m.into() }
+}
+
+const FD_VALUE_TEST: &str = "value tests ([p = \"v\"]) are not supported in FDs; the FD itself \
+                             compares selected nodes by value ([V]) or node ([N]) equality";
+
+/// Parses an update class `U` written in the pattern language: a monadic
+/// pattern selecting the node of the final step.
+///
+/// The grammar is the one of [`parse_fd`]'s paths, anchored at the root:
+/// `/` and `//` axes, wildcards, attribute and `text()` tests, conjunctive
+/// and counting predicates. Value tests are rejected (the independence
+/// criterion sees only the template), and the final step must be
+/// predicate-free, because the updated node has to be a leaf of the
+/// template (Section 5).
+///
+/// ```
+/// use regtree_alphabet::Alphabet;
+/// use regtree_core::parse_update_class;
+///
+/// let a = Alphabet::new();
+/// let class = parse_update_class(&a, "/library/shelf/book[loan]/loan").unwrap();
+/// assert_eq!(class.template().len(), 4);
+///
+/// // The updated node must be a template leaf.
+/// assert!(parse_update_class(&a, "/library/shelf/book[loan]").is_err());
+/// // Parse errors carry byte offsets.
+/// let e = parse_update_class(&a, "/library/[x]").unwrap_err();
+/// assert!(e.to_string().contains("byte 9"));
+/// ```
+pub fn parse_update_class(alphabet: &Alphabet, src: &str) -> Result<UpdateClass, Error> {
+    let ast = parse_pattern(src)?;
+    let mut template = Template::new(alphabet.clone());
+    let root = template.root();
+    // Compile errors carry no source offset; like
+    // `CompiledPattern::from_text`, report them at the end of the input.
+    let selected = append_relpath(&mut template, root, &ast.steps).map_err(|e| ParseError {
+        offset: src.len(),
+        found: String::new(),
+        expected: Vec::new(),
+        note: Some(e.to_string()),
+    })?;
+    let pattern = RegularTreePattern::monadic(template, selected)?;
+    Ok(UpdateClass::new(pattern)?)
 }
 
 /// Parses a one-line textual FD and compiles it into an [`Fd`].
@@ -68,11 +116,7 @@ pub fn fd_from_expr(alphabet: &Alphabet, expr: &FdExpr) -> Result<Fd, Error> {
             .any(|(p, _)| has_value_test(&p.steps))
         || has_value_test(&expr.target.0.steps)
     {
-        return Err(err(
-            "value tests ([p = \"v\"]) are not supported in FDs; the FD itself compares \
-             selected nodes by value ([V]) or node ([N]) equality",
-        )
-        .into());
+        return Err(err(FD_VALUE_TEST).into());
     }
 
     let mut template = Template::new(alphabet.clone());
@@ -181,11 +225,7 @@ fn compile_error(e: lang::CompileError) -> Error {
     match e {
         lang::CompileError::Template(e) => Error::Template(e),
         lang::CompileError::Pattern(e) => Error::Pattern(e),
-        lang::CompileError::ValueTest => err(
-            "value tests ([p = \"v\"]) are not supported in FDs; the FD itself compares \
-             selected nodes by value ([V]) or node ([N]) equality",
-        )
-        .into(),
+        lang::CompileError::ValueTest => err(FD_VALUE_TEST).into(),
     }
 }
 
@@ -340,5 +380,76 @@ mod tests {
         let fd = parse_fd(&a, EXPR2).unwrap();
         assert_eq!(fd.target_equality(), EqualityType::Node);
         assert!(!fd.template().is_leaf(fd.target()));
+    }
+
+    /// Every update-class string used by the tests, examples and the
+    /// benchmark workloads, with the template sketch the retired CoreXPath
+    /// front end built for it. `parse_update_class` must build the same
+    /// template.
+    #[test]
+    fn update_class_templates_are_pinned() {
+        let a = Alphabet::new();
+        let golden: &[(&str, &str)] = &[
+            ("/session/candidate/level", "(root)\n  --[session/candidate/level]--> n1\n"),
+            ("/session/candidate/exam/rank", "(root)\n  --[session/candidate/exam/rank]--> n1\n"),
+            ("/session/candidate/exam/mark", "(root)\n  --[session/candidate/exam/mark]--> n1\n"),
+            ("/session/candidate/exam/discipline", "(root)\n  --[session/candidate/exam/discipline]--> n1\n"),
+            ("/session/candidate/exam", "(root)\n  --[session/candidate/exam]--> n1\n"),
+            ("/session/candidate", "(root)\n  --[session/candidate]--> n1\n"),
+            ("/session/candidate/firstJob-Year", "(root)\n  --[session/candidate/firstJob-Year]--> n1\n"),
+            ("/session/candidate/toBePassed/discipline", "(root)\n  --[session/candidate/toBePassed/discipline]--> n1\n"),
+            ("/session/candidate[toBePassed]/level", "(root)\n  --[session/candidate]--> n1\n    --[toBePassed]--> n2\n    --[level]--> n3\n"),
+            ("/inventory/warehouse/pallet/note", "(root)\n  --[inventory/warehouse/pallet/note]--> n1\n"),
+            ("/inventory/warehouse/pallet/qty", "(root)\n  --[inventory/warehouse/pallet/qty]--> n1\n"),
+            ("/inventory/pallet", "(root)\n  --[inventory/pallet]--> n1\n"),
+            ("/db/scratch", "(root)\n  --[db/scratch]--> n1\n"),
+            ("/catalog/item/stock", "(root)\n  --[catalog/item/stock]--> n1\n"),
+            ("/catalog/item/price", "(root)\n  --[catalog/item/price]--> n1\n"),
+            ("/library/shelf/book/loan", "(root)\n  --[library/shelf/book/loan]--> n1\n"),
+            ("/library/shelf/inventory", "(root)\n  --[library/shelf/inventory]--> n1\n"),
+            ("/library/shelf/book[loan]/loan", "(root)\n  --[library/shelf/book]--> n1\n    --[loan]--> n2\n    --[loan]--> n3\n"),
+            ("/library/shelf/book/section", "(root)\n  --[library/shelf/book/section]--> n1\n"),
+            ("/library/shelf/book", "(root)\n  --[library/shelf/book]--> n1\n"),
+            ("/archive/entry", "(root)\n  --[archive/entry]--> n1\n"),
+            ("/s/i/v", "(root)\n  --[s/i/v]--> n1\n"),
+            ("/s/i/note", "(root)\n  --[s/i/note]--> n1\n"),
+            ("/s/a", "(root)\n  --[s/a]--> n1\n"),
+            ("/a", "(root)\n  --[a]--> n1\n"),
+            ("/a/b", "(root)\n  --[a/b]--> n1\n"),
+            ("/a/b/c/d", "(root)\n  --[a/b/c/d]--> n1\n"),
+            ("/a//b[c]/d", "(root)\n  --[a/_*/b]--> n1\n    --[c]--> n2\n    --[d]--> n3\n"),
+            ("/a/b[c and d]//e[f/g]/h", "(root)\n  --[a/b]--> n1\n    --[c]--> n2\n    --[d]--> n3\n    --[_*/e]--> n4\n      --[f/g]--> n5\n      --[h]--> n6\n"),
+            ("/r/a/b/c/d/e/h0", "(root)\n  --[r/a/b/c/d/e/h0]--> n1\n"),
+            ("/r/a/b/c/d/e/h1", "(root)\n  --[r/a/b/c/d/e/h1]--> n1\n"),
+            ("/r/a/b/c/d/e/h2", "(root)\n  --[r/a/b/c/d/e/h2]--> n1\n"),
+            ("/r/a/b/c/d/e/h3", "(root)\n  --[r/a/b/c/d/e/h3]--> n1\n"),
+            ("/r/a/b/c/d/e/h4", "(root)\n  --[r/a/b/c/d/e/h4]--> n1\n"),
+            ("/r/a/b/c/d/e/h5", "(root)\n  --[r/a/b/c/d/e/h5]--> n1\n"),
+        ];
+        for &(src, sketch) in golden {
+            let class = parse_update_class(&a, src).unwrap_or_else(|e| panic!("{src}: {e}"));
+            assert_eq!(
+                class.template().sketch(),
+                sketch,
+                "template drift for {src}"
+            );
+        }
+    }
+
+    #[test]
+    fn update_class_errors() {
+        let a = Alphabet::new();
+        // The updated node must be a template leaf.
+        let e = parse_update_class(&a, "/session/candidate[level and toBePassed]").unwrap_err();
+        assert!(matches!(e, Error::UpdateClass(_)), "{e}");
+        // Value tests cannot reach the independence criterion.
+        let e = parse_update_class(&a, "/s/c[@x = \"1\"]/d").unwrap_err();
+        assert!(e.to_string().contains("value tests"), "{e}");
+        // Syntax errors keep their offsets.
+        let e = parse_update_class(&a, "relative/path").unwrap_err();
+        assert!(
+            matches!(e, Error::PatternText(ref p) if p.offset == 0),
+            "{e}"
+        );
     }
 }

@@ -24,7 +24,6 @@ pub mod emptiness;
 pub mod partition;
 pub mod product;
 pub mod schema;
-pub mod stream_validate;
 
 pub use automaton::{
     generic_element_label, horizontal_epsilon, horizontal_interleaved, horizontal_star,
@@ -38,9 +37,6 @@ pub use emptiness::{
 pub use partition::{iter_classes, GuardMask, GuardPartition};
 pub use product::{intersect, intersect_with_encoding, union, PairEncoding};
 pub use schema::{Schema, SchemaError};
-pub use stream_validate::{
-    stream_validated, stream_validated_traced, stream_validated_with, IngestError, StreamValidator,
-};
 
 #[cfg(test)]
 mod proptests {

@@ -2,9 +2,8 @@
 //! `CompiledPattern` wrapper.
 //!
 //! Each step contributes to the regex of a template edge; consecutive
-//! predicate-free steps merge into a single edge (mirroring
-//! [`corexpath`](crate::corexpath)), descendant axes contribute an `_*`
-//! prefix, and counting predicates `[count(p) >= n]` expand into `n`
+//! predicate-free steps merge into a single edge, descendant axes
+//! contribute an `_*` prefix, and counting predicates `[count(p) >= n]` expand into `n`
 //! repeated predicate branches. Branch repetition counts *disjoint*
 //! occurrences because Definition 2 maps sibling branches to distinct
 //! children with disjoint subtrees.
@@ -256,25 +255,73 @@ mod tests {
         p.evaluate(&doc).len()
     }
 
+    /// Positive CoreXPath is a fragment of the language: child and
+    /// descendant axes, wildcards, attribute and text tests, conjunctive
+    /// predicates. `(query, document, matches)`.
     #[test]
-    fn agrees_with_corexpath_on_the_common_fragment() {
+    fn positive_corexpath_fragment_counts() {
         let a = Alphabet::new();
-        let doc_src = "<s><c><e><m/></e><z/></c><c><e/><z/></c><d><m/></d></s>";
-        let doc = parse_document(&a, doc_src).unwrap();
-        for q in [
-            "/s/c",
-            "/s/c/z",
-            "//m",
-            "/s//m",
-            "/s/*/e",
-            "/s/c[e/m]/z",
-            "/s/c[.//m]/z",
-            "/s/c[e]/z",
-        ] {
-            let lang = CompiledPattern::from_text(&a, q).unwrap();
-            let xp = crate::corexpath::parse_corexpath(&a, q).unwrap();
-            assert_eq!(lang.evaluate(&doc), xp.evaluate(&doc), "query {q}");
+        let cands =
+            "<s><cand><toBePassed/><level>B</level></cand><cand><level>A</level></cand></s>";
+        let nested = "<s><c><e><m/></e><z/></c><c><e/><z/></c></s>";
+        let mixed = "<s><c><e><m/></e><z/></c><c><e/><z/></c><d><m/></d></s>";
+        let conj = "<s><c><x/><y/></c><c><x/></c><c><y/></c></s>";
+        let cases: &[(&str, &str, usize)] = &[
+            // Child axis.
+            ("/s/c", "<s><c/><c/></s>", 2),
+            ("/s/c", "<s><d/></s>", 0),
+            ("/s/c/d", "<s><c><d/></c></s>", 1),
+            // Descendant axis.
+            ("//m", "<x><y><m/></y><m/></x>", 2),
+            ("/x//m", "<x><y><m/></y></x>", 1),
+            ("//q", "<x><y/></x>", 0),
+            // Wildcard.
+            ("/s/*/m", "<s><a><m/></a><b><m/></b></s>", 2),
+            // Attribute and text tests.
+            ("/c/@id", "<c id=\"7\"/>", 1),
+            ("/c/text()", "<c>hello</c>", 1),
+            ("/c/@id", "<c/>", 0),
+            // Predicates filter.
+            ("/s/cand[toBePassed]/level", cands, 1),
+            ("/s/cand/level", cands, 2),
+            ("/s/c[e/m]/z", nested, 1),
+            ("/s/c[e]/z", nested, 2),
+            ("/s/c[.//m]/z", nested, 1),
+            ("/s/c", mixed, 2),
+            ("/s/c/z", mixed, 2),
+            ("//m", mixed, 2),
+            ("/s//m", mixed, 2),
+            ("/s/*/e", mixed, 2),
+            // Conjunction.
+            ("/s/c[x and y]", conj, 1),
+            ("/s/c[x]", conj, 2),
+            // A predicate branch precedes the continuation in document
+            // order (Definition 2): stricter than XPath.
+            ("/s/c[x]/y", "<s><c><x/><y/></c></s>", 1),
+            ("/s/c[x]/y", "<s><c><y/><x/></c></s>", 0),
+        ];
+        for &(q, doc, n) in cases {
+            assert_eq!(eval(&a, q, doc), n, "{q} on {doc}");
         }
+        for bad in ["relative/path", "/a[b", "/a]", "/", "/a/"] {
+            assert!(CompiledPattern::from_text(&a, bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn merges_predicate_free_steps_into_one_edge() {
+        let a = Alphabet::new();
+        let nodes = |q| {
+            CompiledPattern::from_text(&a, q)
+                .unwrap()
+                .pattern()
+                .template()
+                .len()
+        };
+        // Root + a single merged template node.
+        assert_eq!(nodes("/a/b/c/d"), 2);
+        // Root + node for b + branch for x + node for c/d.
+        assert_eq!(nodes("/a/b[x]/c/d"), 4);
     }
 
     #[test]

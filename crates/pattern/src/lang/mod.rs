@@ -28,14 +28,17 @@
 //!   tests, which templates cannot express and evaluation applies as a
 //!   mapping filter.
 //!
-//! Semantics caveats (inherent to the formalism, shared with
-//! [`corexpath`](crate::corexpath)): sibling template branches map to
-//! *distinct* children in *document order* with disjoint subtrees. This is
-//! exactly what makes counting-by-branch-repetition correct — `n` repeated
-//! branches require `n` distinct witnessing children — and also what makes
-//! the translation stricter than XPath for predicates followed by a
-//! continuation step (see `docs/PATTERN_LANGUAGE.md` §"Differences from
-//! XPath 1.0").
+//! The language contains positive CoreXPath (child and descendant axes,
+//! name/wildcard/attribute/text tests, conjunctive predicates), so FDs and
+//! update classes share this one front end.
+//!
+//! Semantics caveats (inherent to the formalism): sibling template
+//! branches map to *distinct* children in *document order* with disjoint
+//! subtrees. This is exactly what makes counting-by-branch-repetition
+//! correct — `n` repeated branches require `n` distinct witnessing
+//! children — and also what makes the translation stricter than XPath for
+//! predicates followed by a continuation step (see
+//! `docs/PATTERN_LANGUAGE.md` §"Differences from XPath 1.0").
 
 use std::fmt;
 

@@ -12,17 +12,15 @@
 //! * [`compile`] — pattern → bottom-up tree automaton (`A_R`, the first
 //!   stage of Proposition 3), with optional marking of selected subtrees
 //!   used by the independence criterion;
-//! * [`corexpath`] — positive CoreXPath queries as patterns;
-//! * [`lang`] — the richer textual pattern language (counting predicates,
-//!   value tests, round-tripping printer, spanned diagnostics); see
-//!   `docs/PATTERN_LANGUAGE.md`.
+//! * [`lang`] — the textual pattern language (positive CoreXPath plus
+//!   counting predicates and value tests, round-tripping printer, spanned
+//!   diagnostics); see `docs/PATTERN_LANGUAGE.md`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;
 pub mod compile;
-pub mod corexpath;
 pub mod eval;
 pub mod lang;
 pub mod pattern;
@@ -30,7 +28,6 @@ pub mod template;
 
 pub use batch::{evaluate_many, parallel_map};
 pub use compile::{compile_pattern, compile_template_plain, PatternAutomaton, StateRole};
-pub use corexpath::{parse_corexpath, XPathError};
 pub use eval::{
     enumerate_mappings, enumerate_mappings_governed, enumerate_mappings_indexed,
     enumerate_mappings_nfa, evaluate, evaluate_governed, evaluate_indexed, project_mappings,

@@ -72,7 +72,7 @@ use std::time::Instant;
 /// ```
 /// use regtree_runtime::SpanKind;
 /// assert_eq!(SpanKind::IcSearch.name(), "ic_search");
-/// assert_eq!(SpanKind::ALL.len(), 8);
+/// assert_eq!(SpanKind::ALL.len(), 7);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum SpanKind {
@@ -86,8 +86,6 @@ pub enum SpanKind {
     FdCheck,
     /// One cell of an FD × update-class independence matrix.
     MatrixCell,
-    /// One streaming document ingest (parse + validate + index in one pass).
-    Ingest,
     /// One update applied as a delta to a versioned document.
     DeltaApply,
     /// One FD-set partition into unaffected/localized/global after a delta.
@@ -96,13 +94,12 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every span kind, in rendering order.
-    pub const ALL: [SpanKind; 8] = [
+    pub const ALL: [SpanKind; 7] = [
         SpanKind::Compile,
         SpanKind::IcSearch,
         SpanKind::EmptinessFixpoint,
         SpanKind::FdCheck,
         SpanKind::MatrixCell,
-        SpanKind::Ingest,
         SpanKind::DeltaApply,
         SpanKind::ScopeClassify,
     ];
@@ -115,7 +112,6 @@ impl SpanKind {
             SpanKind::EmptinessFixpoint => "emptiness_fixpoint",
             SpanKind::FdCheck => "fd_check",
             SpanKind::MatrixCell => "matrix_cell",
-            SpanKind::Ingest => "ingest",
             SpanKind::DeltaApply => "delta_apply",
             SpanKind::ScopeClassify => "scope_classify",
         }
@@ -128,9 +124,8 @@ impl SpanKind {
             SpanKind::EmptinessFixpoint => 2,
             SpanKind::FdCheck => 3,
             SpanKind::MatrixCell => 4,
-            SpanKind::Ingest => 5,
-            SpanKind::DeltaApply => 6,
-            SpanKind::ScopeClassify => 7,
+            SpanKind::DeltaApply => 5,
+            SpanKind::ScopeClassify => 6,
         }
     }
 }

@@ -34,7 +34,8 @@
 //! `$/cancelRequest {id}` and `exit` are notifications. FD expressions use
 //! the textual pattern language of [`regtree_core::parse_fd`] (descendant
 //! axes, wildcards, counting predicates — see `docs/PATTERN_LANGUAGE.md`),
-//! update classes are positive CoreXPath, schemas the rule format of
+//! update classes the same language through
+//! [`regtree_core::parse_update_class`], schemas the rule format of
 //! [`regtree_hedge::Schema::parse`] — the same surface syntax as the CLI.
 //! `pattern/parse` is stateless (no session required); parse failures
 //! return `invalid params` with `{offset, found, expected, note}` in

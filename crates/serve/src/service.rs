@@ -38,11 +38,11 @@ use regtree_core::api::{
     PatternParseResponse, UpdateCheckEntry, UpdateResponse, PROTOCOL_VERSION,
 };
 use regtree_core::{
-    parse_fd, Analyzer, CancelToken, Fd, FdOutcome, FdSet, IncrementalChecker, Resource, RunLimits,
-    RunOverrides, TraceHandle, UpdateClass, Verdict,
+    parse_fd, parse_update_class, Analyzer, CancelToken, Error as CoreError, Fd, FdOutcome, FdSet,
+    IncrementalChecker, Resource, RunLimits, RunOverrides, TraceHandle, UpdateClass, Verdict,
 };
 use regtree_hedge::Schema;
-use regtree_pattern::{parse_corexpath, CompiledPattern};
+use regtree_pattern::CompiledPattern;
 use regtree_xml::{parse_document, to_xml_with, SerializeOptions, VersionedDocument};
 
 use crate::rpc::{self, RpcError};
@@ -171,66 +171,38 @@ fn merge_limits(session: &RunLimits, request: &RunLimits, ceiling: &RunLimits) -
     }
 }
 
-/// `[[name, expr], ...]` → named FDs parsed in the session's alphabet.
-fn parse_named_fds(alphabet: &Alphabet, value: &Json) -> Result<Vec<(String, Fd)>, RpcError> {
-    let items = value
-        .as_array()
-        .ok_or_else(|| invalid_params("'fds' must be an array of [name, expr] pairs"))?;
-    if items.is_empty() {
-        return Err(invalid_params("'fds' must not be empty"));
-    }
-    items
-        .iter()
-        .map(|item| {
-            let pair = item
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| invalid_params("each fd must be a [name, expr] pair of strings"))?;
-            let (name, expr) = match (pair[0].as_str(), pair[1].as_str()) {
-                (Some(n), Some(e)) => (n, e),
-                _ => {
-                    return Err(invalid_params(
-                        "each fd must be a [name, expr] pair of strings",
-                    ))
-                }
-            };
-            let fd = parse_fd(alphabet, expr)
-                .map_err(|e| invalid_params(format!("fd '{name}': {e}")))?;
-            Ok((name.to_string(), fd))
-        })
-        .collect()
-}
-
-/// `[[name, xpath], ...]` → named update classes.
-fn parse_named_classes(
+/// `params[key]` as `[[name, expr], ...]` → named items, each expression
+/// parsed in the session's alphabet by `parse` (`parse_fd` for `fds`,
+/// `parse_update_class` for `updates`); `item` names one entry in errors.
+fn parse_named<T>(
     alphabet: &Alphabet,
-    value: &Json,
-) -> Result<Vec<(String, UpdateClass)>, RpcError> {
-    let items = value
-        .as_array()
-        .ok_or_else(|| invalid_params("'updates' must be an array of [name, xpath] pairs"))?;
+    params: &Json,
+    key: &str,
+    item: &str,
+    parse: fn(&Alphabet, &str) -> Result<T, CoreError>,
+) -> Result<Vec<(String, T)>, RpcError> {
+    let items = params
+        .get(key)
+        .and_then(Json::as_array)
+        .ok_or_else(|| invalid_params(format!("'{key}' must be an array of [name, expr] pairs")))?;
     if items.is_empty() {
-        return Err(invalid_params("'updates' must not be empty"));
+        return Err(invalid_params(format!("'{key}' must not be empty")));
     }
     items
         .iter()
-        .map(|item| {
-            let pair = item.as_array().filter(|p| p.len() == 2).ok_or_else(|| {
-                invalid_params("each update must be a [name, xpath] pair of strings")
-            })?;
-            let (name, expr) = match (pair[0].as_str(), pair[1].as_str()) {
-                (Some(n), Some(e)) => (n, e),
-                _ => {
-                    return Err(invalid_params(
-                        "each update must be a [name, xpath] pair of strings",
-                    ))
-                }
+        .map(|entry| {
+            let pair = match entry.as_array() {
+                Some([name, expr]) => name.as_str().zip(expr.as_str()),
+                _ => None,
             };
-            let pattern = parse_corexpath(alphabet, expr)
-                .map_err(|e| invalid_params(format!("update '{name}': {e}")))?;
-            let class = UpdateClass::new(pattern)
-                .map_err(|e| invalid_params(format!("update '{name}': {e}")))?;
-            Ok((name.to_string(), class))
+            let (name, expr) = pair.ok_or_else(|| {
+                invalid_params(format!(
+                    "each {item} must be a [name, expr] pair of strings"
+                ))
+            })?;
+            let parsed = parse(alphabet, expr)
+                .map_err(|e| invalid_params(format!("{item} '{name}': {e}")))?;
+            Ok((name.to_string(), parsed))
         })
         .collect()
 }
@@ -561,8 +533,7 @@ impl Service {
             .get("name")
             .and_then(Json::as_str)
             .ok_or_else(|| invalid_params("missing 'name'"))?;
-        let fds_json = params.get("fds").unwrap_or(&Json::Null);
-        let named = parse_named_fds(&session.alphabet, fds_json)?;
+        let named = parse_named(&session.alphabet, params, "fds", "fd", parse_fd)?;
         let update_json = params
             .get("update")
             .ok_or_else(|| invalid_params("missing 'update'"))?;
@@ -572,7 +543,7 @@ impl Service {
         let merged = merge_limits(&session.limits, &request, &self.config.ceiling);
         let entry = session.document(name)?;
         let mut entry = entry.lock();
-        let key = fds_json.to_compact();
+        let key = params.get("fds").unwrap_or(&Json::Null).to_compact();
         if !matches!(&entry.checker, Some((k, _)) if *k == key) {
             let fds: Vec<Fd> = named.iter().map(|(_, f)| f.clone()).collect();
             let checker = IncrementalChecker::with_governance(
@@ -658,10 +629,8 @@ impl Service {
             .ok_or_else(|| invalid_params("missing 'update'"))?;
         let fd =
             parse_fd(&session.alphabet, fd_expr).map_err(|e| invalid_params(format!("fd: {e}")))?;
-        let pattern = parse_corexpath(&session.alphabet, update_expr)
+        let class = parse_update_class(&session.alphabet, update_expr)
             .map_err(|e| invalid_params(format!("update: {e}")))?;
-        let class =
-            UpdateClass::new(pattern).map_err(|e| invalid_params(format!("update: {e}")))?;
         let run = self.overrides(&session, params, cancel)?;
         let analysis = session.analyzer.independence_with(&fd, &class, &run);
         let witness_xml = match &analysis.verdict {
@@ -681,10 +650,13 @@ impl Service {
     fn independence_matrix(&self, params: &Json, cancel: &CancelToken) -> Result<Json, RpcError> {
         let session = self.session(params)?;
         session.requests.fetch_add(1, Ordering::Relaxed);
-        let fds = parse_named_fds(&session.alphabet, params.get("fds").unwrap_or(&Json::Null))?;
-        let classes = parse_named_classes(
+        let fds = parse_named(&session.alphabet, params, "fds", "fd", parse_fd)?;
+        let classes = parse_named(
             &session.alphabet,
-            params.get("updates").unwrap_or(&Json::Null),
+            params,
+            "updates",
+            "update",
+            parse_update_class,
         )?;
         let prune = params.get("prune").and_then(Json::as_bool).unwrap_or(false);
         let run = self.overrides(&session, params, cancel)?;
@@ -720,7 +692,7 @@ impl Service {
     fn fd_check(&self, params: &Json, cancel: &CancelToken) -> Result<Json, RpcError> {
         let session = self.session(params)?;
         session.requests.fetch_add(1, Ordering::Relaxed);
-        let named = parse_named_fds(&session.alphabet, params.get("fds").unwrap_or(&Json::Null))?;
+        let named = parse_named(&session.alphabet, params, "fds", "fd", parse_fd)?;
         let names: Vec<&str> = named.iter().map(|(n, _)| n.as_str()).collect();
         let fds: Vec<Fd> = named.iter().map(|(_, f)| f.clone()).collect();
         // Explicit doc list, or every loaded document in name order.
@@ -781,7 +753,7 @@ impl Service {
     fn fd_minimize(&self, params: &Json, cancel: &CancelToken) -> Result<Json, RpcError> {
         let session = self.session(params)?;
         session.requests.fetch_add(1, Ordering::Relaxed);
-        let named = parse_named_fds(&session.alphabet, params.get("fds").unwrap_or(&Json::Null))?;
+        let named = parse_named(&session.alphabet, params, "fds", "fd", parse_fd)?;
         let mut set = FdSet::new();
         for (name, fd) in named {
             set.push(name, fd);

@@ -11,9 +11,10 @@ use std::sync::Arc;
 
 use regtree_alphabet::Alphabet;
 use regtree_core::api::Json;
-use regtree_core::{Analyzer, Fd, FdOutcome, FdSet, PathFd, RunLimits, UpdateClass};
+use regtree_core::{
+    parse_update_class, Analyzer, Fd, FdOutcome, FdSet, PathFd, RunLimits, UpdateClass,
+};
 use regtree_hedge::Schema;
-use regtree_pattern::parse_corexpath;
 use regtree_serve::rpc::{self, read_frame, write_message};
 use regtree_serve::{ServerConfig, Service, TcpServer};
 use regtree_xml::parse_document;
@@ -137,8 +138,7 @@ fn compute_expected(schema_text: &str, xml: &str) -> Expected {
             .expect("workload fd parses")
     };
     let parse_upd = |expr: &str| -> UpdateClass {
-        UpdateClass::new(parse_corexpath(&alphabet, expr).expect("workload update parses"))
-            .expect("workload update class")
+        parse_update_class(&alphabet, expr).expect("workload update class parses")
     };
     let independent = PAIRS
         .iter()

@@ -88,16 +88,7 @@ impl LabelIndex {
         self.subtree[n.index()] & mask != 0
     }
 
-    // ---- incremental maintenance (streaming ingest & versioned edits) ----
-
-    /// Assembles an index from raw parts (the streaming ingest path, which
-    /// builds both structures in its single pass).
-    pub(crate) fn from_raw(
-        by_label: HashMap<Symbol, Vec<NodeId>>,
-        subtree: Vec<u64>,
-    ) -> LabelIndex {
-        LabelIndex { by_label, subtree }
-    }
+    // ---- incremental maintenance (versioned edits) ----
 
     /// Grows the mask table to cover `len` arena slots (new slots zeroed).
     pub(crate) fn ensure_slots(&mut self, len: usize) {

@@ -14,8 +14,6 @@
 //!   canonical hash FD checking buckets by;
 //! * [`edit`] — subtree replacement (the paper's primitive update), plus
 //!   insert/delete/set-value conveniences;
-//! * [`stream_document`] — one-pass streaming ingest fusing parsing, label
-//!   indexing and a caller-supplied open/close observer;
 //! * [`VersionedDocument`]/[`UndoJournal`] — in-place delta edits with an
 //!   incrementally maintained index, and clone-free undo.
 
@@ -28,7 +26,6 @@ pub mod model;
 pub mod parse;
 pub mod serialize;
 pub mod spec;
-pub mod stream;
 pub mod value_eq;
 pub mod versioned;
 
@@ -38,7 +35,6 @@ pub use model::{DocStats, Document, NodeId};
 pub use parse::{parse_document, parse_document_with, ParseOptions, XmlError};
 pub use serialize::{subtree_to_xml, to_xml, to_xml_with, SerializeOptions};
 pub use spec::{document_from_specs, TreeSpec};
-pub use stream::{stream_document, stream_document_with, NullSink, StreamError, StreamSink};
 pub use value_eq::{value_eq, value_eq_in, value_hash, ValueKey};
 pub use versioned::{Delta, UndoJournal, VersionedDocument};
 

@@ -46,6 +46,9 @@ pub struct ParseOptions {
 }
 
 /// Parses an XML string into a [`Document`] under the reserved `/` root.
+///
+/// The parser keeps its open elements on an explicit stack, not the call
+/// stack, so nesting depth is bounded by memory only.
 pub fn parse_document(alphabet: &Alphabet, src: &str) -> Result<Document, XmlError> {
     parse_document_with(alphabet, src, ParseOptions::default())
 }
@@ -58,16 +61,94 @@ pub fn parse_document_with(
 ) -> Result<Document, XmlError> {
     let mut doc = Document::new(alphabet.clone());
     let root = doc.root();
-    let mut p = XmlParser::new(src, options);
+    let mut p = XmlParser {
+        bytes: src.as_bytes(),
+        src,
+        pos: 0,
+        options,
+    };
+    // Open elements with their tag names; an empty stack means the parser
+    // is between top-level elements.
+    let mut stack: Vec<(NodeId, &str)> = Vec::new();
+    let mut top_count = 0usize;
     p.skip_misc();
-    let mut top_count = 0;
-    while !p.at_end() {
-        if p.peek_is(b'<') {
-            p.parse_element(&mut doc, root)?;
-            top_count += 1;
-            p.skip_misc();
-        } else {
-            return Err(p.err("unexpected content outside the top-level element"));
+    loop {
+        let Some(&(elem, name)) = stack.last() else {
+            if p.at_end() {
+                break;
+            }
+            if !p.peek_is(b'<') {
+                return Err(p.err("unexpected content outside the top-level element"));
+            }
+            match p.start_tag(&mut doc, root)? {
+                Some(open) => stack.push(open),
+                None => {
+                    top_count += 1;
+                    p.skip_misc();
+                }
+            }
+            continue;
+        };
+        if p.starts_with("</") {
+            p.pos += 2;
+            let close = p.parse_name()?;
+            if close != name {
+                return Err(p.err(format!("mismatched close tag </{close}> for <{name}>")));
+            }
+            p.skip_ws();
+            p.expect(b'>')?;
+            stack.pop();
+            if stack.is_empty() {
+                top_count += 1;
+                p.skip_misc();
+            }
+            continue;
+        }
+        if p.starts_with("<!--") {
+            match p.src[p.pos..].find("-->") {
+                Some(end) => p.pos += end + 3,
+                None => return Err(p.err("unterminated comment")),
+            }
+            continue;
+        }
+        if p.starts_with("<![CDATA[") {
+            p.pos += "<![CDATA[".len();
+            match p.src[p.pos..].find("]]>") {
+                Some(end) => {
+                    doc.add_text(elem, &p.src[p.pos..p.pos + end]);
+                    p.pos += end + 3;
+                }
+                None => return Err(p.err("unterminated CDATA section")),
+            }
+            continue;
+        }
+        if p.starts_with("<?") {
+            match p.src[p.pos..].find("?>") {
+                Some(end) => p.pos += end + 2,
+                None => return Err(p.err("unterminated processing instruction")),
+            }
+            continue;
+        }
+        match p.peek() {
+            Some(b'<') => {
+                if let Some(open) = p.start_tag(&mut doc, elem)? {
+                    stack.push(open);
+                }
+            }
+            Some(_) => {
+                let start = p.pos;
+                while let Some(b) = p.peek() {
+                    if b == b'<' {
+                        break;
+                    }
+                    p.pos += 1;
+                }
+                let text = unescape(&p.src[start..p.pos]).map_err(|m| p.err(m))?;
+                if p.options.keep_whitespace_text || !text.chars().all(char::is_whitespace) {
+                    doc.add_text(elem, &text);
+                }
+            }
+            None => return Err(p.err(format!("unterminated element <{name}>"))),
         }
     }
     if top_count == 0 {
@@ -79,47 +160,38 @@ pub fn parse_document_with(
     Ok(doc)
 }
 
-pub(crate) struct XmlParser<'a> {
-    pub(crate) bytes: &'a [u8],
-    pub(crate) src: &'a str,
-    pub(crate) pos: usize,
-    pub(crate) options: ParseOptions,
+struct XmlParser<'a> {
+    bytes: &'a [u8],
+    src: &'a str,
+    pos: usize,
+    options: ParseOptions,
 }
 
 impl<'a> XmlParser<'a> {
-    pub(crate) fn new(src: &'a str, options: ParseOptions) -> XmlParser<'a> {
-        XmlParser {
-            bytes: src.as_bytes(),
-            src,
-            pos: 0,
-            options,
-        }
-    }
-
-    pub(crate) fn at_end(&self) -> bool {
+    fn at_end(&self) -> bool {
         self.pos >= self.bytes.len()
     }
 
-    pub(crate) fn peek(&self) -> Option<u8> {
+    fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
-    pub(crate) fn peek_is(&self, b: u8) -> bool {
+    fn peek_is(&self, b: u8) -> bool {
         self.peek() == Some(b)
     }
 
-    pub(crate) fn starts_with(&self, s: &str) -> bool {
+    fn starts_with(&self, s: &str) -> bool {
         self.src[self.pos..].starts_with(s)
     }
 
-    pub(crate) fn err(&self, message: impl Into<String>) -> XmlError {
+    fn err(&self, message: impl Into<String>) -> XmlError {
         XmlError {
             position: self.pos,
             message: message.into(),
         }
     }
 
-    pub(crate) fn skip_ws(&mut self) {
+    fn skip_ws(&mut self) {
         while self
             .peek()
             .map(|b| b.is_ascii_whitespace())
@@ -130,7 +202,7 @@ impl<'a> XmlParser<'a> {
     }
 
     /// Skips whitespace, comments, PIs and DOCTYPE between top-level items.
-    pub(crate) fn skip_misc(&mut self) {
+    fn skip_misc(&mut self) {
         loop {
             self.skip_ws();
             if self.starts_with("<?") {
@@ -171,7 +243,7 @@ impl<'a> XmlParser<'a> {
         }
     }
 
-    pub(crate) fn parse_name(&mut self) -> Result<String, XmlError> {
+    fn parse_name(&mut self) -> Result<&'a str, XmlError> {
         let start = self.pos;
         while let Some(b) = self.peek() {
             if b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':') {
@@ -183,10 +255,10 @@ impl<'a> XmlParser<'a> {
         if self.pos == start {
             return Err(self.err("expected a name"));
         }
-        Ok(self.src[start..self.pos].to_string())
+        Ok(&self.src[start..self.pos])
     }
 
-    pub(crate) fn expect(&mut self, b: u8) -> Result<(), XmlError> {
+    fn expect(&mut self, b: u8) -> Result<(), XmlError> {
         if self.peek_is(b) {
             self.pos += 1;
             Ok(())
@@ -195,22 +267,28 @@ impl<'a> XmlParser<'a> {
         }
     }
 
-    fn parse_element(&mut self, doc: &mut Document, parent: NodeId) -> Result<NodeId, XmlError> {
+    /// Parses one start tag, attributes included, adding the element under
+    /// `parent`. Returns the element and its tag name while it stays open,
+    /// `None` when it was self-closing.
+    fn start_tag(
+        &mut self,
+        doc: &mut Document,
+        parent: NodeId,
+    ) -> Result<Option<(NodeId, &'a str)>, XmlError> {
         self.expect(b'<')?;
         let name = self.parse_name()?;
-        let elem = doc.add_element(parent, doc.alphabet().intern(&name));
-        // Attributes.
+        let elem = doc.add_element(parent, doc.alphabet().intern(name));
         loop {
             self.skip_ws();
             match self.peek() {
                 Some(b'>') => {
                     self.pos += 1;
-                    break;
+                    return Ok(Some((elem, name)));
                 }
                 Some(b'/') => {
                     self.pos += 1;
                     self.expect(b'>')?;
-                    return Ok(elem);
+                    return Ok(None);
                 }
                 Some(_) => {
                     let attr_name = self.parse_name()?;
@@ -241,70 +319,11 @@ impl<'a> XmlParser<'a> {
                 None => return Err(self.err("unterminated start tag")),
             }
         }
-        // Content.
-        loop {
-            if self.starts_with("</") {
-                self.pos += 2;
-                let close = self.parse_name()?;
-                if close != name {
-                    return Err(self.err(format!("mismatched close tag </{close}> for <{name}>")));
-                }
-                self.skip_ws();
-                self.expect(b'>')?;
-                return Ok(elem);
-            }
-            if self.starts_with("<!--") {
-                match self.src[self.pos..].find("-->") {
-                    Some(end) => self.pos += end + 3,
-                    None => return Err(self.err("unterminated comment")),
-                }
-                continue;
-            }
-            if self.starts_with("<![CDATA[") {
-                self.pos += "<![CDATA[".len();
-                match self.src[self.pos..].find("]]>") {
-                    Some(end) => {
-                        let text = &self.src[self.pos..self.pos + end];
-                        doc.add_text(elem, text);
-                        self.pos += end + 3;
-                    }
-                    None => return Err(self.err("unterminated CDATA section")),
-                }
-                continue;
-            }
-            if self.starts_with("<?") {
-                match self.src[self.pos..].find("?>") {
-                    Some(end) => self.pos += end + 2,
-                    None => return Err(self.err("unterminated processing instruction")),
-                }
-                continue;
-            }
-            match self.peek() {
-                Some(b'<') => {
-                    self.parse_element(doc, elem)?;
-                }
-                Some(_) => {
-                    let start = self.pos;
-                    while let Some(b) = self.peek() {
-                        if b == b'<' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    let raw = &self.src[start..self.pos];
-                    let text = unescape(raw).map_err(|m| self.err(m))?;
-                    if self.options.keep_whitespace_text || !text.chars().all(char::is_whitespace) {
-                        doc.add_text(elem, &text);
-                    }
-                }
-                None => return Err(self.err(format!("unterminated element <{name}>"))),
-            }
-        }
     }
 }
 
 /// Decodes the predefined entities and numeric character references.
-pub(crate) fn unescape(raw: &str) -> Result<String, String> {
+fn unescape(raw: &str) -> Result<String, String> {
     if !raw.contains('&') {
         return Ok(raw.to_string());
     }
@@ -422,12 +441,62 @@ mod tests {
     #[test]
     fn errors_are_reported() {
         let a = Alphabet::new();
-        assert!(parse_document(&a, "").is_err());
-        assert!(parse_document(&a, "<a><b></a></b>").is_err());
-        assert!(parse_document(&a, "<a attr=oops></a>").is_err());
-        assert!(parse_document(&a, "<a>&unknown;</a>").is_err());
-        assert!(parse_document(&a, "<a>").is_err());
-        assert!(parse_document(&a, "stray text").is_err());
+        // (input, byte offset, message) — pinned from the recursive parser
+        // this loop replaced.
+        let cases = [
+            ("", 0, "no top-level element"),
+            ("<a><b></a></b>", 9, "mismatched close tag </a> for <b>"),
+            ("<a attr=oops></a>", 8, "expected quoted attribute value"),
+            ("<a>&unknown;</a>", 12, "unknown entity &unknown;"),
+            ("<a>", 3, "unterminated element <a>"),
+            (
+                "stray text",
+                0,
+                "unexpected content outside the top-level element",
+            ),
+            ("<a></b>", 6, "mismatched close tag </b> for <a>"),
+            ("<a", 2, "unterminated start tag"),
+            ("<a x='1></a>", 12, "unterminated attribute value"),
+            ("<a><!-- x</a>", 3, "unterminated comment"),
+            ("<a><![CDATA[x</a>", 12, "unterminated CDATA section"),
+            ("<a><?pi</a>", 3, "unterminated processing instruction"),
+            (
+                "<a/>junk",
+                4,
+                "unexpected content outside the top-level element",
+            ),
+            ("<a>&#xZZ;</a>", 9, "bad character reference &#xZZ;"),
+            ("<a x=\"&bogus;\"/>", 14, "unknown entity &bogus;"),
+            (
+                "<a></a >x",
+                8,
+                "unexpected content outside the top-level element",
+            ),
+            ("<a><b/c></a>", 6, "expected '>'"),
+            ("< a/>", 1, "expected a name"),
+            ("<a>&#1114112;</a>", 13, "invalid code point &#1114112;"),
+            ("<a x>", 4, "expected '='"),
+        ];
+        for (src, position, message) in cases {
+            let err = parse_document(&a, src).unwrap_err();
+            assert_eq!(
+                (err.position, err.message.as_str()),
+                (position, message),
+                "{src:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn deep_nesting_does_not_recurse() {
+        let a = Alphabet::new();
+        let depth = 100_000;
+        let src = format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth));
+        // The default test thread has a 2 MiB stack.
+        let doc = parse_document(&a, &src).unwrap();
+        assert_eq!(doc.len(), depth + 1);
+        let err = parse_document(&a, &src[..src.len() - 4]).unwrap_err();
+        assert_eq!(err.message, "unterminated element <a>");
     }
 
     #[test]

@@ -41,6 +41,8 @@ pub fn subtree_to_xml(doc: &Document, n: NodeId) -> String {
     out
 }
 
+/// Writes the subtree at `n` with an explicit work stack (no recursion, so
+/// nesting depth is bounded by memory only).
 fn write_node(
     doc: &Document,
     n: NodeId,
@@ -48,61 +50,81 @@ fn write_node(
     options: SerializeOptions,
     depth: usize,
 ) {
-    match doc.kind(n) {
-        LabelKind::Text => {
-            indent(out, options, depth);
-            out.push_str(&escape_text(doc.value(n).unwrap_or("")));
-        }
-        LabelKind::Attribute => {
-            // A free-standing attribute leaf (detached from an element
-            // context) renders as a pseudo-element for visibility.
-            indent(out, options, depth);
-            let name = doc.label_name(n);
-            let _ = write!(
-                out,
-                "<attribute name=\"{}\" value=\"{}\"/>",
-                escape_attr(&name[1..]),
-                escape_attr(doc.value(n).unwrap_or(""))
-            );
-        }
-        LabelKind::Element => {
-            let name = doc.label_name(n);
-            indent(out, options, depth);
-            let _ = write!(out, "<{name}");
-            let mut content: Vec<NodeId> = Vec::new();
-            for &c in doc.children(n) {
-                if doc.kind(c) == LabelKind::Attribute {
-                    let aname = doc.label_name(c);
-                    let _ = write!(
-                        out,
-                        " {}=\"{}\"",
-                        &aname[1..],
-                        escape_attr(doc.value(c).unwrap_or(""))
-                    );
-                } else {
-                    content.push(c);
-                }
+    enum Item {
+        Node(NodeId, usize),
+        Newline,
+        Close(NodeId, usize),
+    }
+    let mut stack = vec![Item::Node(n, depth)];
+    while let Some(item) = stack.pop() {
+        let (n, depth) = match item {
+            Item::Node(n, depth) => (n, depth),
+            Item::Newline => {
+                out.push('\n');
+                continue;
             }
-            if content.is_empty() {
-                out.push_str("/>");
-            } else {
-                out.push('>');
-                let only_text = content.len() == 1 && doc.kind(content[0]) == LabelKind::Text;
-                if only_text {
+            Item::Close(n, depth) => {
+                indent(out, options, depth);
+                let _ = write!(out, "</{}>", doc.label_name(n));
+                continue;
+            }
+        };
+        match doc.kind(n) {
+            LabelKind::Text => {
+                indent(out, options, depth);
+                out.push_str(&escape_text(doc.value(n).unwrap_or("")));
+            }
+            LabelKind::Attribute => {
+                // A free-standing attribute leaf (detached from an element
+                // context) renders as a pseudo-element for visibility.
+                indent(out, options, depth);
+                let name = doc.label_name(n);
+                let _ = write!(
+                    out,
+                    "<attribute name=\"{}\" value=\"{}\"/>",
+                    escape_attr(&name[1..]),
+                    escape_attr(doc.value(n).unwrap_or(""))
+                );
+            }
+            LabelKind::Element => {
+                let name = doc.label_name(n);
+                indent(out, options, depth);
+                let _ = write!(out, "<{name}");
+                let mut content: Vec<NodeId> = Vec::new();
+                for &c in doc.children(n) {
+                    if doc.kind(c) == LabelKind::Attribute {
+                        let aname = doc.label_name(c);
+                        let _ = write!(
+                            out,
+                            " {}=\"{}\"",
+                            &aname[1..],
+                            escape_attr(doc.value(c).unwrap_or(""))
+                        );
+                    } else {
+                        content.push(c);
+                    }
+                }
+                if content.is_empty() {
+                    out.push_str("/>");
+                } else if content.len() == 1 && doc.kind(content[0]) == LabelKind::Text {
+                    out.push('>');
                     out.push_str(&escape_text(doc.value(content[0]).unwrap_or("")));
+                    let _ = write!(out, "</{name}>");
                 } else {
+                    out.push('>');
                     if options.indent {
                         out.push('\n');
                     }
-                    for &c in &content {
-                        write_node(doc, c, out, options, depth + 1);
+                    // Popped in reverse: each child, its newline, then the
+                    // close tag.
+                    stack.push(Item::Close(n, depth));
+                    for &c in content.iter().rev() {
                         if options.indent {
-                            out.push('\n');
+                            stack.push(Item::Newline);
                         }
+                        stack.push(Item::Node(c, depth + 1));
                     }
-                    indent(out, options, depth);
                 }
-                let _ = write!(out, "</{name}>");
             }
         }
     }
@@ -208,5 +230,58 @@ mod tests {
         let a = Alphabet::new();
         let doc = parse_document(&a, "<r><empty></empty></r>").unwrap();
         assert_eq!(to_xml(&doc), "<r><empty/></r>");
+    }
+
+    #[test]
+    fn output_bytes_are_pinned() {
+        let a = Alphabet::new();
+        let mut doc = parse_document(
+            &a,
+            r#"<r id="1"><x>t</x><y a="&quot;"><z/>mid<w>1</w><v><u q="2"/></v></y>tail</r><s/>"#,
+        )
+        .unwrap();
+        let r = doc.children(doc.root())[0];
+        // An attribute after element children still renders in the tag.
+        doc.add_attribute(r, a.intern("@late"), "x");
+        assert_eq!(
+            to_xml(&doc),
+            "<r id=\"1\" late=\"x\"><x>t</x><y a=\"&quot;\"><z/>mid<w>1</w><v><u q=\"2\"/>\
+             </v></y>tail</r><s/>"
+        );
+        assert_eq!(
+            to_xml_with(&doc, SerializeOptions { indent: true }),
+            "<r id=\"1\" late=\"x\">\n  <x>t</x>\n  <y a=\"&quot;\">\n    <z/>\n    mid\n    \
+             <w>1</w>\n    <v>\n      <u q=\"2\"/>\n    </v>\n  </y>\n  tail\n</r>\n<s/>\n"
+        );
+        let y = doc.children(r)[2];
+        assert_eq!(
+            subtree_to_xml(&doc, y),
+            "<y a=\"&quot;\"><z/>mid<w>1</w><v><u q=\"2\"/></v></y>"
+        );
+        let id = doc.children(r)[0];
+        assert_eq!(
+            subtree_to_xml(&doc, id),
+            "<attribute name=\"id\" value=\"1\"/>"
+        );
+    }
+
+    #[test]
+    fn deep_documents_serialize_without_recursion() {
+        let a = Alphabet::new();
+        let depth = 100_000;
+        let src = format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth));
+        let doc = parse_document(&a, &src).unwrap();
+        // The innermost element self-closes.
+        let expected = format!(
+            "{}<a/>{}",
+            "<a>".repeat(depth - 1),
+            "</a>".repeat(depth - 1)
+        );
+        assert_eq!(to_xml(&doc), expected);
+        // Indented output grows quadratically with depth; keep it small.
+        let shallow =
+            parse_document(&a, &src[3 * (depth - 1000)..src.len() - 4 * (depth - 1000)]).unwrap();
+        let pretty = to_xml_with(&shallow, SerializeOptions { indent: true });
+        assert_eq!(pretty.lines().count(), 2 * 1000 - 1);
     }
 }

@@ -101,18 +101,6 @@ impl VersionedDocument {
         }
     }
 
-    /// Wraps a document with an index already built for it (the streaming
-    /// ingest path — [`crate::stream_document`] returns both).
-    pub fn from_parts(doc: Document, index: LabelIndex) -> VersionedDocument {
-        debug_assert_eq!(index, LabelIndex::build(&doc), "index does not match doc");
-        VersionedDocument {
-            doc,
-            index,
-            version: 0,
-            pending: Delta::default(),
-        }
-    }
-
     /// The current document.
     pub fn doc(&self) -> &Document {
         &self.doc

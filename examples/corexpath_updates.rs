@@ -1,9 +1,10 @@
 //! The paper's closing remark: “our results can thus be applied when the
 //! classes of updates are specified with positive queries of CoreXPath.”
 //!
-//! This example declares update classes as CoreXPath expressions, translates
-//! them to regular tree patterns, and runs the independence criterion
-//! against a library-catalog FD.
+//! This example declares update classes as positive CoreXPath expressions,
+//! which the pattern language parses into regular tree patterns
+//! ([`parse_update_class`]), and runs the independence criterion against a
+//! library-catalog FD.
 //!
 //! ```sh
 //! cargo run --example corexpath_updates
@@ -52,8 +53,7 @@ fn main() {
     println!("FD: same isbn ⇒ same section (per library)\n");
     let analyzer = Analyzer::builder().schema(schema).build();
     for xpath in updates {
-        let pattern = parse_corexpath(&a, xpath).expect("parses");
-        let class = match UpdateClass::new(pattern) {
+        let class = match parse_update_class(&a, xpath) {
             Ok(c) => c,
             Err(e) => {
                 println!("{xpath:<44} not a valid update class: {e}");
@@ -81,8 +81,7 @@ fn main() {
     )
     .expect("well-formed");
     assert!(satisfies(&fd, &doc));
-    let loans = UpdateClass::new(parse_corexpath(&a, "/library/shelf/book/loan").expect("ok"))
-        .expect("leaf");
+    let loans = parse_update_class(&a, "/library/shelf/book/loan").expect("leaf");
     let renew = Update::new(
         loans,
         UpdateOp::Replace(TreeSpec::elem_named(

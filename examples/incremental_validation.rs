@@ -7,8 +7,9 @@
 //!
 //! 1. **revalidate** — apply the update, re-verify the FD on the whole
 //!    document ([14]-style, needs the document);
-//! 2. **incremental** — re-verify only when the update may touch the FD's
-//!    relevant region (needs the document + stored state);
+//! 2. **incremental** — an [`IncrementalChecker`] rechecks only the FD
+//!    contexts the update's delta can reach (needs the document + stored
+//!    state);
 //! 3. **criterion** — run the IC once per update *class*; independent
 //!    classes never trigger any document work at all.
 //!
@@ -22,6 +23,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use regtree::prelude::*;
 use regtree_gen as gen;
+use regtree_xml::VersionedDocument;
 
 fn main() {
     let a = gen::exam_alphabet();
@@ -31,8 +33,7 @@ fn main() {
 
     // The update class: rewrite candidate levels (independent of fd1, which
     // only concerns discipline/mark/rank).
-    let class = UpdateClass::new(parse_corexpath(&a, "/session/candidate/level").expect("parses"))
-        .expect("leaf");
+    let class = parse_update_class(&a, "/session/candidate/level").expect("leaf");
     let update = Update::new(class.clone(), UpdateOp::SetText("E".into()));
 
     // Strategy 3 pays this once, independent of every document:
@@ -67,15 +68,15 @@ fn main() {
         let revalidate_time = t.elapsed();
         assert!(result.is_ok(), "level updates cannot break fd1");
 
-        // 2. Incremental checker (amortized: snapshot once, then recheck).
-        let mut inc_doc = doc.clone();
-        let mut checker = RelevantSetChecker::new(&fd1, &inc_doc);
+        // 2. Incremental checker (amortized: seed once, then recheck).
+        let mut vdoc = VersionedDocument::new(doc);
+        let mut checker = IncrementalChecker::new(vec![fd1.clone()], &vdoc);
         let t = Instant::now();
-        let ok = checker
-            .recheck(&fd1, &update, &mut inc_doc)
+        let report = checker
+            .apply_and_recheck(&mut vdoc, &update)
             .expect("applies");
         let incremental_time = t.elapsed();
-        assert!(ok);
+        assert!(report.outcomes[0].is_satisfied());
 
         // 3. The criterion already answered for the whole class: per update
         //    and per document the cost is zero (shown as the one-off cost

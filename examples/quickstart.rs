@@ -36,8 +36,8 @@ fn main() {
     }
 
     // An update class: restocking touches only <stock> leaves.
-    let restock = parse_corexpath(&alphabet, "/catalog/item/stock").expect("parses");
-    let class = UpdateClass::new(restock).expect("selected node is a leaf");
+    let class = parse_update_class(&alphabet, "/catalog/item/stock")
+        .expect("parses, and the selected node is a leaf");
 
     // One Analyzer serves every analysis: it caches compiled automata and
     // (optionally) governs runs with budgets — see `RunLimits`.
@@ -69,8 +69,7 @@ fn main() {
     );
 
     // A price-rewriting class is *not* provably independent.
-    let reprice = parse_corexpath(&alphabet, "/catalog/item/price").expect("parses");
-    let class2 = UpdateClass::new(reprice).expect("leaf");
+    let class2 = parse_update_class(&alphabet, "/catalog/item/price").expect("leaf");
     let analysis2 = analyzer.independence(&fd, &class2);
     println!(
         "repricing independent? {}",

@@ -24,8 +24,8 @@
 # guard-intersection / frontier-push counters and per-phase nanos — the
 # numbers a cache-layout change is supposed to move.
 # Also emits BENCH_stream.json from the stream_recheck example (E14):
-# one-pass streaming ingest vs parse-then-index, and incremental
-# impact-scoped rechecking vs the serialize/reparse/recheck client loop
+# the parse-then-index ingest cost, and incremental impact-scoped
+# rechecking vs the serialize/reparse/recheck client loop
 # over a candidate-count ladder. The incremental/reparse verdicts must
 # agree on every step (parity_mismatches == 0) and the per-update speedup
 # at the largest ladder point must be >= 3x, or the impact scoping has

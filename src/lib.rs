@@ -59,18 +59,18 @@ pub mod prelude {
     pub use regtree_alphabet::{Alphabet, LabelKind, Symbol};
     pub use regtree_automata::{parse_regex, Dfa, LangSampler, Nfa, Regex};
     pub use regtree_core::{
-        build_reduction, check_fd, expressible_in_path_formalism, parse_fd, revalidate_full,
-        revalidate_full_many, satisfies, subsumes, Analyzer, AnalyzerBuilder, Budget, CancelToken,
-        CellProvenance, ChromeTraceSink, DroppedFd, EqualityType, Error, EventKind, Fd,
-        FdBatchReport, FdBuilder, FdOutcome, FdSet, Implication, IncrementalChecker,
+        build_reduction, check_fd, expressible_in_path_formalism, parse_fd, parse_update_class,
+        revalidate_full, revalidate_full_many, satisfies, subsumes, Analyzer, AnalyzerBuilder,
+        Budget, CancelToken, CellProvenance, ChromeTraceSink, DroppedFd, EqualityType, Error,
+        EventKind, Fd, FdBatchReport, FdBuilder, FdOutcome, FdSet, Implication, IncrementalChecker,
         IndependenceMatrix, Minimization, NullTracer, PathFd, RecheckReport, RecheckScope,
-        RelevantSetChecker, Resource, RunLimits, RunMetrics, SpanId, SpanKind, SummarySink,
-        TraceFormat, TraceHandle, TraceSummary, Tracer, Update, UpdateClass, UpdateOp, Verdict,
+        Resource, RunLimits, RunMetrics, SpanId, SpanKind, SummarySink, TraceFormat, TraceHandle,
+        TraceSummary, Tracer, Update, UpdateClass, UpdateOp, Verdict,
     };
     pub use regtree_hedge::{HedgeAutomaton, Schema};
     pub use regtree_pattern::{
-        compile_pattern, evaluate_many, parse_corexpath, parse_pattern, CompiledPattern,
-        RegularTreePattern, Template, TemplateNodeId,
+        compile_pattern, evaluate_many, parse_pattern, CompiledPattern, RegularTreePattern,
+        Template, TemplateNodeId,
     };
     pub use regtree_xml::{
         parse_document, to_xml, value_eq, value_hash, Document, LabelIndex, NodeId, TreeSpec,

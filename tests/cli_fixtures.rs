@@ -49,14 +49,16 @@ fn fixture_readme_commands_work_via_api() {
     // eval command lines. Branch order must follow document order
     // (Definition 2): `level` precedes `toBePassed` under a candidate, so
     // the still-has-exams filter is written after the level test.
-    let pattern = parse_corexpath(&a, "/session/candidate[level and toBePassed]").expect("parses");
+    let pattern =
+        CompiledPattern::from_text(&a, "/session/candidate[level and toBePassed]").expect("parses");
     assert_eq!(pattern.evaluate(&doc).len(), 1);
-    let levels = parse_corexpath(&a, "/session/candidate/level").expect("parses");
+    let levels = CompiledPattern::from_text(&a, "/session/candidate/level").expect("parses");
     assert_eq!(levels.evaluate(&doc).len(), 2);
     // The naive transliteration `candidate[toBePassed]/level` selects
     // nothing on this layout — the order caveat documented in
-    // `regtree_pattern::corexpath`.
-    let wrong_order = parse_corexpath(&a, "/session/candidate[toBePassed]/level").expect("parses");
+    // `docs/PATTERN_LANGUAGE.md`.
+    let wrong_order =
+        CompiledPattern::from_text(&a, "/session/candidate[toBePassed]/level").expect("parses");
     assert_eq!(wrong_order.evaluate(&doc).len(), 0);
     // independence command line.
     let fd2 = PathFd::parse(
@@ -66,8 +68,7 @@ fn fixture_readme_commands_work_via_api() {
     .expect("parses")
     .to_fd(&a)
     .expect("translates");
-    let class = UpdateClass::new(parse_corexpath(&a, "/session/candidate/level").expect("parses"))
-        .expect("leaf");
+    let class = parse_update_class(&a, "/session/candidate/level").expect("leaf");
     let schema = Schema::parse(&a, &fixture("exam.rts")).expect("parses");
     let analyzer = Analyzer::builder().schema(schema).build();
     assert!(analyzer.independence(&fd2, &class).verdict.is_independent());

@@ -63,12 +63,8 @@ fn cancelled_matrix_returns_partial_cells_without_panic() {
     let fd3 = gen::fd3(&a);
     let fd5 = gen::fd5(&a);
     let class_u = gen::update_class_u(&a);
-    let class_level =
-        UpdateClass::new(parse_corexpath(&a, "/session/candidate/level").expect("parses"))
-            .expect("leaf");
-    let class_rank =
-        UpdateClass::new(parse_corexpath(&a, "/session/candidate/exam/rank").expect("parses"))
-            .expect("leaf");
+    let class_level = parse_update_class(&a, "/session/candidate/level").expect("leaf");
+    let class_rank = parse_update_class(&a, "/session/candidate/exam/rank").expect("leaf");
 
     let token = CancelToken::new();
     token.cancel();
@@ -112,9 +108,7 @@ fn cancellation_midway_leaves_no_wrong_verdicts() {
     let fd1 = gen::fd1(&a);
     let fd3 = gen::fd3(&a);
     let class_u = gen::update_class_u(&a);
-    let class_level =
-        UpdateClass::new(parse_corexpath(&a, "/session/candidate/level").expect("parses"))
-            .expect("leaf");
+    let class_level = parse_update_class(&a, "/session/candidate/level").expect("leaf");
 
     let clean = Analyzer::builder().schema(schema.clone()).build().matrix(
         &[("fd1", &fd1), ("fd3", &fd3)],

@@ -146,7 +146,7 @@ fn e6_criterion_is_conservative() {
         .target("candidate/level")
         .build()
         .unwrap();
-    let class = UpdateClass::new(parse_corexpath(&a, "/session/candidate/level").unwrap()).unwrap();
+    let class = parse_update_class(&a, "/session/candidate/level").unwrap();
     let analysis = Analyzer::builder().build().independence(&fd, &class);
     assert!(!analysis.verdict.is_independent());
     // …even though an update writing the SAME text everywhere can never

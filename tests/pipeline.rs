@@ -4,6 +4,7 @@
 
 use rand::SeedableRng;
 use regtree::prelude::*;
+use regtree_xml::VersionedDocument;
 
 const SCHEMA: &str = "\
 root: inventory
@@ -48,12 +49,8 @@ fn full_pipeline_from_text_to_verdicts() {
     assert!(satisfies(&fd, &doc));
 
     // Update classes from CoreXPath.
-    let annotate =
-        UpdateClass::new(parse_corexpath(&a, "/inventory/warehouse/pallet/note").expect("parses"))
-            .expect("leaf");
-    let requantify =
-        UpdateClass::new(parse_corexpath(&a, "/inventory/warehouse/pallet/qty").expect("parses"))
-            .expect("leaf");
+    let annotate = parse_update_class(&a, "/inventory/warehouse/pallet/note").expect("leaf");
+    let requantify = parse_update_class(&a, "/inventory/warehouse/pallet/qty").expect("leaf");
 
     let analyzer = Analyzer::builder().schema(schema.clone()).build();
     assert!(analyzer
@@ -124,7 +121,7 @@ fn witness_documents_guide_schema_refinement() {
         let p = RegularTreePattern::new(t, vec![k, v]).expect("valid");
         regtree::core::fd::Fd::with_default_equality(p, c).expect("fd")
     };
-    let class = UpdateClass::new(parse_corexpath(&a, "/db/scratch").expect("ok")).expect("leaf");
+    let class = parse_update_class(&a, "/db/scratch").expect("leaf");
 
     // The loose FD can reach keys *inside* scratch areas: Unknown.
     let unschemad = Analyzer::builder().build();
@@ -182,7 +179,7 @@ fn randomized_cross_engine_agreement_on_schema_docs() {
 fn update_stream_with_incremental_checker() {
     let a = Alphabet::new();
     let schema = Schema::parse(&a, SCHEMA).expect("parses");
-    let mut doc = parse_document(
+    let doc = parse_document(
         &a,
         &doc_src(&[("p1", "widget", "5"), ("p2", "widget", "5")]),
     )
@@ -191,17 +188,19 @@ fn update_stream_with_incremental_checker() {
         .expect("parses")
         .to_fd(&a)
         .expect("translates");
-    let mut checker = RelevantSetChecker::new(&fd, &doc);
-    assert!(checker.satisfied());
+    let mut vdoc = VersionedDocument::new(doc);
+    let mut checker = IncrementalChecker::new(vec![fd], &vdoc);
+    assert!(checker.all_satisfied());
 
     // A stream of qty rewrites that keep values uniform: stays satisfied.
     for v in ["6", "7", "8"] {
-        let class =
-            UpdateClass::new(parse_corexpath(&a, "/inventory/warehouse/pallet/qty").expect("ok"))
-                .expect("leaf");
+        let class = parse_update_class(&a, "/inventory/warehouse/pallet/qty").expect("leaf");
         let update = Update::new(class, UpdateOp::SetText(v.into()));
-        assert!(checker.recheck(&fd, &update, &mut doc).expect("applies"));
+        let report = checker
+            .apply_and_recheck(&mut vdoc, &update)
+            .expect("applies");
+        assert!(report.outcomes[0].is_satisfied());
     }
-    schema.validate(&doc).expect("still valid");
-    assert!(to_xml(&doc).contains("<qty>8</qty>"));
+    schema.validate(vdoc.doc()).expect("still valid");
+    assert!(to_xml(vdoc.doc()).contains("<qty>8</qty>"));
 }

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use regtree_core::{
     update_class_from_edges, validate_json, Analyzer, ChromeTraceSink, EventKind, RunMetrics,
-    SpanKind, SummarySink, TraceHandle, Update, UpdateOp,
+    SpanKind, SummarySink, Update, UpdateOp,
 };
 use regtree_xml::VersionedDocument;
 
@@ -58,8 +58,8 @@ fn field_u64(line: &str, key: &str) -> u64 {
 /// Runs the paper's running example (FD1/FD3/FD5 of the exam document
 /// against update class U, schema included) through an analyzer wired to
 /// `tracer`, exercising the batch analysis entry points plus the
-/// incremental pipeline (validated streaming ingest, one delta recheck).
-fn drive_example(analyzer: &Analyzer, trace: &TraceHandle) -> (bool, RunMetrics) {
+/// incremental pipeline (ingest, one delta recheck).
+fn drive_example(analyzer: &Analyzer) -> (bool, RunMetrics) {
     let alphabet = regtree_gen::exam_alphabet();
     let doc = regtree_gen::figure1_document(&alphabet);
     let fd1 = regtree_gen::fd1(&alphabet);
@@ -80,17 +80,11 @@ fn drive_example(analyzer: &Analyzer, trace: &TraceHandle) -> (bool, RunMetrics)
     let batch = analyzer.check_fds(std::slice::from_ref(&fd1), &doc);
     totals.merge(&batch.metrics);
 
-    // Incremental pipeline: fused ingest, then one level edit rechecked
-    // through the retained checker (fires ingest/delta_apply/scope_classify).
-    let (streamed, _) = regtree_hedge::stream_validated_traced(
-        regtree_gen::exam_schema(&alphabet).compiled(),
-        &alphabet,
-        &regtree_xml::to_xml(&doc),
-        regtree_xml::ParseOptions::default(),
-        trace,
-    )
-    .expect("figure 1 is schema-valid");
-    let mut vdoc = VersionedDocument::new(streamed);
+    // Incremental pipeline: ingest, then one level edit rechecked through
+    // the retained checker (fires delta_apply/scope_classify).
+    let parsed = regtree_xml::parse_document(&alphabet, &regtree_xml::to_xml(&doc))
+        .expect("figure 1 round-trips");
+    let mut vdoc = VersionedDocument::new(parsed);
     let mut checker = analyzer.incremental_checker(vec![fd1], &vdoc);
     totals.merge(checker.initial_metrics());
     let level =
@@ -125,7 +119,7 @@ fn plain_analyzer() -> Analyzer {
 fn chrome_trace_is_valid_json_with_balanced_spans() {
     let sink = Arc::new(ChromeTraceSink::new());
     let analyzer = traced_analyzer(sink.clone());
-    let (independent, _) = drive_example(&analyzer, &TraceHandle::new(sink.clone()));
+    let (independent, _) = drive_example(&analyzer);
     assert!(
         independent,
         "fd5 vs U under the schema is the paper's yes-case"
@@ -144,7 +138,7 @@ fn chrome_trace_is_valid_json_with_balanced_spans() {
     }
     assert_balanced(&jsonl);
 
-    // All eight span kinds fire across independence + matrix + fd batch
+    // All seven span kinds fire across independence + matrix + fd batch
     // + the incremental pipeline.
     for kind in SpanKind::ALL {
         assert!(
@@ -159,7 +153,7 @@ fn chrome_trace_is_valid_json_with_balanced_spans() {
 fn summary_sink_totals_match_run_metrics() {
     let sink = Arc::new(SummarySink::new());
     let analyzer = traced_analyzer(sink.clone());
-    let (_, totals) = drive_example(&analyzer, &TraceHandle::new(sink.clone()));
+    let (_, totals) = drive_example(&analyzer);
     let summary = sink.summary();
 
     // Each Budget counter bump emits exactly one event, so the sink's
@@ -200,9 +194,8 @@ fn summary_sink_totals_match_run_metrics() {
 #[test]
 fn tracing_is_observation_only() {
     let sink = Arc::new(ChromeTraceSink::new());
-    let (traced_verdict, traced_totals) =
-        drive_example(&traced_analyzer(sink.clone()), &TraceHandle::new(sink));
-    let (plain_verdict, plain_totals) = drive_example(&plain_analyzer(), &TraceHandle::default());
+    let (traced_verdict, traced_totals) = drive_example(&traced_analyzer(sink));
+    let (plain_verdict, plain_totals) = drive_example(&plain_analyzer());
     assert_eq!(traced_verdict, plain_verdict);
     assert_eq!(traced_totals.states_interned, plain_totals.states_interned);
     assert_eq!(traced_totals.frontier_pushes, plain_totals.frontier_pushes);

@@ -74,9 +74,9 @@ pub fn chain_schema(a: &Alphabet, n: usize) -> regtree_hedge::Schema {
 /// (`BENCH_fdset.json`): groups of six FDs under a shared `/db` context,
 /// each group `g{i}` contributing
 ///
-/// 1. `wide`    — `/db : g{i}/d -> g{i}[N]` (kept; structurally *contains*
-///    `narrow`, so its INDEPENDENT verdicts are reusable downward);
-/// 2. `narrow`  — `/db : g{i}/d -> g{i}/r` (kept; reuse beneficiary);
+/// 1. `wide`    — `/db : g{i}/d -> g{i}[N]` (kept; its region contains
+///    `narrow`'s, but neither implies the other);
+/// 2. `narrow`  — `/db : g{i}/d -> g{i}/r` (kept);
 /// 3. `aug`     — `/db : g{i}/d, g{i}/x -> g{i}/r` (augmentation of
 ///    `narrow`, dropped as implied);
 /// 4. `chain1`  — `/db : g{i}/c/e -> g{i}/c[N]` (kept);
@@ -85,7 +85,7 @@ pub fn chain_schema(a: &Alphabet, n: usize) -> regtree_hedge::Schema {
 ///    `chain1` + `chain2`, dropped as implied).
 ///
 /// So a full group yields 2 implied rows in 6 (≈33% of matrix cells never
-/// reach the engine) plus one containment pair among the kept rows. `n`
+/// reach the engine). `n`
 /// need not be a multiple of six; a truncated trailing group just keeps
 /// whatever members it has.
 pub fn fdset_corpus(a: &Alphabet, n: usize) -> Vec<(String, Fd)> {
@@ -117,7 +117,7 @@ pub fn fdset_corpus(a: &Alphabet, n: usize) -> Vec<(String, Fd)> {
 
 /// The update-class columns paired with [`fdset_corpus`]: monadic edits
 /// touching a handful of early groups (so most rows are independent of
-/// most columns, and containment reuse actually fires) plus the targets of
+/// most columns) plus the targets of
 /// group 0 (so dependent cells exist too).
 pub fn fdset_classes(a: &Alphabet) -> Vec<(String, UpdateClass)> {
     ["db/g0/d", "db/g0/r", "db/g1/c/e", "db/g2/x"]

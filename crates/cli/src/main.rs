@@ -94,8 +94,8 @@ USAGE:
                         [OUTPUT]
   rtpcheck independence-matrix --fds FILE --updates FILE [--schema FILE]
                         [--prune] [BUDGET] [OUTPUT] (alias: matrix)
-                        (--prune drops FDs implied by the rest of the set
-                        and reuses verdicts along structural containment)
+                        (--prune drops FDs implied by the rest of the set;
+                        their rows print 'implied' and skip the engine)
   rtpcheck fds minimize --fds FILE [BUDGET] [OUTPUT]
                         (irredundant core of an FD set with provenance;
                         exit 3 when the closure budget ran out — the
@@ -1592,7 +1592,6 @@ mod tests {
 
     #[test]
     fn matrix_prune_drops_implied_rows() {
-        use regtree_core::validate_json;
         // `weak` is `price` with an extra condition: implied, dropped.
         let fds = tmp(
             "price = /catalog : item/sku -> item/price\n\
@@ -1633,7 +1632,7 @@ mod tests {
             ups.0.to_str().unwrap(),
         ])
         .unwrap();
-        validate_json(&json).expect("pruned matrix JSON parses");
+        Json::parse(&json).expect("pruned matrix JSON parses");
         assert!(json.contains("\"provenance\": \"implied\""), "{json}");
         assert!(json.contains("\"implied_by\": [\"price\"]"), "{json}");
         assert!(json.contains("\"implied_rows\": 1"), "{json}");
@@ -1642,10 +1641,10 @@ mod tests {
     }
 
     #[test]
-    fn matrix_prune_reuses_verdicts_via_containment() {
+    fn matrix_prune_computes_every_kept_row() {
         // `wide` marks the whole subtree at item; `narrow` a sub-region.
-        // Neither implies the other, but `wide` subsumes `narrow`, so the
-        // restock column computes `wide` and reuses for `narrow`.
+        // Neither implies the other, so both rows are kept, and each runs
+        // the engine: pruning shares verdicts only between identical pairs.
         let fds = tmp(
             "wide = /catalog : item/sku -> item[N]\n\
              narrow = /catalog : item/sku -> item/price\n",
@@ -1657,20 +1656,35 @@ mod tests {
             "--prune",
             "--format",
             "json",
+            "--stats",
             "--fds",
             fds.0.to_str().unwrap(),
             "--updates",
             ups.0.to_str().unwrap(),
         ])
         .unwrap();
-        assert!(out.contains("\"provenance\": \"reused\""), "{out}");
-        assert!(out.contains("\"reused_from\": \"wide\""), "{out}");
-        assert!(out.contains("\"reused_cells\": 1"), "{out}");
+        let v = Json::parse(&out).unwrap_or_else(|e| panic!("stdout is not JSON: {e}\n{out}"));
+        let cells = v.get("cells").and_then(Json::as_array).expect("cells");
+        assert_eq!(cells.len(), 2, "{out}");
+        for cell in cells {
+            assert_eq!(
+                cell.get("provenance").and_then(Json::as_str),
+                Some("computed"),
+                "{out}"
+            );
+        }
+        assert_eq!(v.get("reused_cells").and_then(Json::as_u64), Some(0));
+        assert_eq!(
+            v.get("metrics")
+                .and_then(|m| m.get("verdicts_reused"))
+                .and_then(Json::as_u64),
+            Some(0),
+            "{out}"
+        );
     }
 
     #[test]
     fn fds_minimize_command() {
-        use regtree_core::validate_json;
         let fds = tmp(
             "base = /s : c/e/d, c/e/m -> c/e/r\n\
              weaker = /s : c/e/d, c/e/m, c/x -> c/e/r\n\
@@ -1695,7 +1709,7 @@ mod tests {
             fds.0.to_str().unwrap(),
         ])
         .unwrap();
-        validate_json(&json).expect("minimize JSON parses");
+        Json::parse(&json).expect("minimize JSON parses");
         assert!(json.contains("\"kept\": [\"base\", \"other\"]"), "{json}");
         assert!(json.contains("\"implied_by\": [\"base\"]"), "{json}");
         assert!(json.contains("\"complete\": true"), "{json}");
@@ -1821,7 +1835,6 @@ mod tests {
 
     #[test]
     fn fd_check_json_stdout_is_pure_json() {
-        use regtree_core::validate_json;
         let good = tmp(
             "<s><i><k>a</k><v>1</v></i><i><k>a</k><v>1</v></i></s>",
             "xml",
@@ -1840,7 +1853,7 @@ mod tests {
             good.0.to_str().unwrap(),
         ])
         .unwrap();
-        validate_json(&out).unwrap_or_else(|e| panic!("stdout is not JSON: {e}\n{out}"));
+        Json::parse(&out).unwrap_or_else(|e| panic!("stdout is not JSON: {e}\n{out}"));
         assert!(out.contains("\"outcome\": \"satisfied\""), "{out}");
         assert!(out.contains("\"all_satisfied\": true"), "{out}");
         assert!(out.contains("\"memo_hits\""), "{out}");
@@ -1855,7 +1868,7 @@ mod tests {
         ]);
         match err {
             Err(CliError::Violation(out)) => {
-                validate_json(&out).unwrap_or_else(|e| panic!("stdout is not JSON: {e}\n{out}"));
+                Json::parse(&out).unwrap_or_else(|e| panic!("stdout is not JSON: {e}\n{out}"));
                 assert!(out.contains("\"outcome\": \"violated\""), "{out}");
                 assert!(out.contains("\"violation\": \""), "{out}");
             }
@@ -1865,7 +1878,6 @@ mod tests {
 
     #[test]
     fn fd_check_json_exhaustion_is_pure_json() {
-        use regtree_core::validate_json;
         let good = tmp(
             "<s><i><k>a</k><v>1</v></i><i><k>a</k><v>1</v></i></s>",
             "xml",
@@ -1882,7 +1894,7 @@ mod tests {
         ]);
         match err {
             Err(CliError::Exhausted(out)) => {
-                validate_json(&out).unwrap_or_else(|e| panic!("stdout is not JSON: {e}\n{out}"));
+                Json::parse(&out).unwrap_or_else(|e| panic!("stdout is not JSON: {e}\n{out}"));
                 assert!(out.contains("\"outcome\": \"unknown\""), "{out}");
                 assert!(out.contains("\"exhausted\": true"), "{out}");
             }
@@ -1892,7 +1904,6 @@ mod tests {
 
     #[test]
     fn matrix_json_stdout_is_pure_json() {
-        use regtree_core::validate_json;
         let fds = tmp("price = /catalog : item/sku -> item/price\n", "lst");
         let ups = tmp(
             "restock = /catalog/item/stock\nreprice = /catalog/item/price\n",
@@ -1909,7 +1920,7 @@ mod tests {
             "--stats",
         ])
         .unwrap();
-        validate_json(&out).unwrap_or_else(|e| panic!("stdout is not JSON: {e}\n{out}"));
+        Json::parse(&out).unwrap_or_else(|e| panic!("stdout is not JSON: {e}\n{out}"));
         assert!(out.contains("\"verdict\": \"independent\""), "{out}");
         assert!(out.contains("\"verdict\": \"recheck\""), "{out}");
         assert!(out.contains("\"independent_pairs\": 1"), "{out}");
@@ -1918,7 +1929,6 @@ mod tests {
 
     #[test]
     fn independence_trace_writes_loadable_chrome_json() {
-        use regtree_core::validate_json;
         let trace = tmp("", "json");
         let out = run(&[
             "independence",
@@ -1932,8 +1942,7 @@ mod tests {
         .unwrap();
         assert!(out.contains("INDEPENDENT"), "{out}");
         let written = std::fs::read_to_string(&trace.0).expect("trace file written");
-        validate_json(&written)
-            .unwrap_or_else(|e| panic!("trace is not valid JSON: {e}\n{written}"));
+        Json::parse(&written).unwrap_or_else(|e| panic!("trace is not valid JSON: {e}\n{written}"));
         assert!(written.contains("\"traceEvents\""), "{written}");
         assert!(written.contains("\"ph\":\"B\""), "{written}");
         assert!(written.contains("\"ph\":\"E\""), "{written}");
@@ -1982,7 +1991,6 @@ mod tests {
 
     #[test]
     fn stats_verbose_json_embeds_phases() {
-        use regtree_core::validate_json;
         let out = run(&[
             "independence",
             "--fd",
@@ -1994,7 +2002,7 @@ mod tests {
             "--stats-verbose",
         ])
         .unwrap();
-        validate_json(&out).unwrap_or_else(|e| panic!("stdout is not JSON: {e}\n{out}"));
+        Json::parse(&out).unwrap_or_else(|e| panic!("stdout is not JSON: {e}\n{out}"));
         assert!(out.contains("\"phases\""), "{out}");
         assert!(out.contains("\"ic_search\""), "{out}");
         assert!(out.contains("\"state_interned\""), "{out}");

@@ -43,10 +43,10 @@ use regtree_xml::{Document, VersionedDocument};
 
 use crate::error::Error;
 use crate::fd::Fd;
-use crate::fdset::FdSet;
+use crate::fdset::{FdSet, Minimization};
 use crate::incremental::IncrementalChecker;
 use crate::independence::{check_independence_governed, IndependenceAnalysis};
-use crate::matrix::{analyze_matrix_governed, analyze_matrix_pruned_governed, IndependenceMatrix};
+use crate::matrix::{analyze_matrix_governed, IndependenceMatrix};
 use crate::satisfy::{check_fds_governed, FdBatchReport};
 use crate::update::UpdateClass;
 
@@ -428,45 +428,18 @@ impl Analyzer {
         classes: &[(&str, &UpdateClass)],
         run: &RunOverrides,
     ) -> IndependenceMatrix {
-        let compile = Stopwatch::start();
-        let (pa_fds, pa_us) = {
-            let _span = self.trace.span(SpanKind::Compile, "matrix rows/columns");
-            let pa_fds: Vec<_> = fds
-                .iter()
-                .map(|(_, fd)| self.compiled(fd.pattern(), true))
-                .collect();
-            let pa_us: Vec<_> = classes
-                .iter()
-                .map(|(_, class)| self.compiled(class.pattern(), false))
-                .collect();
-            (pa_fds, pa_us)
-        };
-        let compile_nanos = compile.elapsed_nanos();
-        let (limits, cancel) = self.effective(run);
-        analyze_matrix_governed(
-            fds,
-            classes,
-            self.schema_auto.as_deref(),
-            &pa_fds,
-            &pa_us,
-            limits,
-            cancel,
-            &self.trace,
-            compile_nanos,
-        )
+        self.run_matrix(fds, classes, run, None)
     }
 
     /// Like [`Analyzer::matrix`], but reasons about the FD *set* first:
     /// rows implied by the rest ([`FdSet::minimize`], run under the
-    /// analyzer's limits) never reach the engine and report
-    /// [`crate::CellProvenance::ImpliedRow`]; among the kept rows a
-    /// verdict is reused along structural containment ([`crate::subsumes`])
-    /// in the sound direction only. Reused cells count in
-    /// `RunMetrics::verdicts_reused` and fire
-    /// [`crate::EventKind::VerdictReused`].
+    /// analyzer's limits and cancel token) never reach the engine and
+    /// report [`crate::CellProvenance::ImpliedRow`]. The kept rows run
+    /// through the same driver as [`Analyzer::matrix`], so the only extra
+    /// cost is the closure.
     ///
     /// The pruned matrix has the same shape as the unpruned one (every FD
-    /// keeps its row), and agrees with it on every cell both paths compute.
+    /// keeps its row), and every kept-row cell equals the unpruned cell.
     /// Dropping implied rows is sound for the *set-invariant* deployment —
     /// the FD set held before the update, so re-verifying the kept core
     /// re-establishes the dropped FDs — not because implied rows would be
@@ -510,42 +483,60 @@ impl Analyzer {
     }
 
     /// [`Analyzer::matrix_pruned`] with per-call [`RunOverrides`] (the
-    /// overridden limits also govern the implication closure).
+    /// overridden limits also govern the implication closure, and the
+    /// overridden cancel token stops it).
     pub fn matrix_pruned_with(
         &self,
         fds: &[(&str, &Fd)],
         classes: &[(&str, &UpdateClass)],
         run: &RunOverrides,
     ) -> IndependenceMatrix {
-        let (limits, cancel) = self.effective(run);
         let mut set = FdSet::new();
         for (name, fd) in fds {
             set.push(*name, (*fd).clone());
         }
-        let minimization = set.minimize(limits);
+        // The closure gets its own budget (no tracer: its counters belong
+        // to no cell, and traced events must match the cells' metrics).
+        let (limits, cancel) = self.effective(run);
+        let mut budget = Budget::new(limits);
+        if let Some(c) = cancel {
+            budget = budget.with_cancel(c.clone());
+        }
+        let minimization = set.minimize_governed(budget);
+        self.run_matrix(fds, classes, run, Some(&minimization))
+    }
+
+    /// Compiles every row and column (through the pattern cache) and runs
+    /// the one matrix driver; with a `minimization`, only its kept rows
+    /// reach the engine.
+    fn run_matrix(
+        &self,
+        fds: &[(&str, &Fd)],
+        classes: &[(&str, &UpdateClass)],
+        run: &RunOverrides,
+        minimization: Option<&Minimization>,
+    ) -> IndependenceMatrix {
         let compile = Stopwatch::start();
-        let (pa_kept, pa_us) = {
-            let _span = self
-                .trace
-                .span(SpanKind::Compile, "pruned matrix rows/columns");
-            let pa_kept: Vec<_> = minimization
-                .kept
+        let (pa_fds, pa_us) = {
+            let _span = self.trace.span(SpanKind::Compile, "matrix rows/columns");
+            let pa_fds: Vec<_> = fds
                 .iter()
-                .map(|&i| self.compiled(fds[i].1.pattern(), true))
+                .map(|(_, fd)| self.compiled(fd.pattern(), true))
                 .collect();
             let pa_us: Vec<_> = classes
                 .iter()
                 .map(|(_, class)| self.compiled(class.pattern(), false))
                 .collect();
-            (pa_kept, pa_us)
+            (pa_fds, pa_us)
         };
         let compile_nanos = compile.elapsed_nanos();
-        analyze_matrix_pruned_governed(
+        let (limits, cancel) = self.effective(run);
+        analyze_matrix_governed(
             fds,
             classes,
             self.schema_auto.as_deref(),
-            &minimization,
-            &pa_kept,
+            minimization,
+            &pa_fds,
             &pa_us,
             limits,
             cancel,

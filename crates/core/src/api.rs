@@ -503,13 +503,20 @@ impl Parser<'_> {
                     return Err(format!("raw control byte in string at {}", self.pos))
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // continuation bytes are well-formed).
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote, backslash or
+                    // control byte. Those stop bytes are ASCII, so the run
+                    // ends on a char boundary of the (UTF-8) input, and
+                    // validating only the run keeps parsing linear.
+                    let start = self.pos;
+                    while let Some(&b) = self.bytes.get(self.pos) {
+                        if b == b'"' || b == b'\\' || b < 0x20 {
+                            break;
+                        }
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|e| e.to_string())?;
+                    out.push_str(run);
                 }
             }
         }
@@ -780,7 +787,8 @@ pub struct MatrixResponse {
     pub exhausted_pairs: usize,
     /// Cells the emptiness engine actually ran for.
     pub computed_cells: usize,
-    /// Cells whose verdict was reused from another row.
+    /// Cells whose verdict was shared with an identical `(fd, update)`
+    /// pair of another row.
     pub reused_cells: usize,
     /// Rows dropped as implied by the rest of the FD set.
     pub implied_rows: usize,

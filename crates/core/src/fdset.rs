@@ -46,7 +46,73 @@ use regtree_alphabet::Symbol;
 use regtree_runtime::{Budget, Resource, RunLimits};
 
 use crate::fd::{EqualityType, Fd};
-use crate::subsume::{fd_paths, structurally_equal, FdPaths};
+use crate::pathfd::{as_word, expressible_in_path_formalism};
+
+/// The path skeleton of a trie-factorized FD: the context word and each
+/// selected node's word relative to the context (conditions first, target
+/// last), with equality types.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct FdPaths {
+    /// Label word from the template root to the context node.
+    context: Vec<Symbol>,
+    /// One `(relative word, equality type)` per selected node, in selected
+    /// order (conditions, then the target).
+    selected: Vec<(Vec<Symbol>, EqualityType)>,
+}
+
+impl FdPaths {
+    /// The target entry (the last selected path).
+    fn target(&self) -> &(Vec<Symbol>, EqualityType) {
+        self.selected.last().expect("an FD has a target")
+    }
+
+    /// Condition entries (all selected paths but the last).
+    fn conditions(&self) -> &[(Vec<Symbol>, EqualityType)] {
+        &self.selected[..self.selected.len() - 1]
+    }
+}
+
+/// Extracts the path skeleton of `fd`, or `None` when `fd` does not have
+/// the trie-factorized shape (regex edges, unselected leaves, sibling
+/// common prefixes, off-spine context, or a selected context node).
+fn fd_paths(fd: &Fd) -> Option<FdPaths> {
+    expressible_in_path_formalism(fd).ok()?;
+    let t = fd.template();
+    let word_of = |n| as_word(t.edge_regex(n)?);
+    let context = word_of(fd.context())?;
+    let mut selected = Vec::with_capacity(fd.pattern().selected().len());
+    for (&s, &eq) in fd.pattern().selected().iter().zip(fd.equality()) {
+        // Climb from the selected node to the context, collecting edge words.
+        let mut rel: Vec<Vec<Symbol>> = Vec::new();
+        let mut cur = s;
+        while cur != fd.context() {
+            rel.push(word_of(cur)?);
+            cur = t.parent(cur)?;
+        }
+        if rel.is_empty() {
+            // The context itself is selected: not a shape the trie
+            // construction produces (paths in [8] are nonempty).
+            return None;
+        }
+        let mut path = Vec::new();
+        for w in rel.iter().rev() {
+            path.extend_from_slice(w);
+        }
+        selected.push((path, eq));
+    }
+    Some(FdPaths { context, selected })
+}
+
+/// Exact structural equality of two FDs: same template sketch, selected
+/// tuple, context, and equality vector. The pattern-level fallback of the
+/// implication closure — it needs no path skeleton, so it also catches
+/// duplicated FDs outside the path formalism.
+fn structurally_equal(a: &Fd, b: &Fd) -> bool {
+    a.context() == b.context()
+        && a.equality() == b.equality()
+        && a.pattern().selected() == b.pattern().selected()
+        && a.template().sketch() == b.template().sketch()
+}
 
 /// The outcome of an implication query.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -390,7 +456,31 @@ impl FdSet {
     /// (`exhausted` set, remaining FDs kept) instead of hanging on a
     /// hostile set.
     pub fn minimize(&self, limits: &RunLimits) -> Minimization {
-        let mut budget = Budget::new(limits);
+        self.minimize_governed(Budget::new(limits))
+    }
+
+    /// [`FdSet::minimize`] under a caller-built budget, so a
+    /// [`regtree_runtime::CancelToken`] attached with
+    /// [`Budget::with_cancel`] stops the closure at its next poll (once per
+    /// FD at the latest) with `exhausted == Some(Resource::Cancelled)`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use regtree_core::{Budget, CancelToken, FdSet, PathFd, Resource, RunLimits};
+    /// use regtree_alphabet::Alphabet;
+    ///
+    /// let a = Alphabet::new();
+    /// let mut set = FdSet::new();
+    /// set.push("fd", PathFd::parse(&a, "/s : c/d -> c/r").unwrap().to_fd(&a).unwrap());
+    /// let token = CancelToken::new();
+    /// token.cancel();
+    /// let budget = Budget::new(&RunLimits::UNLIMITED).with_cancel(token);
+    /// let min = set.minimize_governed(budget);
+    /// assert_eq!(min.exhausted, Some(Resource::Cancelled));
+    /// assert_eq!(min.kept, vec![0]);
+    /// ```
+    pub fn minimize_governed(&self, mut budget: Budget) -> Minimization {
         let n = self.len();
         let mut active = vec![true; n];
         let mut dropped: Vec<DroppedFd> = Vec::new();
@@ -455,6 +545,23 @@ mod tests {
             );
         }
         s
+    }
+
+    #[test]
+    fn extracts_paths_of_factorized_fds() {
+        let a = Alphabet::new();
+        let f = PathFd::parse(&a, "/s : c/e/d, c/e/m -> c/e/r")
+            .unwrap()
+            .to_fd(&a)
+            .unwrap();
+        let p = fd_paths(&f).unwrap();
+        assert_eq!(p.context, vec![a.intern("s")]);
+        assert_eq!(p.selected.len(), 3);
+        assert_eq!(
+            p.target().0,
+            vec![a.intern("c"), a.intern("e"), a.intern("r")]
+        );
+        assert_eq!(p.conditions().len(), 2);
     }
 
     #[test]
@@ -609,6 +716,7 @@ mod tests {
             let pat = RegularTreePattern::new(t, vec![x, y]).unwrap();
             Fd::with_default_equality(pat, c).unwrap()
         };
+        assert!(fd_paths(&make()).is_none());
         let mut s = FdSet::new();
         s.push("f", make());
         assert_eq!(

@@ -8,9 +8,9 @@
 //!   (Definition 5);
 //! * [`pathfd`] — the path formalism of \[8\], its embedding into patterns,
 //!   and the Example 3 inexpressibility checks;
-//! * [`fdset`] / [`subsume`] — FD-*set* reasoning: implication closure,
-//!   [`FdSet::minimize`], and the structural containment the matrix
-//!   pruning reuses verdicts through;
+//! * [`fdset`] — FD-*set* reasoning: implication closure and
+//!   [`FdSet::minimize`], which the pruned matrix uses to drop implied
+//!   rows;
 //! * [`update`] — update classes `U = (T_U, s̄_U)` and executable updates
 //!   (Section 4);
 //! * [`independence`] — the criterion IC: automaton construction, schema
@@ -42,7 +42,6 @@ pub mod pathfd;
 pub mod reduction;
 pub mod revalidate;
 pub mod satisfy;
-pub mod subsume;
 pub mod textfd;
 pub mod update;
 
@@ -62,14 +61,12 @@ pub use revalidate::{revalidate_full, revalidate_full_many};
 pub use satisfy::{
     check_fd, check_fd_governed, check_fd_indexed, satisfies, FdBatchReport, FdOutcome, FdViolation,
 };
-pub use subsume::subsumes;
 pub use textfd::{fd_from_expr, parse_fd, parse_update_class};
 // Re-exported so downstreams govern runs without a direct dependency on
 // `regtree-runtime`.
 pub use regtree_runtime::{
-    validate_json, Budget, CancelToken, ChromeTraceSink, EventKind, NullTracer, Resource,
-    RunLimits, RunMetrics, SpanId, SpanKind, SummarySink, TraceFormat, TraceHandle, TraceSummary,
-    Tracer,
+    Budget, CancelToken, ChromeTraceSink, EventKind, NullTracer, Resource, RunLimits, RunMetrics,
+    SpanId, SpanKind, SummarySink, TraceFormat, TraceHandle, TraceSummary, Tracer,
 };
 pub use update::{
     update_class_from_edges, ApplyError, Update, UpdateClass, UpdateClassError, UpdateOp,

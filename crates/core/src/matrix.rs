@@ -21,15 +21,13 @@
 //! ([`CellProvenance::ReusedFrom`], counted in
 //! `RunMetrics::verdicts_reused`).
 //!
-//! The *pruned* path ([`crate::Analyzer::matrix_pruned`]) additionally
-//! reasons about the FD **set** before spawning cells: rows implied by the
-//! rest of the set ([`crate::FdSet::minimize`]) are dropped without
-//! running the engine at all, and among the kept rows a verdict flows
-//! along structural containment ([`crate::subsumes`]) in the one sound
-//! direction — `Independent` from the containing row to the contained
-//! one, a completed dependent verdict the other way; budget-exhausted
-//! `Unknown`s never propagate. Every cell records how it got its verdict
-//! in [`CellProvenance`].
+//! One driver serves both entry points. The *pruned* one
+//! ([`crate::Analyzer::matrix_pruned`]) first reasons about the FD **set**:
+//! rows implied by the rest of the set ([`crate::FdSet::minimize`]) are
+//! dropped without running the engine at all, and every kept row runs
+//! exactly as it would unpruned — same partition, same compiled forms,
+//! same budgets — so its cells equal the unpruned ones. Every cell records
+//! how it got its verdict in [`CellProvenance`].
 
 use std::fmt;
 use std::sync::Arc;
@@ -43,7 +41,6 @@ use crate::fdset::Minimization;
 use crate::independence::{check_independence_governed, Verdict};
 use crate::intern::{CellEntry, CellInterner};
 use crate::lazy_ic::CompiledTriple;
-use crate::subsume::{fd_paths, paths_subsume, FdPaths};
 use crate::update::UpdateClass;
 
 /// How a matrix cell got its verdict.
@@ -62,11 +59,9 @@ pub enum CellProvenance {
         /// Kept FD indices implying this row.
         by: Vec<usize>,
     },
-    /// The verdict was copied from row `fd` of the same column — either
-    /// through structural containment (pruned path, sound direction only),
-    /// or because both cells resolve to the identical compiled
-    /// `(row, column)` automaton pair and the shared interner realized the
-    /// outcome once.
+    /// The verdict was copied from row `fd` of the same column: both cells
+    /// resolve to the identical compiled `(row, column)` automaton pair, and
+    /// the shared interner realized the outcome once.
     ReusedFrom {
         /// The FD index whose engine-computed verdict was reused.
         fd: usize,
@@ -174,7 +169,8 @@ impl IndependenceMatrix {
             .count()
     }
 
-    /// Number of cells whose verdict was reused through containment.
+    /// Number of cells whose verdict was shared with an identical compiled
+    /// `(row, column)` pair.
     pub fn reused_count(&self) -> usize {
         self.cells
             .iter()
@@ -216,7 +212,8 @@ impl fmt::Display for IndependenceMatrix {
                 let cell = self.cell(i, j);
                 let mark = match &cell.provenance {
                     CellProvenance::ImpliedRow { .. } => "implied",
-                    // A trailing `*` marks verdicts reused via containment.
+                    // A trailing `*` marks verdicts shared with an
+                    // identical compiled pair.
                     CellProvenance::ReusedFrom { .. } if cell.verdict.is_independent() => "indep*",
                     CellProvenance::ReusedFrom { .. } => "RECHECK*",
                     CellProvenance::Computed if cell.verdict.is_independent() => "indep",
@@ -235,16 +232,23 @@ impl fmt::Display for IndependenceMatrix {
     }
 }
 
-/// Matrix analysis on precompiled rows/columns under a shared budget. The
-/// wall-clock deadline is global to the whole matrix (a deadline bounds the
-/// *call*, not each cell); the count caps apply per cell. A cancelled run
-/// still returns every cell: cells that never ran report
-/// `Unknown { exhausted: Some(Cancelled) }`.
+/// The one matrix driver, behind both [`crate::Analyzer::matrix_with`] and
+/// [`crate::Analyzer::matrix_pruned_with`], on precompiled rows/columns
+/// under a shared budget. The wall-clock deadline is global to the whole
+/// matrix (a deadline bounds the *call*, not each cell); the count caps
+/// apply per cell. A cancelled run still returns every cell: cells that
+/// never ran report `Unknown { exhausted: Some(Cancelled) }`.
+///
+/// With a `minimization`, only its kept rows run the engine; the dropped
+/// rows come back as engine-free [`CellProvenance::ImpliedRow`] cells.
+/// `pa_fds` is parallel to `fds` either way, so the guard partition — and
+/// with it every kept cell's result — is the same as without pruning.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn analyze_matrix_governed(
     fds: &[(&str, &Fd)],
     classes: &[(&str, &UpdateClass)],
     schema_auto: Option<&HedgeAutomaton>,
+    minimization: Option<&Minimization>,
     pa_fds: &[Arc<PatternAutomaton>],
     pa_us: &[Arc<PatternAutomaton>],
     limits: &RunLimits,
@@ -252,6 +256,11 @@ pub(crate) fn analyze_matrix_governed(
     trace: &TraceHandle,
     compile_nanos: u64,
 ) -> IndependenceMatrix {
+    let ncols = classes.len();
+    let kept: Vec<usize> = match minimization {
+        Some(m) => m.kept.clone(),
+        None => (0..fds.len()).collect(),
+    };
     let partition = GuardPartition::from_automata(
         pa_fds
             .iter()
@@ -259,8 +268,9 @@ pub(crate) fn analyze_matrix_governed(
             .map(|pa| &pa.automaton)
             .chain(schema_auto),
     );
-    // Flatten every row, column, and the schema into their arena/CSR forms
-    // once; cells borrow the compiled triple pieces instead of recompiling.
+    // Flatten every kept row, column, and the schema into their arena/CSR
+    // forms once; cells borrow the compiled triple pieces instead of
+    // recompiling.
     let universal;
     let schema_sym = match schema_auto {
         Some(s) => s,
@@ -271,25 +281,25 @@ pub(crate) fn analyze_matrix_governed(
     };
     let compiled = fds.first().map(|(_, fd)| {
         let al = fd.template().alphabet();
+        let compile =
+            |pa: &PatternAutomaton| CompiledAutomaton::compile(&pa.automaton, &partition, al);
         (
-            pa_fds
-                .iter()
-                .map(|pa| CompiledAutomaton::compile(&pa.automaton, &partition, al))
+            kept.iter()
+                .map(|&i| compile(&pa_fds[i]))
                 .collect::<Vec<_>>(),
-            pa_us
-                .iter()
-                .map(|pa| CompiledAutomaton::compile(&pa.automaton, &partition, al))
-                .collect::<Vec<_>>(),
+            pa_us.iter().map(|pa| compile(pa)).collect::<Vec<_>>(),
             CompiledAutomaton::compile(schema_sym, &partition, al),
         )
     });
     let interner = CellInterner::new();
     // One deadline for the whole matrix, captured before the first cell.
     let deadline_at = Budget::new(limits).deadline_at();
-    let pairs: Vec<(usize, usize)> = (0..fds.len())
-        .flat_map(|i| (0..classes.len()).map(move |j| (i, j)))
+    // `(position in kept, column)`, row-major.
+    let pairs: Vec<(usize, usize)> = (0..kept.len())
+        .flat_map(|r| (0..ncols).map(move |j| (r, j)))
         .collect();
-    let mut cells = parallel_map(&pairs, |&(i, j)| {
+    let computed = parallel_map(&pairs, |&(r, j)| {
+        let i = kept[r];
         // Cells over the identical compiled pair (the Analyzer dedups
         // repeated FDs/classes to the same Arc) share one engine run.
         let slot = interner.slot((
@@ -322,7 +332,7 @@ pub(crate) fn analyze_matrix_governed(
                 schema_auto,
                 Some(&partition),
                 compiled.as_ref().map(|(cf, cu, cs)| CompiledTriple {
-                    f: &cf[i],
+                    f: &cf[r],
                     u: &cu[j],
                     s: cs,
                 }),
@@ -331,255 +341,37 @@ pub(crate) fn analyze_matrix_governed(
             );
             CellEntry { fd: i, analysis }
         });
-        if ran {
-            let a = entry.analysis.clone();
-            MatrixCell {
-                fd: i,
-                class: j,
-                verdict: a.verdict,
-                automaton_size: a.total_states,
-                explored_states: a.explored_states,
-                metrics: a.metrics,
-                provenance: CellProvenance::Computed,
-            }
+        let (metrics, provenance) = if ran {
+            (entry.analysis.metrics, CellProvenance::Computed)
         } else {
             let mut b = Budget::new(limits).with_trace(trace.clone());
             b.on_verdict_reused();
-            MatrixCell {
-                fd: i,
-                class: j,
-                verdict: entry.analysis.verdict.clone(),
-                automaton_size: entry.analysis.total_states,
-                explored_states: entry.analysis.explored_states,
-                metrics: b.into_metrics(),
-                provenance: CellProvenance::ReusedFrom { fd: entry.fd },
-            }
+            (
+                b.into_metrics(),
+                CellProvenance::ReusedFrom { fd: entry.fd },
+            )
+        };
+        MatrixCell {
+            fd: i,
+            class: j,
+            verdict: entry.analysis.verdict.clone(),
+            automaton_size: entry.analysis.total_states,
+            explored_states: entry.analysis.explored_states,
+            metrics,
+            provenance,
         }
     });
-    // Attribute the shared compile time to the first cell so the matrix
-    // totals stay faithful without double counting.
-    if let Some(first) = cells.first_mut() {
-        first.metrics.compile_nanos += compile_nanos;
-    }
-    IndependenceMatrix {
-        fd_names: fds.iter().map(|(n, _)| n.to_string()).collect(),
-        class_names: classes.iter().map(|(n, _)| n.to_string()).collect(),
-        cells,
-    }
-}
-
-/// Subsumption-aware variant of [`analyze_matrix_governed`]: rows dropped
-/// by the `minimization` are materialized as [`CellProvenance::ImpliedRow`]
-/// cells without running the engine; kept rows run column-parallel in
-/// descending containment-degree order, and within each column a verdict
-/// flows along [`paths_subsume`] in the sound direction only —
-/// `Independent` from container to contained, a *completed* dependent
-/// verdict (`exhausted: None`, witness and all) from contained to
-/// container. Budget-exhausted `Unknown`s never propagate. `pa_kept` is
-/// parallel to `minimization.kept`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn analyze_matrix_pruned_governed(
-    fds: &[(&str, &Fd)],
-    classes: &[(&str, &UpdateClass)],
-    schema_auto: Option<&HedgeAutomaton>,
-    minimization: &Minimization,
-    pa_kept: &[Arc<PatternAutomaton>],
-    pa_us: &[Arc<PatternAutomaton>],
-    limits: &RunLimits,
-    cancel: Option<&CancelToken>,
-    trace: &TraceHandle,
-    compile_nanos: u64,
-) -> IndependenceMatrix {
-    let kept = &minimization.kept;
-    debug_assert_eq!(kept.len(), pa_kept.len());
-    let ncols = classes.len();
-    let partition = GuardPartition::from_automata(
-        pa_kept
-            .iter()
-            .chain(pa_us.iter())
-            .map(|pa| &pa.automaton)
-            .chain(schema_auto),
-    );
-    // Shared arena/CSR compiled forms and realized-cell interner, as in
-    // `analyze_matrix_governed`.
-    let universal;
-    let schema_sym = match schema_auto {
-        Some(s) => s,
-        None => {
-            universal = HedgeAutomaton::universal();
-            &universal
-        }
-    };
-    let compiled = fds.first().map(|(_, fd)| {
-        let al = fd.template().alphabet();
-        (
-            pa_kept
-                .iter()
-                .map(|pa| CompiledAutomaton::compile(&pa.automaton, &partition, al))
-                .collect::<Vec<_>>(),
-            pa_us
-                .iter()
-                .map(|pa| CompiledAutomaton::compile(&pa.automaton, &partition, al))
-                .collect::<Vec<_>>(),
-            CompiledAutomaton::compile(schema_sym, &partition, al),
-        )
-    });
-    let interner = CellInterner::new();
-    let deadline_at = Budget::new(limits).deadline_at();
-
-    // Path skeletons of the kept rows, for containment tests.
-    let paths: Vec<Option<FdPaths>> = kept.iter().map(|&i| fd_paths(fds[i].1)).collect();
-    let contains = |r: usize, q: usize| match (&paths[r], &paths[q]) {
-        (Some(pr), Some(pq)) => paths_subsume(pr, pq),
-        _ => false,
-    };
-    // Rows that contain many others run first: their `Independent`
-    // verdicts then cover the contained rows. (The dependent direction
-    // flows the other way and benefits from the reverse order; with one
-    // order to pick, independence — the common verdict in a well-designed
-    // FD set — wins.)
-    let mut order: Vec<usize> = (0..kept.len()).collect();
-    let degree: Vec<usize> = (0..kept.len())
-        .map(|r| {
-            (0..kept.len())
-                .filter(|&q| q != r && contains(r, q))
-                .count()
-        })
-        .collect();
-    order.sort_by_key(|&r| std::cmp::Reverse(degree[r]));
-
-    // Engine-computed verdicts so far, per column, for rows with a path
-    // skeleton (only those can subsume or be subsumed).
-    let mut computed: Vec<Vec<(usize, Verdict)>> = vec![Vec::new(); ncols];
-    let mut row_cells: Vec<Option<Vec<MatrixCell>>> = vec![None; kept.len()];
-    let cols: Vec<usize> = (0..ncols).collect();
-    for &r in &order {
-        let fd_idx = kept[r];
-        let alphabet = fds[fd_idx].1.template().alphabet().clone();
-        let cells: Vec<MatrixCell> = parallel_map(&cols, |&j| {
-            // Try to reuse a verdict from an already-computed row of this
-            // column before paying for an engine run.
-            if paths[r].is_some() {
-                for (q, v) in &computed[j] {
-                    let reuse = match v {
-                        Verdict::Independent if contains(*q, r) => Some(Verdict::Independent),
-                        Verdict::Unknown {
-                            exhausted: None, ..
-                        } if contains(r, *q) => Some(v.clone()),
-                        _ => None,
-                    };
-                    if let Some(verdict) = reuse {
-                        let mut b = Budget::new(limits).with_trace(trace.clone());
-                        b.on_verdict_reused();
-                        return MatrixCell {
-                            fd: fd_idx,
-                            class: j,
-                            verdict,
-                            automaton_size: 0,
-                            explored_states: 0,
-                            metrics: b.into_metrics(),
-                            provenance: CellProvenance::ReusedFrom { fd: kept[*q] },
-                        };
-                    }
-                }
-            }
-            // Identical compiled pairs share one engine run via the
-            // interner, exactly as in the unpruned driver.
-            let slot = interner.slot((
-                Arc::as_ptr(&pa_kept[r]) as usize,
-                Arc::as_ptr(&pa_us[j]) as usize,
-            ));
-            let mut ran = false;
-            let entry = slot.get_or_init(|| {
-                ran = true;
-                let _span = if trace.is_enabled() {
-                    Some(trace.span(
-                        SpanKind::MatrixCell,
-                        &format!("{} × {}", fds[fd_idx].0, classes[j].0),
-                    ))
-                } else {
-                    None
-                };
-                let mut budget = Budget::new(limits)
-                    .with_deadline_at(deadline_at)
-                    .with_trace(trace.clone());
-                if let Some(c) = cancel {
-                    budget = budget.with_cancel(c.clone());
-                }
-                let analysis = check_independence_governed(
-                    &alphabet,
-                    &pa_kept[r],
-                    &pa_us[j],
-                    classes[j].1,
-                    schema_auto,
-                    Some(&partition),
-                    compiled.as_ref().map(|(cf, cu, cs)| CompiledTriple {
-                        f: &cf[r],
-                        u: &cu[j],
-                        s: cs,
-                    }),
-                    budget,
-                    0,
-                );
-                CellEntry {
-                    fd: fd_idx,
-                    analysis,
-                }
-            });
-            if ran {
-                let a = entry.analysis.clone();
-                MatrixCell {
-                    fd: fd_idx,
-                    class: j,
-                    verdict: a.verdict,
-                    automaton_size: a.total_states,
-                    explored_states: a.explored_states,
-                    metrics: a.metrics,
-                    provenance: CellProvenance::Computed,
-                }
-            } else {
-                let mut b = Budget::new(limits).with_trace(trace.clone());
-                b.on_verdict_reused();
-                MatrixCell {
-                    fd: fd_idx,
-                    class: j,
-                    verdict: entry.analysis.verdict.clone(),
-                    automaton_size: entry.analysis.total_states,
-                    explored_states: entry.analysis.explored_states,
-                    metrics: b.into_metrics(),
-                    provenance: CellProvenance::ReusedFrom { fd: entry.fd },
-                }
-            }
-        });
-        if paths[r].is_some() {
-            for cell in &cells {
-                if cell.provenance == CellProvenance::Computed {
-                    computed[cell.class].push((r, cell.verdict.clone()));
-                }
-            }
-        }
-        row_cells[r] = Some(cells);
-    }
-
-    // Assemble the full matrix: kept rows in place, implied rows as
-    // engine-free cells carrying their provenance.
-    let by_of: std::collections::HashMap<usize, &[usize]> = minimization
-        .dropped
-        .iter()
-        .map(|d| (d.index, d.by.as_slice()))
-        .collect();
-    let mut kept_slot: Vec<Option<Vec<MatrixCell>>> = vec![None; fds.len()];
-    for (slot, &i) in kept.iter().enumerate() {
-        kept_slot[i] = row_cells[slot].take();
-    }
-    let mut cells = Vec::with_capacity(fds.len() * ncols);
-    for (i, slot) in kept_slot.into_iter().enumerate() {
-        match slot {
-            Some(row) => cells.extend(row),
-            None => {
-                let by: Vec<usize> = by_of.get(&i).map(|b| b.to_vec()).unwrap_or_default();
-                for j in 0..ncols {
-                    cells.push(MatrixCell {
+    let mut cells = match minimization {
+        None => computed,
+        Some(m) => {
+            // Splice the dropped rows back in, in row order, as engine-free
+            // cells carrying their provenance.
+            let mut computed = computed.into_iter();
+            let mut cells = Vec::with_capacity(fds.len() * ncols);
+            for i in 0..fds.len() {
+                match m.provenance(i) {
+                    None => cells.extend(computed.by_ref().take(ncols)),
+                    Some(by) => cells.extend((0..ncols).map(|j| MatrixCell {
                         fd: i,
                         class: j,
                         // Placeholder, not a criterion verdict: see
@@ -591,12 +383,15 @@ pub(crate) fn analyze_matrix_pruned_governed(
                         automaton_size: 0,
                         explored_states: 0,
                         metrics: RunMetrics::default(),
-                        provenance: CellProvenance::ImpliedRow { by: by.clone() },
-                    });
+                        provenance: CellProvenance::ImpliedRow { by: by.to_vec() },
+                    })),
                 }
             }
+            cells
         }
-    }
+    };
+    // Attribute the shared compile time to the first cell so the matrix
+    // totals stay faithful without double counting.
     if let Some(first) = cells.first_mut() {
         first.metrics.compile_nanos += compile_nanos;
     }
@@ -631,6 +426,7 @@ pub(crate) fn analyze_matrix_internal(
         fds,
         classes,
         schema_auto.as_deref(),
+        None,
         &pa_fds,
         &pa_us,
         &RunLimits::UNLIMITED,
@@ -742,42 +538,6 @@ mod tests {
         assert!(rendered.ends_with('\n'));
         // No rows and no columns also means nothing to recheck.
         assert!(m.fds_to_recheck(0).is_empty());
-    }
-
-    #[test]
-    fn pruned_matrix_reuses_independent_verdicts_downward() {
-        use crate::analyzer::Analyzer;
-        use crate::pathfd::PathFd;
-        let a = Alphabet::new();
-        // `wide` marks the whole subtree at c/e; `narrow` a sub-region of
-        // it. An update class away from both: `wide` computes Independent,
-        // `narrow` reuses it.
-        let wide = PathFd::parse(&a, "/s : c/e/d -> c/e")
-            .unwrap()
-            .to_fd(&a)
-            .unwrap();
-        let narrow = PathFd::parse(&a, "/s : c/e/d -> c/e/r")
-            .unwrap()
-            .to_fd(&a)
-            .unwrap();
-        let other = update_class_from_edges(&a, &["s/x/y"]).unwrap();
-        let an = Analyzer::builder().build();
-        let m = an.matrix_pruned(
-            &[("wide", &wide), ("narrow", &narrow)],
-            &[("other", &other)],
-        );
-        assert!(m.independent(0, 0));
-        assert!(m.independent(1, 0));
-        assert_eq!(m.cell(0, 0).provenance, CellProvenance::Computed);
-        assert_eq!(
-            m.cell(1, 0).provenance,
-            CellProvenance::ReusedFrom { fd: 0 }
-        );
-        assert_eq!(m.reused_count(), 1);
-        assert_eq!(m.computed_count(), 1);
-        assert_eq!(m.cell(1, 0).metrics.verdicts_reused, 1);
-        // Display marks the reused verdict.
-        assert!(m.to_string().contains("indep*"), "{m}");
     }
 
     #[test]

@@ -35,8 +35,8 @@
 pub mod trace;
 
 pub use trace::{
-    validate_json, ChromeTraceSink, EventKind, NullTracer, SpanGuard, SpanId, SpanKind, SpanStats,
-    SummarySink, TraceFormat, TraceHandle, TraceSummary, Tracer,
+    ChromeTraceSink, EventKind, NullTracer, SpanGuard, SpanId, SpanKind, SpanStats, SummarySink,
+    TraceFormat, TraceHandle, TraceSummary, Tracer,
 };
 
 use std::fmt;
@@ -199,8 +199,9 @@ pub struct RunMetrics {
     pub memo_entries: u64,
     /// Memoized results reused instead of recomputed.
     pub memo_hits: u64,
-    /// Matrix-cell verdicts reused from a subsuming/subsumed row instead of
-    /// being recomputed by the emptiness engine.
+    /// Verdicts reused instead of recomputed: matrix cells sharing an
+    /// identical compiled `(row, column)` pair with an engine-run cell, and
+    /// FD rechecks an incremental checker carried forward.
     pub verdicts_reused: u64,
     /// Update operations applied as in-place deltas to a versioned document
     /// (no full-tree clone).
@@ -437,8 +438,9 @@ impl Budget {
         self.poll()
     }
 
-    /// Records one matrix-cell verdict reused across subsumed rows instead
-    /// of recomputed (counter only, never errs).
+    /// Records one matrix cell whose verdict was shared with an identical
+    /// compiled `(row, column)` pair instead of recomputed (counter only,
+    /// never errs).
     #[inline]
     pub fn on_verdict_reused(&mut self) {
         self.metrics.verdicts_reused += 1;

@@ -175,8 +175,8 @@ pub enum EventKind {
     /// A resource budget ran out; the run is about to stop with
     /// `Unknown { exhausted }`.
     Exhausted,
-    /// A matrix cell's verdict was reused from a subsuming/subsumed row
-    /// instead of being recomputed ([`Budget::on_verdict_reused`]).
+    /// A verdict was reused instead of recomputed: a matrix cell sharing an
+    /// identical compiled `(row, column)` pair ([`Budget::on_verdict_reused`]).
     ///
     /// [`Budget::on_verdict_reused`]: crate::Budget::on_verdict_reused
     VerdictReused,
@@ -490,7 +490,7 @@ impl ChromeInner {
 /// # Examples
 ///
 /// ```
-/// use regtree_runtime::{validate_json, ChromeTraceSink, SpanKind, TraceHandle};
+/// use regtree_runtime::{ChromeTraceSink, SpanKind, TraceHandle};
 /// use std::sync::Arc;
 ///
 /// let sink = Arc::new(ChromeTraceSink::new());
@@ -498,7 +498,6 @@ impl ChromeInner {
 /// drop(trace.span(SpanKind::Compile, "exam schema"));
 ///
 /// let json = sink.to_chrome_json();
-/// validate_json(&json).unwrap();
 /// assert!(json.contains("\"ph\":\"B\"") && json.contains("\"ph\":\"E\""));
 /// ```
 pub struct ChromeTraceSink {
@@ -823,179 +822,6 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-/// Validates that `input` is one syntactically well-formed JSON value.
-///
-/// A dependency-free checker for tests and tooling around the trace sinks
-/// (the workspace has no serde): it verifies structure, string escapes and
-/// number syntax, and rejects trailing garbage. It does **not** build a
-/// value tree.
-///
-/// # Examples
-///
-/// ```
-/// use regtree_runtime::validate_json;
-/// assert!(validate_json("{\"a\": [1, 2.5e3, null, \"x\\n\"]}").is_ok());
-/// assert!(validate_json("{\"a\": }").is_err());
-/// assert!(validate_json("[1] trailing").is_err());
-/// ```
-pub fn validate_json(input: &str) -> Result<(), String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing content at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, pos);
-                parse_string(b, pos)?;
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}", pos = *pos));
-                }
-                *pos += 1;
-                skip_ws(b, pos);
-                parse_value(b, pos)?;
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, pos);
-                parse_value(b, pos)?;
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, b"true"),
-        Some(b'f') => parse_lit(b, pos, b"false"),
-        Some(b'n') => parse_lit(b, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:#x} at {pos}", pos = *pos)),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if b.len() >= *pos + lit.len() && &b[*pos..*pos + lit.len()] == lit {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}", pos = *pos));
-    }
-    *pos += 1;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        if b.len() < *pos + 5
-                            || !b[*pos + 1..*pos + 5].iter().all(u8::is_ascii_hexdigit)
-                        {
-                            return Err(format!("bad \\u escape at byte {pos}", pos = *pos));
-                        }
-                        *pos += 5;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
-                }
-            }
-            0x00..=0x1f => return Err(format!("raw control byte in string at {pos}", pos = *pos)),
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut saw_digit = false;
-    while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-        *pos += 1;
-        saw_digit = true;
-    }
-    if !saw_digit {
-        return Err(format!("bad number at byte {start}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if !b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            return Err(format!("bad fraction at byte {pos}", pos = *pos));
-        }
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if !b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            return Err(format!("bad exponent at byte {pos}", pos = *pos));
-        }
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1010,7 +836,7 @@ mod tests {
     }
 
     #[test]
-    fn chrome_sink_balances_and_validates() {
+    fn chrome_sink_balances_spans() {
         let sink = Arc::new(ChromeTraceSink::new());
         let h = TraceHandle::new(sink.clone());
         {
@@ -1020,23 +846,11 @@ mod tests {
         }
         assert_eq!(sink.len(), 5); // 2×B + 2×E + 1×i
         let json = sink.to_chrome_json();
-        validate_json(&json).unwrap();
         assert_eq!(json.matches("\"ph\":\"B\"").count(), 2);
         assert_eq!(json.matches("\"ph\":\"E\"").count(), 2);
         assert_eq!(json.matches("\"ph\":\"i\"").count(), 1);
         let jsonl = sink.to_jsonl();
         assert_eq!(jsonl.lines().count(), 5);
-        for line in jsonl.lines() {
-            validate_json(line).unwrap();
-        }
-    }
-
-    #[test]
-    fn chrome_sink_escapes_labels() {
-        let sink = Arc::new(ChromeTraceSink::new());
-        let h = TraceHandle::new(sink.clone());
-        drop(h.span(SpanKind::MatrixCell, "a\"b\\c\nd"));
-        validate_json(&sink.to_chrome_json()).unwrap();
     }
 
     #[test]
@@ -1076,34 +890,6 @@ mod tests {
         let s = sink.summary();
         assert_eq!(s.span(SpanKind::MatrixCell).count, 4000);
         assert_eq!(s.event_count(EventKind::StateInterned), 4000);
-    }
-
-    #[test]
-    fn validate_json_accepts_and_rejects() {
-        for good in [
-            "null",
-            "true",
-            "-12.5e-3",
-            "\"a\\u00e9b\"",
-            "[]",
-            "{}",
-            "{\"k\": [1, {\"n\": null}]}",
-        ] {
-            validate_json(good).unwrap_or_else(|e| panic!("{good}: {e}"));
-        }
-        for bad in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\" 1}",
-            "\"unterminated",
-            "01x",
-            "nul",
-            "[1] 2",
-            "{\"a\": 1,}",
-        ] {
-            assert!(validate_json(bad).is_err(), "accepted: {bad}");
-        }
     }
 
     #[test]

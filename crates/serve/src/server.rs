@@ -5,7 +5,9 @@
 //! inline (that is what makes `$/cancelRequest` able to reach a request
 //! already running); each request is dispatched on its own worker thread so
 //! a long analysis never blocks cancellation or further requests on the
-//! same connection. All workers share the write side through a mutex —
+//! same connection. Single requests may therefore complete out of order;
+//! only the items of one batch run, and answer, in order. All workers
+//! share the write side through a mutex —
 //! responses are framed whole under the lock, so concurrent completions
 //! never interleave bytes.
 

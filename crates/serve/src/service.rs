@@ -38,8 +38,9 @@ use regtree_core::api::{
     PatternParseResponse, UpdateCheckEntry, UpdateResponse, PROTOCOL_VERSION,
 };
 use regtree_core::{
-    parse_fd, parse_update_class, Analyzer, CancelToken, Error as CoreError, Fd, FdOutcome, FdSet,
-    IncrementalChecker, Resource, RunLimits, RunOverrides, TraceHandle, UpdateClass, Verdict,
+    parse_fd, parse_update_class, Analyzer, Budget, CancelToken, Error as CoreError, Fd, FdOutcome,
+    FdSet, IncrementalChecker, Resource, RunLimits, RunOverrides, TraceHandle, UpdateClass,
+    Verdict,
 };
 use regtree_hedge::Schema;
 use regtree_pattern::CompiledPattern;
@@ -760,11 +761,10 @@ impl Service {
         }
         let request = parse_limits(params.get("limits").unwrap_or(&Json::Null))?;
         let merged = merge_limits(&session.limits, &request, &self.config.ceiling);
-        let min = set.minimize(&merged);
+        // The closure polls the request's token, so `$/cancelRequest` stops
+        // it mid-way with a sound partial result.
+        let min = set.minimize_governed(Budget::new(&merged).with_cancel(cancel.clone()));
         let resp = MinimizeResponse::from_minimization(&min, &set).to_json();
-        if cancel.is_cancelled() {
-            return Err(exhausted_error(Resource::Cancelled, resp));
-        }
         match min.exhausted {
             Some(resource) => Err(exhausted_error(resource, resp)),
             None => Ok(resp),
@@ -1228,6 +1228,43 @@ mod tests {
         assert_eq!(
             checks[0].get("outcome").and_then(Json::as_str),
             Some("violated")
+        );
+    }
+
+    #[test]
+    fn fd_minimize_stops_on_a_cancelled_token() {
+        let service = Service::new(ServerConfig::default());
+        let open = service
+            .dispatch("session/open", &Json::Obj(vec![]), &CancelToken::new())
+            .unwrap();
+        let sid = open.get("sessionId").and_then(Json::as_u64).unwrap();
+        let fd = |name: &str, src: &str| Json::Arr(vec![Json::str(name), Json::str(src)]);
+        let params = Json::Obj(vec![
+            ("sessionId".to_string(), Json::u64(sid)),
+            (
+                "fds".to_string(),
+                Json::Arr(vec![
+                    fd("base", "/s : c/d -> c/r"),
+                    fd("weaker", "/s : c/d, c/x -> c/r"),
+                ]),
+            ),
+        ]);
+        let token = CancelToken::new();
+        token.cancel();
+        let err = service
+            .dispatch("fd/minimize", &params, &token)
+            .unwrap_err();
+        assert_eq!(err.code, rpc::CANCELLED);
+        // The partial result drops nothing: no implication was proven.
+        let data = err.data.expect("partial result");
+        assert_eq!(data.get("complete").and_then(Json::as_bool), Some(false));
+        assert_eq!(
+            data.get("exhausted").and_then(Json::as_str),
+            Some("cancelled")
+        );
+        assert_eq!(
+            data.get("kept").and_then(Json::as_array).map(<[_]>::len),
+            Some(2)
         );
     }
 

@@ -218,21 +218,20 @@ fn session_flow_no_schema_and_budget_exhaustion() {
         ("xml".to_string(), Json::str(xml)),
         ("validate".to_string(), Json::Bool(true)),
     ]);
-    let mut script = request(1, "session/open", "{}"); // no schema
-    script.extend(frame(&format!(
-        r#"{{"jsonrpc":"2.0","id":2,"method":"document/load","params":{}}}"#,
+    // One batch: single requests on a connection each get their own worker
+    // and may complete out of order, so `document/load` could otherwise
+    // run before the session exists. Batch items run in order.
+    let batch = format!(
+        r#"[{{"jsonrpc":"2.0","id":1,"method":"session/open","params":{{}}}},
+            {{"jsonrpc":"2.0","id":2,"method":"document/load","params":{}}},
+            {{"jsonrpc":"2.0","id":3,"method":"independence/check","params":{{"sessionId":1,"fd":"{fd}","update":"/session/candidate/exam/rank","limits":{{"maxStates":1}}}}}}]"#,
         load.to_compact()
-    )));
-    script.extend(request(
-        3,
-        "independence/check",
-        &format!(
-            r#"{{"sessionId":1,"fd":"{fd}","update":"/session/candidate/exam/rank","limits":{{"maxStates":1}}}}"#
-        ),
-    ));
-    let (resps, _) = run_script(&script, ServerConfig::default());
+    );
+    let (resps, _) = run_script(&frame(&batch), ServerConfig::default());
+    assert_eq!(resps.len(), 1, "one array response per batch");
+    let items = resps[0].as_array().expect("batch answer is an array");
     let by_id = |id: u64| {
-        resps
+        items
             .iter()
             .find(|r| r.get("id").and_then(Json::as_u64) == Some(id))
             .expect("response present")

@@ -8,9 +8,10 @@
 # sweep points, so the *work done* — and where the time went — is versioned
 # next to the time it took.
 # Also emits BENCH_fdset.json from the fdset_matrix example: matrix wall
-# time and cells-actually-checked at 50/100/200 FDs, with and without
-# FD-set pruning (plus implied-row / reused-verdict counts and the
-# parity-mismatch count, which must be 0).
+# time (median of warm runs) and cells-actually-checked at 50/100/200 FDs,
+# with and without FD-set pruning (plus the implied-row count, the
+# minimize closure's own time, and the parity-mismatch count, which must
+# be 0).
 # Commit the refreshed BENCH_ic.json alongside perf-relevant changes so the
 # trajectory stays in-tree.
 # Also emits BENCH_serve.json from the serve_bench example: rtpserved

@@ -60,9 +60,9 @@ pub mod prelude {
     pub use regtree_automata::{parse_regex, Dfa, LangSampler, Nfa, Regex};
     pub use regtree_core::{
         build_reduction, check_fd, expressible_in_path_formalism, parse_fd, parse_update_class,
-        revalidate_full, revalidate_full_many, satisfies, subsumes, Analyzer, AnalyzerBuilder,
-        Budget, CancelToken, CellProvenance, ChromeTraceSink, DroppedFd, EqualityType, Error,
-        EventKind, Fd, FdBatchReport, FdBuilder, FdOutcome, FdSet, Implication, IncrementalChecker,
+        revalidate_full, revalidate_full_many, satisfies, Analyzer, AnalyzerBuilder, Budget,
+        CancelToken, CellProvenance, ChromeTraceSink, DroppedFd, EqualityType, Error, EventKind,
+        Fd, FdBatchReport, FdBuilder, FdOutcome, FdSet, Implication, IncrementalChecker,
         IndependenceMatrix, Minimization, NullTracer, PathFd, RecheckReport, RecheckScope,
         Resource, RunLimits, RunMetrics, SpanId, SpanKind, SummarySink, TraceFormat, TraceHandle,
         TraceSummary, Tracer, Update, UpdateClass, UpdateOp, Verdict,

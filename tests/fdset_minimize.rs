@@ -1,5 +1,5 @@
-//! Soundness of FD-set minimization and of subsumption-aware matrix
-//! pruning, driven by random instances.
+//! Soundness of FD-set minimization and of matrix pruning, driven by
+//! random instances.
 //!
 //! 1. **Minimize soundness** (≥300 cases): for random path-FD sets and
 //!    random documents, whenever a document satisfies every *kept* FD of
@@ -8,12 +8,11 @@
 //!    documents are built independently of the FDs (shared-prefix tries
 //!    over the same label pool), so premise-vacuous cases — the classic
 //!    trap for naive transitivity — arise constantly.
-//! 2. **Pruned/unpruned matrix parity**: `Analyzer::matrix_pruned` agrees
-//!    with `Analyzer::matrix` on every cell the engine computed, and every
-//!    *reused* verdict matches what the unpruned engine computed for that
-//!    cell (the containment direction is not just sound but empirically
-//!    exact under unlimited budgets). Implied rows are excluded from
-//!    recheck reports.
+//! 2. **Pruned/unpruned matrix parity**: `Analyzer::matrix_pruned` and
+//!    `Analyzer::matrix` run one driver, so every cell of a kept row is
+//!    exactly the unpruned cell — verdict, exhausted resource, explored
+//!    states and product size. Implied rows are excluded from recheck
+//!    reports and never claimed independent.
 
 use proptest::prelude::*;
 use regtree_alphabet::Alphabet;
@@ -221,9 +220,7 @@ fn arb_class() -> impl Strategy<Value = UpdateClass> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(60))]
 
-    /// The pruned matrix agrees with the unpruned one: identical verdicts
-    /// on every engine-computed cell, and every reused verdict equals the
-    /// unpruned engine's verdict for that cell.
+    /// Every kept-row cell of the pruned matrix equals the unpruned cell.
     #[test]
     fn pruned_matrix_matches_unpruned(
         fds in arb_fd_set(),
@@ -253,28 +250,32 @@ proptest! {
 
         for (p, q) in plain.cells.iter().zip(&pruned.cells) {
             prop_assert_eq!((p.fd, p.class), (q.fd, q.class));
-            match &q.provenance {
-                CellProvenance::Computed | CellProvenance::ReusedFrom { .. } => {
-                    prop_assert_eq!(
-                        p.verdict.is_independent(),
-                        q.verdict.is_independent(),
-                        "cell ({}, {}) diverged ({:?})",
-                        p.fd,
-                        p.class,
-                        q.provenance,
-                    );
-                }
+            if let CellProvenance::ImpliedRow { .. } = q.provenance {
                 // Implied rows carry no verdict; they must not be listed
                 // for recheck (their impliers are), but must not be
                 // claimed independent either.
-                CellProvenance::ImpliedRow { .. } => {
-                    prop_assert!(!q.verdict.is_independent());
-                    prop_assert!(!pruned
-                        .fds_to_recheck(q.class)
-                        .contains(&q.fd));
-                }
-                other => prop_assert!(false, "unexpected provenance {other:?}"),
+                prop_assert!(!q.verdict.is_independent());
+                prop_assert!(!pruned.fds_to_recheck(q.class).contains(&q.fd));
+                continue;
             }
+            prop_assert_eq!(
+                (
+                    p.verdict.is_independent(),
+                    p.verdict.exhausted(),
+                    p.explored_states,
+                    p.automaton_size,
+                ),
+                (
+                    q.verdict.is_independent(),
+                    q.verdict.exhausted(),
+                    q.explored_states,
+                    q.automaton_size,
+                ),
+                "cell ({}, {}) diverged ({:?})",
+                p.fd,
+                p.class,
+                q.provenance,
+            );
         }
     }
 }

@@ -16,9 +16,10 @@
 
 use std::sync::Arc;
 
+use regtree_core::api::Json;
 use regtree_core::{
-    update_class_from_edges, validate_json, Analyzer, ChromeTraceSink, EventKind, RunMetrics,
-    SpanKind, SummarySink, Update, UpdateOp,
+    update_class_from_edges, Analyzer, ChromeTraceSink, EventKind, RunMetrics, SpanKind,
+    SummarySink, TraceHandle, Update, UpdateOp,
 };
 use regtree_xml::VersionedDocument;
 
@@ -126,7 +127,7 @@ fn chrome_trace_is_valid_json_with_balanced_spans() {
     );
 
     let chrome = sink.to_chrome_json();
-    validate_json(&chrome).unwrap_or_else(|e| panic!("chrome trace is not JSON: {e}"));
+    Json::parse(&chrome).unwrap_or_else(|e| panic!("chrome trace is not JSON: {e}"));
     assert!(chrome.contains("\"traceEvents\""));
     assert!(chrome.contains("\"displayTimeUnit\":\"ms\""));
 
@@ -134,7 +135,7 @@ fn chrome_trace_is_valid_json_with_balanced_spans() {
     let jsonl = sink.to_jsonl();
     assert!(!jsonl.is_empty());
     for line in jsonl.lines() {
-        validate_json(line).unwrap_or_else(|e| panic!("JSONL line is not JSON: {e}\n{line}"));
+        Json::parse(line).unwrap_or_else(|e| panic!("JSONL line is not JSON: {e}\n{line}"));
     }
     assert_balanced(&jsonl);
 
@@ -147,6 +148,24 @@ fn chrome_trace_is_valid_json_with_balanced_spans() {
             kind.name()
         );
     }
+}
+
+#[test]
+fn chrome_sink_escapes_labels() {
+    let label = "a\"b\\c\nd\t\u{1}é";
+    let sink = Arc::new(ChromeTraceSink::new());
+    drop(TraceHandle::new(sink.clone()).span(SpanKind::MatrixCell, label));
+    let chrome = Json::parse(&sink.to_chrome_json())
+        .unwrap_or_else(|e| panic!("chrome trace is not JSON: {e}"));
+    let begin = &chrome
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .expect("traceEvents array")[0];
+    // The label survives the hand-rendered escaping byte for byte.
+    assert_eq!(
+        begin.get("name").and_then(Json::as_str),
+        Some(format!("{}: {label}", SpanKind::MatrixCell.name()).as_str())
+    );
 }
 
 #[test]

@@ -107,63 +107,6 @@ impl Nfa {
             .any(|ts| ts.iter().any(|(l, _)| matches!(l, NfaLabel::Any)))
     }
 
-    /// Rebuilds the automaton with every concrete letter `x` replaced by
-    /// `f(x)` (ε and wildcard guards unchanged). Used to re-index horizontal
-    /// languages when hedge automata are combined.
-    pub fn map_letters(&self, f: impl Fn(Letter) -> Letter) -> Nfa {
-        let trans = self
-            .trans
-            .iter()
-            .map(|ts| {
-                ts.iter()
-                    .map(|&(l, t)| {
-                        let l2 = match l {
-                            NfaLabel::Sym(x) => NfaLabel::Sym(f(x)),
-                            other => other,
-                        };
-                        (l2, t)
-                    })
-                    .collect()
-            })
-            .collect();
-        Nfa {
-            trans,
-            start: self.start,
-            accept: self.accept.clone(),
-        }
-    }
-
-    /// Rebuilds the automaton with every wildcard transition expanded into
-    /// one concrete transition per letter of `letters`. After expansion the
-    /// automaton only fires on letters it names explicitly — required when
-    /// embedding a horizontal language into a larger letter space (hedge
-    /// union) where the wildcard would otherwise match foreign letters.
-    pub fn expand_any(&self, letters: &[Letter]) -> Nfa {
-        let trans = self
-            .trans
-            .iter()
-            .map(|ts| {
-                let mut out = Vec::with_capacity(ts.len());
-                for &(l, t) in ts {
-                    match l {
-                        NfaLabel::Any => {
-                            for &x in letters {
-                                out.push((NfaLabel::Sym(x), t));
-                            }
-                        }
-                        other => out.push((other, t)),
-                    }
-                }
-                out
-            })
-            .collect();
-        Nfa {
-            trans,
-            start: self.start,
-            accept: self.accept.clone(),
-        }
-    }
-
     /// Compiles a regular expression with the classical Thompson construction.
     pub fn from_regex(regex: &Regex) -> Nfa {
         let mut b = NfaBuilder::new();
@@ -591,32 +534,6 @@ mod tests {
         // z alone still works; x alone accepts nothing.
         assert_eq!(m.shortest_accepted_over(&[x, z]), Some(vec![z]));
         assert_eq!(m.shortest_accepted_over(&[x]), None);
-    }
-
-    #[test]
-    fn map_letters_renames_consistently() {
-        let a = Alphabet::new();
-        let m = nfa(&a, "x/y");
-        let (x, y) = (a.intern("x").0, a.intern("y").0);
-        let shifted = m.map_letters(|l| l + 100);
-        assert!(shifted.accepts(&[x + 100, y + 100]));
-        assert!(!shifted.accepts(&[x, y]));
-        assert_eq!(shifted.num_states(), m.num_states());
-    }
-
-    #[test]
-    fn expand_any_confines_wildcards() {
-        let a = Alphabet::new();
-        let m = nfa(&a, "_/end");
-        let end = a.intern("end").0;
-        let allowed = vec![7u32, 8];
-        let e = m.expand_any(&allowed);
-        assert!(!e.uses_wildcard());
-        assert!(e.accepts(&[7, end]));
-        assert!(e.accepts(&[8, end]));
-        // Letters outside the expansion no longer match the wildcard.
-        assert!(!e.accepts(&[9, end]));
-        assert!(m.accepts(&[9, end]), "original still matches anything");
     }
 
     #[test]

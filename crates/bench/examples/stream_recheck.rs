@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 
 use regtree_alphabet::Alphabet;
 use regtree_core::{
-    check_fd, update_class_from_edges, Fd, FdBuilder, FdOutcome, IncrementalChecker, Update,
+    check_fd, parse_fd, update_class_from_edges, Fd, FdOutcome, IncrementalChecker, Update,
     UpdateOp,
 };
 use regtree_gen as gen;
@@ -36,17 +36,9 @@ const UPDATES: usize = 40;
 /// candidate can be rechecked against that candidate alone.
 fn candidate_fds(a: &Alphabet) -> Vec<Fd> {
     vec![
-        FdBuilder::new(a.clone())
-            .context("session/candidate")
-            .condition("exam/discipline")
-            .target("exam/rank")
-            .build()
+        parse_fd(a, "/session/candidate : exam/discipline -> exam/rank")
             .expect("discipline->rank builds"),
-        FdBuilder::new(a.clone())
-            .context("session/candidate")
-            .condition("level")
-            .target("firstJob-Year")
-            .build()
+        parse_fd(a, "/session/candidate : level -> firstJob-Year")
             .expect("level->firstJob-Year builds"),
     ]
 }

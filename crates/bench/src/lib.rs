@@ -14,8 +14,8 @@ use rand::SeedableRng;
 
 use regtree_alphabet::Alphabet;
 use regtree_core::{
-    update_class_from_edges, Analyzer, Fd, FdBuilder, IndependenceAnalysis, IndependenceMatrix,
-    PathFd, UpdateClass,
+    parse_fd, update_class_from_edges, Analyzer, Fd, IndependenceAnalysis, IndependenceMatrix,
+    UpdateClass,
 };
 use regtree_hedge::Schema;
 use regtree_pattern::{RegularTreePattern, Template};
@@ -35,14 +35,11 @@ pub fn session(a: &Alphabet, n: usize) -> Document {
     regtree_gen::generate_session(a, n, 3, &mut r)
 }
 
-/// An FD with `k` conditions over a chain alphabet: context `c`, conditions
-/// `c/p0/v … c/p(k-1)/v`, target `c/t/v`. `|FD|` grows linearly with `k`.
+/// An FD with `k` conditions over a chain alphabet:
+/// `/ctx : p0/v, …, p(k-1)/v -> t/v`. `|FD|` grows linearly with `k`.
 pub fn fd_with_conditions(a: &Alphabet, k: usize) -> Fd {
-    let mut b = FdBuilder::new(a.clone()).context("ctx");
-    for i in 0..k {
-        b = b.condition(&format!("p{i}/v"));
-    }
-    b.target("t/v").build().expect("fd builds")
+    let conditions: Vec<String> = (0..k).map(|i| format!("p{i}/v")).collect();
+    parse_fd(a, &format!("/ctx : {} -> t/v", conditions.join(", "))).expect("fd parses")
 }
 
 /// An update class whose template is a chain of `depth` single-label edges
@@ -104,10 +101,7 @@ pub fn fdset_corpus(a: &Alphabet, n: usize) -> Vec<(String, Fd)> {
             if out.len() == n {
                 break;
             }
-            let fd = PathFd::parse(a, &src)
-                .expect("corpus FD parses")
-                .to_fd(a)
-                .expect("corpus FD factorizes");
+            let fd = parse_fd(a, &src).expect("corpus FD parses");
             out.push((format!("g{g}-{tag}"), fd));
         }
         g += 1;

@@ -15,16 +15,11 @@
 //!   [`CancelToken`] for early abort of batch work.
 //!
 //! ```
-//! use regtree_core::{Analyzer, FdBuilder, update_class_from_edges};
+//! use regtree_core::{parse_fd, update_class_from_edges, Analyzer};
 //! use regtree_alphabet::Alphabet;
 //!
 //! let a = Alphabet::new();
-//! let fd = FdBuilder::new(a.clone())
-//!     .context("catalog")
-//!     .condition("item/sku")
-//!     .target("item/price")
-//!     .build()
-//!     .unwrap();
+//! let fd = parse_fd(&a, "/catalog : item/sku -> item/price").unwrap();
 //! let class = update_class_from_edges(&a, &["catalog/item/stock"]).unwrap();
 //! let analyzer = Analyzer::builder().build();
 //! let analysis = analyzer.independence(&fd, &class);
@@ -84,13 +79,11 @@ impl AnalyzerBuilder {
     /// an exhausted verdict instead of a wrong answer:
     ///
     /// ```
-    /// use regtree_core::{Analyzer, FdBuilder, update_class_from_edges, Resource, RunLimits};
+    /// use regtree_core::{parse_fd, update_class_from_edges, Analyzer, Resource, RunLimits};
     /// use regtree_alphabet::Alphabet;
     ///
     /// let a = Alphabet::new();
-    /// let fd = FdBuilder::new(a.clone())
-    ///     .context("catalog").condition("item/sku").target("item/price")
-    ///     .build().unwrap();
+    /// let fd = parse_fd(&a, "/catalog : item/sku -> item/price").unwrap();
     /// let class = update_class_from_edges(&a, &["catalog/item/price"]).unwrap();
     /// let analyzer = Analyzer::builder()
     ///     .limits(RunLimits::default().with_max_states(1))
@@ -118,14 +111,12 @@ impl AnalyzerBuilder {
     /// # Examples
     ///
     /// ```
-    /// use regtree_core::{Analyzer, FdBuilder, update_class_from_edges, SummarySink, SpanKind};
+    /// use regtree_core::{parse_fd, update_class_from_edges, Analyzer, SpanKind, SummarySink};
     /// use regtree_alphabet::Alphabet;
     /// use std::sync::Arc;
     ///
     /// let a = Alphabet::new();
-    /// let fd = FdBuilder::new(a.clone())
-    ///     .context("catalog").condition("item/sku").target("item/price")
-    ///     .build().unwrap();
+    /// let fd = parse_fd(&a, "/catalog : item/sku -> item/price").unwrap();
     /// let class = update_class_from_edges(&a, &["catalog/item/stock"]).unwrap();
     ///
     /// let sink = Arc::new(SummarySink::new());
@@ -161,14 +152,12 @@ impl AnalyzerBuilder {
 /// Absent fields fall back to the analyzer's builder-time configuration.
 ///
 /// ```
-/// use regtree_core::{Analyzer, FdBuilder, update_class_from_edges};
+/// use regtree_core::{parse_fd, update_class_from_edges, Analyzer};
 /// use regtree_core::{CancelToken, Resource, RunLimits, RunOverrides};
 /// use regtree_alphabet::Alphabet;
 ///
 /// let a = Alphabet::new();
-/// let fd = FdBuilder::new(a.clone())
-///     .context("catalog").condition("item/sku").target("item/price")
-///     .build().unwrap();
+/// let fd = parse_fd(&a, "/catalog : item/sku -> item/price").unwrap();
 /// let reprice = update_class_from_edges(&a, &["catalog/item/price"]).unwrap();
 /// let analyzer = Analyzer::builder().build();
 ///
@@ -328,14 +317,12 @@ impl Analyzer {
     /// # Examples
     ///
     /// ```
-    /// use regtree_core::{Analyzer, FdBuilder, update_class_from_edges};
+    /// use regtree_core::{parse_fd, update_class_from_edges, Analyzer};
     /// use regtree_alphabet::Alphabet;
     ///
     /// let a = Alphabet::new();
     /// // catalog : item/sku -> item/price
-    /// let fd = FdBuilder::new(a.clone())
-    ///     .context("catalog").condition("item/sku").target("item/price")
-    ///     .build().unwrap();
+    /// let fd = parse_fd(&a, "/catalog : item/sku -> item/price").unwrap();
     /// let analyzer = Analyzer::builder().build();
     ///
     /// // Restocking never touches sku or price: provably independent.
@@ -394,13 +381,11 @@ impl Analyzer {
     /// # Examples
     ///
     /// ```
-    /// use regtree_core::{Analyzer, FdBuilder, update_class_from_edges};
+    /// use regtree_core::{parse_fd, update_class_from_edges, Analyzer};
     /// use regtree_alphabet::Alphabet;
     ///
     /// let a = Alphabet::new();
-    /// let fd = FdBuilder::new(a.clone())
-    ///     .context("catalog").condition("item/sku").target("item/price")
-    ///     .build().unwrap();
+    /// let fd = parse_fd(&a, "/catalog : item/sku -> item/price").unwrap();
     /// let restock = update_class_from_edges(&a, &["catalog/item/stock"]).unwrap();
     /// let reprice = update_class_from_edges(&a, &["catalog/item/price"]).unwrap();
     ///
@@ -450,18 +435,13 @@ impl Analyzer {
     /// # Examples
     ///
     /// ```
-    /// use regtree_core::{Analyzer, CellProvenance, FdBuilder, update_class_from_edges};
+    /// use regtree_core::{parse_fd, update_class_from_edges, Analyzer, CellProvenance};
     /// use regtree_alphabet::Alphabet;
     ///
     /// let a = Alphabet::new();
-    /// let fd = FdBuilder::new(a.clone())
-    ///     .context("catalog").condition("item/sku").target("item/price")
-    ///     .build().unwrap();
+    /// let fd = parse_fd(&a, "/catalog : item/sku -> item/price").unwrap();
     /// // Same FD weakened with an extra condition: implied, hence pruned.
-    /// let weaker = FdBuilder::new(a.clone())
-    ///     .context("catalog").condition("item/sku").condition("item/name")
-    ///     .target("item/price")
-    ///     .build().unwrap();
+    /// let weaker = parse_fd(&a, "/catalog : item/sku, item/name -> item/price").unwrap();
     /// let reprice = update_class_from_edges(&a, &["catalog/item/price"]).unwrap();
     ///
     /// let analyzer = Analyzer::builder().build();
@@ -552,14 +532,12 @@ impl Analyzer {
     /// # Examples
     ///
     /// ```
-    /// use regtree_core::{Analyzer, FdBuilder};
+    /// use regtree_core::{parse_fd, Analyzer};
     /// use regtree_alphabet::Alphabet;
     /// use regtree_xml::parse_document;
     ///
     /// let a = Alphabet::new();
-    /// let fd = FdBuilder::new(a.clone())
-    ///     .context("s").condition("i/k").target("i/v")
-    ///     .build().unwrap();
+    /// let fd = parse_fd(&a, "/s : i/k -> i/v").unwrap();
     /// let doc = parse_document(
     ///     &a,
     ///     "<s><i><k>a</k><v>1</v></i><i><k>a</k><v>1</v></i></s>",
@@ -589,14 +567,12 @@ impl Analyzer {
     /// # Examples
     ///
     /// ```
-    /// use regtree_core::{Analyzer, FdBuilder};
+    /// use regtree_core::{parse_fd, Analyzer};
     /// use regtree_alphabet::Alphabet;
     /// use regtree_xml::{parse_document, VersionedDocument};
     ///
     /// let a = Alphabet::new();
-    /// let fd = FdBuilder::new(a.clone())
-    ///     .context("catalog").condition("item/sku").target("item/price")
-    ///     .build().unwrap();
+    /// let fd = parse_fd(&a, "/catalog : item/sku -> item/price").unwrap();
     /// let doc = parse_document(&a, "<catalog></catalog>").unwrap();
     /// let vdoc = VersionedDocument::new(doc);
     /// let checker = Analyzer::builder().build().incremental_checker(vec![fd], &vdoc);
@@ -620,20 +596,15 @@ impl Analyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fd::FdBuilder;
     use crate::independence::Verdict;
+    use crate::textfd::parse_fd;
     use crate::update::update_class_from_edges;
     use regtree_alphabet::Alphabet;
     use regtree_runtime::Resource;
     use regtree_xml::parse_document;
 
     fn fd_price(a: &Alphabet) -> Fd {
-        FdBuilder::new(a.clone())
-            .context("catalog")
-            .condition("item/sku")
-            .target("item/price")
-            .build()
-            .unwrap()
+        parse_fd(a, "/catalog : item/sku -> item/price").unwrap()
     }
 
     #[test]
@@ -671,12 +642,7 @@ mod tests {
         // compiled Arc, so the shared interner runs each of their cells
         // once and copies the verdict to the twin.
         let fd0 = fd_price(&a);
-        let fd1 = FdBuilder::new(a.clone())
-            .context("catalog")
-            .condition("item/sku")
-            .target("item/stock")
-            .build()
-            .unwrap();
+        let fd1 = parse_fd(&a, "/catalog : item/sku -> item/stock").unwrap();
         let fd2 = fd_price(&a);
         let c0 = update_class_from_edges(&a, &["catalog/item/stock"]).unwrap();
         let c1 = update_class_from_edges(&a, &["catalog/item/price"]).unwrap();

@@ -255,13 +255,15 @@ impl Json {
         !matches!(self, Json::Arr(_) | Json::Obj(_))
     }
 
-    /// Parses one JSON document (trailing content is an error).
+    /// Parses one JSON document (trailing content is an error). Arrays and
+    /// objects may nest at most 512 deep.
     ///
     /// ```
     /// use regtree_core::api::Json;
     /// assert!(Json::parse("{\"a\": [1, 2.5e3, null, \"x\\n\"]}").is_ok());
     /// assert!(Json::parse("{\"a\": }").is_err());
     /// assert!(Json::parse("[1] trailing").is_err());
+    /// assert!(Json::parse(&"[".repeat(100_000)).is_err());
     /// ```
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut p = Parser {
@@ -269,7 +271,7 @@ impl Json {
             pos: 0,
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(format!("trailing content at byte {}", p.pos));
@@ -302,6 +304,11 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// How deep [`Json::parse`] lets arrays and objects nest. The parser
+/// recurses once per level, so the bound keeps a hostile frame from
+/// overflowing the stack; requests nest a handful of levels.
+const MAX_JSON_DEPTH: usize = 512;
+
 /// Recursive-descent JSON parser over raw bytes. Strings must be valid
 /// UTF-8 after unescaping (the input already is, being `&str`).
 struct Parser<'a> {
@@ -325,7 +332,14 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// One value; `depth` arrays and objects are open around it.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
+        if depth == MAX_JSON_DEPTH && matches!(self.bytes.get(self.pos), Some(b'{' | b'[')) {
+            return Err(format!(
+                "nesting deeper than {MAX_JSON_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
         match self.bytes.get(self.pos) {
             None => Err("unexpected end of input".into()),
             Some(b'{') => {
@@ -342,7 +356,7 @@ impl Parser<'_> {
                     self.skip_ws();
                     self.expect(b':')?;
                     self.skip_ws();
-                    let v = self.value()?;
+                    let v = self.value(depth + 1)?;
                     members.push((key, v));
                     self.skip_ws();
                     match self.bytes.get(self.pos) {
@@ -365,7 +379,7 @@ impl Parser<'_> {
                 }
                 loop {
                     self.skip_ws();
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     self.skip_ws();
                     match self.bytes.get(self.pos) {
                         Some(b',') => self.pos += 1,
@@ -1236,6 +1250,14 @@ mod tests {
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("01").is_err()); // JSON forbids leading zeros
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}0{}", "[{\"k\":".repeat(n / 2), "}]".repeat(n / 2));
+        assert!(Json::parse(&nested(MAX_JSON_DEPTH)).is_ok());
+        let e = Json::parse(&nested(MAX_JSON_DEPTH + 2)).unwrap_err();
+        assert!(e.contains("nesting deeper than 512"), "{e}");
     }
 
     #[test]

@@ -30,7 +30,8 @@ pub enum Error {
     UpdateClass(UpdateClassError),
     /// Applying a concrete update failed.
     Apply(ApplyError),
-    /// Parsing or translating a path FD failed.
+    /// Translating a textual FD failed ([`crate::parse_fd`]: duplicate
+    /// paths, value tests).
     PathFd(PathFdError),
     /// Parsing textual pattern-language input failed
     /// ([`crate::parse_fd`]); carries the byte offset and expected set.

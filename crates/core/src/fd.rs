@@ -4,6 +4,10 @@
 //! regular tree pattern whose selected nodes carry equality types, and `c` is
 //! a template node that is an ancestor of every selected node: the *context*
 //! under which the dependency must hold.
+//!
+//! FDs written in the path syntax (`/ctx : p1, p2[N] -> q`) are built by
+//! [`crate::parse_fd`]; [`Fd::new`] wraps a hand-built template, for
+//! dependencies that syntax cannot name (`fd3`–`fd5` of the paper).
 
 use std::fmt;
 
@@ -41,10 +45,6 @@ pub enum FdError {
     ContextNotAncestor(TemplateNodeId),
     /// An FD needs at least a target node.
     NoTarget,
-    /// [`FdBuilder::build`] was called without a context edge.
-    MissingContext,
-    /// [`FdBuilder::build`] was called without a target edge.
-    MissingTarget,
 }
 
 impl fmt::Display for FdError {
@@ -61,8 +61,6 @@ impl fmt::Display for FdError {
                 write!(f, "context is not an ancestor of selected node n{}", n.0)
             }
             FdError::NoTarget => write!(f, "an FD needs at least one selected node (the target)"),
-            FdError::MissingContext => write!(f, "the builder needs a context edge"),
-            FdError::MissingTarget => write!(f, "the builder needs a target edge"),
         }
     }
 }
@@ -184,194 +182,24 @@ fn eq_str(eq: EqualityType) -> &'static str {
     }
 }
 
-/// Convenience builder for the common “context, conditions, target” FD shape.
-///
-/// ```
-/// use regtree_core::fd::FdBuilder;
-/// use regtree_alphabet::Alphabet;
-///
-/// let a = Alphabet::new();
-/// // fd1 of the paper: same discipline + same mark ⇒ same rank.
-/// let fd = FdBuilder::new(a.clone())
-///     .context("session")
-///     .condition("candidate/exam/discipline")
-///     .condition("candidate/exam/mark")
-///     .target("candidate/exam/rank")
-///     .build()
-///     .unwrap();
-/// assert_eq!(fd.conditions().len(), 2);
-/// ```
-///
-/// Each condition/target string is one edge expression from the context
-/// node; richer templates (shared prefixes, extra structural leaves…) are
-/// built directly with [`Template`].
-#[derive(Debug)]
-pub struct FdBuilder {
-    alphabet: regtree_alphabet::Alphabet,
-    context_edge: Option<String>,
-    conditions: Vec<(String, EqualityType)>,
-    target: Option<(String, EqualityType)>,
-}
-
-impl FdBuilder {
-    /// Starts a builder over `alphabet`.
-    pub fn new(alphabet: regtree_alphabet::Alphabet) -> FdBuilder {
-        FdBuilder {
-            alphabet,
-            context_edge: None,
-            conditions: Vec::new(),
-            target: None,
-        }
-    }
-
-    /// Sets the edge expression from the template root to the context node.
-    pub fn context(mut self, edge: &str) -> Self {
-        self.context_edge = Some(edge.to_string());
-        self
-    }
-
-    /// Adds a condition with value equality.
-    pub fn condition(self, edge: &str) -> Self {
-        self.condition_with(edge, EqualityType::Value)
-    }
-
-    /// Adds a condition with an explicit equality type.
-    pub fn condition_with(mut self, edge: &str, eq: EqualityType) -> Self {
-        self.conditions.push((edge.to_string(), eq));
-        self
-    }
-
-    /// Sets the target with value equality.
-    pub fn target(self, edge: &str) -> Self {
-        self.target_with(edge, EqualityType::Value)
-    }
-
-    /// Sets the target with an explicit equality type.
-    pub fn target_with(mut self, edge: &str, eq: EqualityType) -> Self {
-        self.target = Some((edge.to_string(), eq));
-        self
-    }
-
-    /// Builds the FD.
-    ///
-    /// When the context and every condition/target are *simple label paths*
-    /// (`a/b/c`), the paper's longest-common-prefix factorization is applied
-    /// (Section 3.2) so that, e.g., `candidate/exam/discipline` and
-    /// `candidate/exam/mark` share one `candidate/exam` template node — the
-    /// Figure 4 shape. Without factorization, sibling edges would be forced
-    /// into *disjoint* subtrees by Definition 2(b), changing the semantics.
-    /// Edges using regex operators skip factorization and become separate
-    /// sibling branches (disjoint-subtree semantics).
-    ///
-    /// Errors surface as the unified [`enum@crate::Error`] ([`FdError`],
-    /// template, pattern, and path-FD errors each keep their own variant).
-    pub fn build(self) -> Result<Fd, crate::Error> {
-        // Try the factorized (path-formalism) construction first.
-        if let Some(fd) = self.try_factorized()? {
-            return Ok(fd);
-        }
-        let mut template = Template::new(self.alphabet.clone());
-        let context_edge = self.context_edge.clone().ok_or(FdError::MissingContext)?;
-        let context = template.add_child_str(template.root(), &context_edge)?;
-        let mut selected = Vec::new();
-        let mut equality = Vec::new();
-        for (edge, eq) in &self.conditions {
-            let n = template.add_child_str(context, edge)?;
-            selected.push(n);
-            equality.push(*eq);
-        }
-        let (target_edge, target_eq) = self.target.ok_or(FdError::MissingTarget)?;
-        let q = template.add_child_str(context, &target_edge)?;
-        selected.push(q);
-        equality.push(target_eq);
-        let pattern = RegularTreePattern::new(template, selected)?;
-        Ok(Fd::new(pattern, context, equality)?)
-    }
-
-    /// The factorized construction, when every edge is a simple label path.
-    fn try_factorized(&self) -> Result<Option<Fd>, crate::Error> {
-        let Some(ctx_src) = &self.context_edge else {
-            return Err(FdError::MissingContext.into());
-        };
-        let Some((target_src, target_eq)) = &self.target else {
-            return Err(FdError::MissingTarget.into());
-        };
-        let Some(context) = simple_word(&self.alphabet, ctx_src) else {
-            return Ok(None);
-        };
-        let Some(target_word) = simple_word(&self.alphabet, target_src) else {
-            return Ok(None);
-        };
-        let mut conditions = Vec::with_capacity(self.conditions.len());
-        for (src, eq) in &self.conditions {
-            match simple_word(&self.alphabet, src) {
-                Some(w) => conditions.push((w, *eq)),
-                None => return Ok(None),
-            }
-        }
-        let pfd = crate::pathfd::PathFd {
-            context,
-            conditions,
-            target: (target_word, *target_eq),
-        };
-        pfd.to_fd(&self.alphabet).map(Some)
-    }
-}
-
-/// Parses `s` as a simple label path (`a/b/c`), or `None` when it uses
-/// regex syntax.
-fn simple_word(
-    alphabet: &regtree_alphabet::Alphabet,
-    s: &str,
-) -> Option<Vec<regtree_alphabet::Symbol>> {
-    let mut out = Vec::new();
-    for seg in s.split('/') {
-        let seg = seg.trim();
-        if seg.is_empty()
-            || !seg
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.' | '@' | '#'))
-            || seg == "_"
-        {
-            return None;
-        }
-        out.push(alphabet.intern(seg));
-    }
-    (!out.is_empty()).then_some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::textfd::parse_fd;
     use regtree_alphabet::Alphabet;
 
     #[test]
-    fn builder_constructs_fd1_shape() {
+    fn fd1_roles() {
         let a = Alphabet::new();
-        let fd = FdBuilder::new(a)
-            .context("session")
-            .condition("candidate/exam/discipline")
-            .condition("candidate/exam/mark")
-            .target("candidate/exam/rank")
-            .build()
-            .unwrap();
+        let fd = parse_fd(
+            &a,
+            "/session : candidate/exam/discipline, candidate/exam/mark -> candidate/exam/rank",
+        )
+        .unwrap();
         assert_eq!(fd.conditions().len(), 2);
         assert_eq!(fd.equality().len(), 3);
         assert_eq!(fd.target_equality(), EqualityType::Value);
         assert!(fd.template().is_ancestor(fd.context(), fd.target()));
-    }
-
-    #[test]
-    fn node_equality_targets() {
-        let a = Alphabet::new();
-        let fd = FdBuilder::new(a)
-            .context("session/candidate")
-            .condition("exam/date")
-            .condition("exam/discipline")
-            .target_with("exam", EqualityType::Node)
-            .build()
-            .unwrap();
-        assert_eq!(fd.target_equality(), EqualityType::Node);
     }
 
     #[test]
@@ -402,27 +230,9 @@ mod tests {
     }
 
     #[test]
-    fn missing_pieces_in_builder() {
-        let a = Alphabet::new();
-        assert!(matches!(
-            FdBuilder::new(a.clone()).target("x").build(),
-            Err(crate::Error::Fd(FdError::MissingContext))
-        ));
-        assert!(matches!(
-            FdBuilder::new(a).context("s").build(),
-            Err(crate::Error::Fd(FdError::MissingTarget))
-        ));
-    }
-
-    #[test]
     fn describe_renders_roles() {
         let a = Alphabet::new();
-        let fd = FdBuilder::new(a)
-            .context("session/candidate")
-            .condition("exam/@date")
-            .target_with("exam", EqualityType::Node)
-            .build()
-            .unwrap();
+        let fd = parse_fd(&a, "/session/candidate : exam/@date -> exam[N]").unwrap();
         let d = fd.describe();
         assert!(d.contains("context:"), "{d}");
         assert!(d.contains("condition p1:"), "{d}");
@@ -433,7 +243,7 @@ mod tests {
     #[test]
     fn size_is_pattern_size() {
         let a = Alphabet::new();
-        let fd = FdBuilder::new(a).context("s").target("x").build().unwrap();
+        let fd = parse_fd(&a, "/s : -> x").unwrap();
         assert_eq!(fd.size(), fd.pattern().size());
     }
 }

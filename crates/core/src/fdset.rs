@@ -177,7 +177,7 @@ impl Minimization {
 /// # Examples
 ///
 /// ```
-/// use regtree_core::{FdSet, PathFd, RunLimits};
+/// use regtree_core::{parse_fd, FdSet, RunLimits};
 /// use regtree_alphabet::Alphabet;
 ///
 /// let a = Alphabet::new();
@@ -187,7 +187,7 @@ impl Minimization {
 ///     // Implied by `base`: more conditions, same target.
 ///     ("weaker", "/s : c/e/d, c/e/m, c/n -> c/e/r"),
 /// ] {
-///     set.push(name, PathFd::parse(&a, src).unwrap().to_fd(&a).unwrap());
+///     set.push(name, parse_fd(&a, src).unwrap());
 /// }
 /// let min = set.minimize(&RunLimits::UNLIMITED);
 /// assert_eq!(min.kept, vec![0]);
@@ -467,12 +467,12 @@ impl FdSet {
     /// # Examples
     ///
     /// ```
-    /// use regtree_core::{Budget, CancelToken, FdSet, PathFd, Resource, RunLimits};
+    /// use regtree_core::{parse_fd, Budget, CancelToken, FdSet, Resource, RunLimits};
     /// use regtree_alphabet::Alphabet;
     ///
     /// let a = Alphabet::new();
     /// let mut set = FdSet::new();
-    /// set.push("fd", PathFd::parse(&a, "/s : c/d -> c/r").unwrap().to_fd(&a).unwrap());
+    /// set.push("fd", parse_fd(&a, "/s : c/d -> c/r").unwrap());
     /// let token = CancelToken::new();
     /// token.cancel();
     /// let budget = Budget::new(&RunLimits::UNLIMITED).with_cancel(token);
@@ -531,18 +531,15 @@ impl FdSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pathfd::PathFd;
     use crate::satisfy::satisfies;
+    use crate::textfd::parse_fd;
     use regtree_alphabet::Alphabet;
     use regtree_xml::parse_document;
 
     fn set(a: &Alphabet, srcs: &[&str]) -> FdSet {
         let mut s = FdSet::new();
         for (i, src) in srcs.iter().enumerate() {
-            s.push(
-                format!("fd{i}"),
-                PathFd::parse(a, src).unwrap().to_fd(a).unwrap(),
-            );
+            s.push(format!("fd{i}"), parse_fd(a, src).unwrap());
         }
         s
     }
@@ -550,10 +547,7 @@ mod tests {
     #[test]
     fn extracts_paths_of_factorized_fds() {
         let a = Alphabet::new();
-        let f = PathFd::parse(&a, "/s : c/e/d, c/e/m -> c/e/r")
-            .unwrap()
-            .to_fd(&a)
-            .unwrap();
+        let f = parse_fd(&a, "/s : c/e/d, c/e/m -> c/e/r").unwrap();
         let p = fd_paths(&f).unwrap();
         assert_eq!(p.context, vec![a.intern("s")]);
         assert_eq!(p.selected.len(), 3);
@@ -570,19 +564,13 @@ mod tests {
         let s = FdSet::new();
         // Node agreement at a/b forces node agreement at its parent a,
         // which covers the value target: implied with no premises.
-        let goal = PathFd::parse(&a, "/r : a/b[N] -> a")
-            .unwrap()
-            .to_fd(&a)
-            .unwrap();
+        let goal = parse_fd(&a, "/r : a/b[N] -> a").unwrap();
         assert_eq!(
             s.implies(&goal, &RunLimits::UNLIMITED),
             Implication::Implied { by: vec![] }
         );
         // Value agreement does not lift to the parent: not trivial.
-        let goal_v = PathFd::parse(&a, "/r : a/b -> a")
-            .unwrap()
-            .to_fd(&a)
-            .unwrap();
+        let goal_v = parse_fd(&a, "/r : a/b -> a").unwrap();
         assert_eq!(
             s.implies(&goal_v, &RunLimits::UNLIMITED),
             Implication::NotImplied
@@ -594,20 +582,14 @@ mod tests {
         let a = Alphabet::new();
         let s = set(&a, &["/s : c/d -> c/r"]);
         // More conditions: weaker, implied.
-        let weaker = PathFd::parse(&a, "/s : c/d, c/x -> c/r")
-            .unwrap()
-            .to_fd(&a)
-            .unwrap();
+        let weaker = parse_fd(&a, "/s : c/d, c/x -> c/r").unwrap();
         assert_eq!(
             s.implies(&weaker, &RunLimits::UNLIMITED),
             Implication::Implied { by: vec![0] }
         );
         // Fewer conditions: stronger, NOT implied.
         let s2 = set(&a, &["/s : c/d, c/x -> c/r"]);
-        let stronger = PathFd::parse(&a, "/s : c/d -> c/r")
-            .unwrap()
-            .to_fd(&a)
-            .unwrap();
+        let stronger = parse_fd(&a, "/s : c/d -> c/r").unwrap();
         assert_eq!(
             s2.implies(&stronger, &RunLimits::UNLIMITED),
             Implication::NotImplied
@@ -620,7 +602,7 @@ mod tests {
         // a → b, b → c does NOT imply a → c under existence semantics:
         // documents without any b satisfy both premises vacuously.
         let s = set(&a, &["/r : a -> b", "/r : b -> c"]);
-        let goal = PathFd::parse(&a, "/r : a -> c").unwrap().to_fd(&a).unwrap();
+        let goal = parse_fd(&a, "/r : a -> c").unwrap();
         assert_eq!(
             s.implies(&goal, &RunLimits::UNLIMITED),
             Implication::NotImplied
@@ -638,10 +620,7 @@ mod tests {
         // The intermediate a/b is a prefix of the goal's own paths, so both
         // traces realize it: the chain through node agreement is sound.
         let s = set(&a, &["/r : a/b/c -> a/b[N]", "/r : a/b[N] -> a/b/d"]);
-        let goal = PathFd::parse(&a, "/r : a/b/c -> a/b/d")
-            .unwrap()
-            .to_fd(&a)
-            .unwrap();
+        let goal = parse_fd(&a, "/r : a/b/c -> a/b/d").unwrap();
         assert_eq!(
             s.implies(&goal, &RunLimits::UNLIMITED),
             Implication::Implied { by: vec![0, 1] }
@@ -655,19 +634,13 @@ mod tests {
         // N at a/b/x gives N at a/b (same nodes, same ancestors) — wait:
         // the goal's condition is at a/b/x with N; its prefix a/b then
         // agrees with N, firing the rule.
-        let goal = PathFd::parse(&a, "/r : a/b/x[N] -> a/c")
-            .unwrap()
-            .to_fd(&a)
-            .unwrap();
+        let goal = parse_fd(&a, "/r : a/b/x[N] -> a/c").unwrap();
         assert_eq!(
             s.implies(&goal, &RunLimits::UNLIMITED),
             Implication::Implied { by: vec![0] }
         );
         // Value agreement does not lift.
-        let goal_v = PathFd::parse(&a, "/r : a/b/x -> a/c")
-            .unwrap()
-            .to_fd(&a)
-            .unwrap();
+        let goal_v = parse_fd(&a, "/r : a/b/x -> a/c").unwrap();
         assert_eq!(
             s.implies(&goal_v, &RunLimits::UNLIMITED),
             Implication::NotImplied
@@ -681,10 +654,7 @@ mod tests {
         // node, so any two traces under the same r/w node restrict to
         // traces of the premise with equal context and w-images.
         let s = set(&a, &["/r : w/p -> w/q"]);
-        let goal = PathFd::parse(&a, "/r/w : p -> q")
-            .unwrap()
-            .to_fd(&a)
-            .unwrap();
+        let goal = parse_fd(&a, "/r/w : p -> q").unwrap();
         assert_eq!(
             s.implies(&goal, &RunLimits::UNLIMITED),
             Implication::Implied { by: vec![0] }
@@ -692,10 +662,7 @@ mod tests {
         // The converse direction must NOT hold: (r/w : p → q) says nothing
         // across different w nodes.
         let s2 = set(&a, &["/r/w : p -> q"]);
-        let goal2 = PathFd::parse(&a, "/r : w/p -> w/q")
-            .unwrap()
-            .to_fd(&a)
-            .unwrap();
+        let goal2 = parse_fd(&a, "/r : w/p -> w/q").unwrap();
         assert_eq!(
             s2.implies(&goal2, &RunLimits::UNLIMITED),
             Implication::NotImplied

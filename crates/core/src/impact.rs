@@ -252,18 +252,13 @@ pub fn classify_pair<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fd::FdBuilder;
+    use crate::textfd::parse_fd;
     use crate::update::update_class_from_edges;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     fn fd_kv(a: &Alphabet) -> Fd {
-        FdBuilder::new(a.clone())
-            .context("db")
-            .condition("rec/key")
-            .target("rec/val")
-            .build()
-            .unwrap()
+        parse_fd(a, "/db : rec/key -> rec/val").unwrap()
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   carried forward ([`RecheckScope::Unaffected`], counted in
 //!   `RunMetrics::verdicts_reused`).
 //! * **Localized** — the FD held before and its template is anchored on
-//!   the context (the [`crate::FdBuilder`] shape): only the affected
+//!   the context (the shape [`crate::parse_fd`] builds): only the affected
 //!   contexts' buckets are dropped and re-derived with an anchored
 //!   enumeration ([`regtree_pattern::project_mappings_anchored_governed`]),
 //!   leaving every other context's buckets untouched
@@ -138,17 +138,13 @@ impl RecheckReport {
 /// # Examples
 ///
 /// ```
-/// use regtree_core::{IncrementalChecker, FdBuilder, RecheckScope, Update, UpdateOp};
+/// use regtree_core::{parse_fd, IncrementalChecker, RecheckScope, Update, UpdateOp};
 /// use regtree_core::update_class_from_edges;
 /// use regtree_alphabet::Alphabet;
 /// use regtree_xml::{parse_document, VersionedDocument};
 ///
 /// let a = Alphabet::new();
-/// let fd = FdBuilder::new(a.clone())
-///     .context("session")
-///     .condition("candidate/exam/discipline")
-///     .target("candidate/exam/rank")
-///     .build().unwrap();
+/// let fd = parse_fd(&a, "/session : candidate/exam/discipline -> candidate/exam/rank").unwrap();
 /// let doc = parse_document(
 ///     &a,
 ///     "<session><candidate><exam><discipline>m</discipline><rank>1</rank></exam>\
@@ -356,7 +352,7 @@ fn round_budget(limits: &RunLimits, cancel: Option<&CancelToken>, trace: &TraceH
 }
 
 /// Is the FD's template anchored on its context node (the root's only
-/// child, everything else below it — the [`crate::FdBuilder`] shape)?
+/// child, everything else below it — the shape [`crate::parse_fd`] builds)?
 fn anchored_on_context(fd: &Fd) -> bool {
     fd.template().children(fd.template().root()) == std::slice::from_ref(&fd.context())
 }
@@ -813,19 +809,18 @@ fn affected_contexts(scope: &ContextScope, doc: &Document, delta: &Delta) -> Opt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fd::FdBuilder;
     use crate::revalidate::revalidate_full;
+    use crate::textfd::parse_fd;
     use crate::update::{update_class_from_edges, UpdateOp};
     use regtree_alphabet::Alphabet;
     use regtree_xml::{parse_document, TreeSpec};
 
     fn fd_rank(a: &Alphabet) -> Fd {
-        FdBuilder::new(a.clone())
-            .context("session")
-            .condition("candidate/exam/discipline")
-            .target("candidate/exam/rank")
-            .build()
-            .unwrap()
+        parse_fd(
+            a,
+            "/session : candidate/exam/discipline -> candidate/exam/rank",
+        )
+        .unwrap()
     }
 
     fn doc(a: &Alphabet) -> Document {
@@ -1066,12 +1061,7 @@ mod tests {
     fn multiple_fds_classify_independently() {
         let a = Alphabet::new();
         let fd_rank = fd_rank(&a);
-        let fd_level = FdBuilder::new(a.clone())
-            .context("session")
-            .condition("candidate/level")
-            .target("candidate")
-            .build()
-            .unwrap();
+        let fd_level = parse_fd(&a, "/session : candidate/level -> candidate").unwrap();
         let mut v = VersionedDocument::new(doc(&a));
         let mut checker = IncrementalChecker::new(vec![fd_rank, fd_level], &v);
         let class = update_class_from_edges(&a, &["session/candidate/level"]).unwrap();

@@ -462,18 +462,17 @@ pub fn in_language_naive(fd: &Fd, class: &UpdateClass, doc: &Document) -> bool {
 mod tests {
 
     use super::*;
-    use crate::fd::FdBuilder;
+    use crate::textfd::parse_fd;
     use crate::update::update_class_from_edges;
     use regtree_alphabet::Alphabet;
     use regtree_xml::parse_document;
 
     fn fd_rank(a: &Alphabet) -> Fd {
-        FdBuilder::new(a.clone())
-            .context("session")
-            .condition("candidate/exam/discipline")
-            .target("candidate/exam/rank")
-            .build()
-            .unwrap()
+        parse_fd(
+            a,
+            "/session : candidate/exam/discipline -> candidate/exam/rank",
+        )
+        .unwrap()
     }
 
     #[test]

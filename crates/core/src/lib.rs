@@ -6,8 +6,11 @@
 //! * [`fd`] — FDs `(FD, c)` with value/node equality types (Definition 4);
 //! * [`satisfy`] — satisfaction checking with violation witnesses
 //!   (Definition 5);
-//! * [`pathfd`] — the path formalism of \[8\], its embedding into patterns,
-//!   and the Example 3 inexpressibility checks;
+//! * [`textfd`] — [`parse_fd`], the one constructor from FD text (the
+//!   \[8\] path syntax and the §3.2 trie, extended with the pattern
+//!   language), and [`parse_update_class`];
+//! * [`pathfd`] — the Example 3 checks of which FDs the path formalism of
+//!   \[8\] can express;
 //! * [`fdset`] — FD-*set* reasoning: implication closure and
 //!   [`FdSet::minimize`], which the pruned matrix uses to drop implied
 //!   rows;
@@ -47,7 +50,7 @@ pub mod update;
 
 pub use analyzer::{Analyzer, AnalyzerBuilder, RunOverrides};
 pub use error::Error;
-pub use fd::{EqualityType, Fd, FdBuilder, FdError};
+pub use fd::{EqualityType, Fd, FdError};
 pub use fdset::{DroppedFd, FdSet, Implication, Minimization};
 pub use impact::{classify_pair, search_impact, ImpactWitness, PairClassification};
 pub use incremental::{IncrementalChecker, RecheckReport, RecheckScope};
@@ -55,13 +58,13 @@ pub use independence::{
     build_ic_automaton, check_independence_eager, in_language_naive, IndependenceAnalysis, Verdict,
 };
 pub use matrix::{CellProvenance, IndependenceMatrix, MatrixCell};
-pub use pathfd::{expressible_in_path_formalism, Inexpressibility, PathFd, PathFdError};
+pub use pathfd::{expressible_in_path_formalism, Inexpressibility, PathFdError};
 pub use reduction::{build_patterns, build_reduction, gadget_alphabet, ReductionInstance};
 pub use revalidate::{revalidate_full, revalidate_full_many};
 pub use satisfy::{
     check_fd, check_fd_governed, check_fd_indexed, satisfies, FdBatchReport, FdOutcome, FdViolation,
 };
-pub use textfd::{fd_from_expr, parse_fd, parse_update_class};
+pub use textfd::{parse_fd, parse_update_class};
 // Re-exported so downstreams govern runs without a direct dependency on
 // `regtree-runtime`.
 pub use regtree_runtime::{

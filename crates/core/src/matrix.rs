@@ -440,24 +440,14 @@ pub(crate) fn analyze_matrix_internal(
 mod tests {
 
     use super::*;
-    use crate::fd::FdBuilder;
+    use crate::textfd::parse_fd;
     use crate::update::update_class_from_edges;
     use regtree_alphabet::Alphabet;
 
     fn setup() -> (Vec<Fd>, Vec<UpdateClass>) {
         let a = Alphabet::new();
-        let fd_price = FdBuilder::new(a.clone())
-            .context("catalog")
-            .condition("item/sku")
-            .target("item/price")
-            .build()
-            .unwrap();
-        let fd_name = FdBuilder::new(a.clone())
-            .context("catalog")
-            .condition("item/sku")
-            .target("item/name")
-            .build()
-            .unwrap();
+        let fd_price = parse_fd(&a, "/catalog : item/sku -> item/price").unwrap();
+        let fd_name = parse_fd(&a, "/catalog : item/sku -> item/name").unwrap();
         let restock = update_class_from_edges(&a, &["catalog/item/stock"]).unwrap();
         let reprice = update_class_from_edges(&a, &["catalog/item/price"]).unwrap();
         (vec![fd_price, fd_name], vec![restock, reprice])
@@ -567,19 +557,12 @@ mod tests {
     #[test]
     fn implied_rows_are_not_reported_for_recheck() {
         use crate::analyzer::Analyzer;
-        use crate::pathfd::PathFd;
         let a = Alphabet::new();
         // fd 1 is fd 0 weakened with an extra condition: implied, dropped.
         // A reprice update hits both FDs' region; only the implier (which
         // is what actually gets re-verified) may be reported.
-        let strong = PathFd::parse(&a, "/catalog : item/sku -> item/price")
-            .unwrap()
-            .to_fd(&a)
-            .unwrap();
-        let weak = PathFd::parse(&a, "/catalog : item/sku, item/name -> item/price")
-            .unwrap()
-            .to_fd(&a)
-            .unwrap();
+        let strong = parse_fd(&a, "/catalog : item/sku -> item/price").unwrap();
+        let weak = parse_fd(&a, "/catalog : item/sku, item/name -> item/price").unwrap();
         let reprice = update_class_from_edges(&a, &["catalog/item/price"]).unwrap();
         let restock = update_class_from_edges(&a, &["catalog/item/stock"]).unwrap();
         let an = Analyzer::builder().build();
@@ -607,17 +590,10 @@ mod tests {
     #[test]
     fn exhausted_verdicts_never_propagate() {
         use crate::analyzer::Analyzer;
-        use crate::pathfd::PathFd;
         use regtree_runtime::RunLimits;
         let a = Alphabet::new();
-        let wide = PathFd::parse(&a, "/s : c/e/d -> c/e")
-            .unwrap()
-            .to_fd(&a)
-            .unwrap();
-        let narrow = PathFd::parse(&a, "/s : c/e/d -> c/e/r")
-            .unwrap()
-            .to_fd(&a)
-            .unwrap();
+        let wide = parse_fd(&a, "/s : c/e/d -> c/e").unwrap();
+        let narrow = parse_fd(&a, "/s : c/e/d -> c/e/r").unwrap();
         let other = update_class_from_edges(&a, &["s/x/y"]).unwrap();
         // A one-state cap exhausts every engine run: no verdict may be
         // reused from a cut-short row.

@@ -1,44 +1,33 @@
-//! The path-based FD formalism of \[8\] and its embedding into regular tree
-//! patterns (paper Section 3.2).
+//! The path-based FD formalism of \[8\] as seen from regular tree patterns
+//! (paper Section 3.2, Example 3).
 //!
 //! In \[8\] an FD is `(C, (P1[E1], …, Pn[En] → Q[E]))` with `C` an absolute
 //! simple linear path to the context and `P1..Pn`, `Q` simple linear paths
-//! relative to it. The paper shows how to build an equivalent regular tree
-//! pattern: translate each path into a word of labels, then factorize the
-//! longest common prefixes into shared template nodes (a trie), selecting
-//! the nodes where the condition/target words end. [`PathFd::to_fd`]
-//! implements exactly that construction; the module also provides the
-//! *inexpressibility* checks of Example 3 — the structural properties every
-//! \[8\]-built pattern has, which `fd3`/`fd4` style RTP dependencies violate.
-//!
-//! Concrete syntax (one line):
+//! relative to it. The paper builds an equivalent regular tree pattern by
+//! factorizing the longest common prefixes of the condition and target
+//! paths into a trie below the context node; [`crate::parse_fd`] performs
+//! that construction on the concrete syntax
 //!
 //! ```text
 //! /session : candidate/exam/discipline, candidate/exam/mark -> candidate/exam/rank
 //! /session/candidate : exam/date, exam/discipline -> exam[N]
 //! ```
+//!
+//! This module provides the *inexpressibility* checks of Example 3 — the
+//! structural properties every \[8\]-built pattern has, which `fd3`/`fd4`
+//! style RTP dependencies violate — and [`PathFdError`], the error
+//! `parse_fd` reports for FDs the construction cannot take.
 
 use std::fmt;
 
-use regtree_alphabet::{Alphabet, Symbol};
+use regtree_alphabet::Symbol;
 use regtree_automata::Regex;
-use regtree_pattern::{RegularTreePattern, Template, TemplateError, TemplateNodeId};
+use regtree_pattern::TemplateNodeId;
 
-use crate::error::Error;
-use crate::fd::{EqualityType, Fd};
+use crate::fd::Fd;
 
-/// A path-formalism FD `(C, (P1[E1], …, Pn[En] → Q[E]))`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PathFd {
-    /// Context path (absolute, from the root).
-    pub context: Vec<Symbol>,
-    /// Condition paths (relative to the context) with equality types.
-    pub conditions: Vec<(Vec<Symbol>, EqualityType)>,
-    /// Target path with its equality type.
-    pub target: (Vec<Symbol>, EqualityType),
-}
-
-/// Error raised parsing or translating a path FD.
+/// Error raised translating a textual FD that the \[8\] construction
+/// cannot take (duplicate paths, value tests).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathFdError {
     /// Description.
@@ -47,201 +36,11 @@ pub struct PathFdError {
 
 impl fmt::Display for PathFdError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "path FD error: {}", self.message)
+        f.write_str(&self.message)
     }
 }
 
 impl std::error::Error for PathFdError {}
-
-fn err(m: impl Into<String>) -> PathFdError {
-    PathFdError { message: m.into() }
-}
-
-/// Parses one `label/label/…` simple linear path with an optional `[N]` /
-/// `[V]` suffix.
-fn parse_path(alphabet: &Alphabet, src: &str) -> Result<(Vec<Symbol>, EqualityType), PathFdError> {
-    let src = src.trim();
-    let (path_src, eq) = if let Some(stripped) = src.strip_suffix("[N]") {
-        (stripped, EqualityType::Node)
-    } else if let Some(stripped) = src.strip_suffix("[V]") {
-        (stripped, EqualityType::Value)
-    } else {
-        (src, EqualityType::Value)
-    };
-    let path_src = path_src.trim();
-    if path_src.is_empty() {
-        return Err(err("empty path"));
-    }
-    let mut out = Vec::new();
-    for seg in path_src.split('/') {
-        let seg = seg.trim();
-        if seg.is_empty() {
-            return Err(err(format!(
-                "empty segment in path '{path_src}' (a leading, trailing, or doubled '/')"
-            )));
-        }
-        if !seg
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.' | '@' | '#'))
-        {
-            return Err(err(format!("'{seg}' is not a simple path segment")));
-        }
-        out.push(alphabet.intern(seg));
-    }
-    Ok((out, eq))
-}
-
-impl PathFd {
-    /// Parses the one-line concrete syntax (see module docs).
-    ///
-    /// Errors surface as the unified [`enum@Error`] (variant
-    /// [`Error::PathFd`]). Empty path segments (`a//b`, a trailing `/`) and
-    /// empty comma-separated condition slots (`a,,b`, a trailing `,`) are
-    /// rejected with a precise diagnostic. A *completely* empty condition
-    /// list (`/c : -> t`) is accepted by design: \[8\] allows constant
-    /// dependencies ("the target is the same in every trace under the
-    /// context"), and the translation handles the degenerate trie.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use regtree_core::PathFd;
-    /// use regtree_alphabet::Alphabet;
-    ///
-    /// let a = Alphabet::new();
-    /// let fd = PathFd::parse(&a, "/catalog : item/sku -> item/price").unwrap();
-    /// // The path FD embeds into a regular tree pattern (Section 3.2).
-    /// assert!(fd.to_fd(&a).is_ok());
-    ///
-    /// assert!(PathFd::parse(&a, "no arrow here").is_err());
-    /// assert!(PathFd::parse(&a, "/c : a,,b -> t").is_err()); // empty condition
-    /// assert!(PathFd::parse(&a, "/c : a//b -> t").is_err()); // empty segment
-    /// assert!(PathFd::parse(&a, "/c : -> t").is_ok()); // constant dependency
-    /// ```
-    pub fn parse(alphabet: &Alphabet, src: &str) -> Result<PathFd, Error> {
-        let (ctx_src, rest) = src
-            .split_once(':')
-            .ok_or_else(|| err("expected 'context : conditions -> target'"))?;
-        let ctx_src = ctx_src.trim();
-        let Some(ctx_body) = ctx_src.strip_prefix('/') else {
-            return Err(err("context path must be absolute (start with '/')").into());
-        };
-        let (context, ctx_eq) = parse_path(alphabet, ctx_body)?;
-        if ctx_eq != EqualityType::Value {
-            return Err(err("the context path takes no equality annotation").into());
-        }
-        let (conds_src, target_src) = rest
-            .split_once("->")
-            .ok_or_else(|| err("expected '->' before the target path"))?;
-        let mut conditions = Vec::new();
-        // A wholly empty condition list is the documented constant-FD case;
-        // an empty slot *between* commas is a syntax error.
-        if !conds_src.trim().is_empty() {
-            for c in conds_src.split(',') {
-                if c.trim().is_empty() {
-                    return Err(err("empty condition (a leading, trailing, or doubled ',')").into());
-                }
-                conditions.push(parse_path(alphabet, c)?);
-            }
-        }
-        let target = parse_path(alphabet, target_src)?;
-        Ok(PathFd {
-            context,
-            conditions,
-            target,
-        })
-    }
-
-    /// The paper's construction: translate into a regular tree pattern by
-    /// factorizing longest common prefixes into a trie below the context
-    /// node, then wrap as an [`Fd`]. Errors surface as the unified
-    /// [`enum@Error`], preserving the underlying template/pattern/FD error
-    /// as the variant payload.
-    pub fn to_fd(&self, alphabet: &Alphabet) -> Result<Fd, Error> {
-        let mut template = Template::new(alphabet.clone());
-        // Context chain: single edge labeled by the word w_C.
-        let context_regex = Regex::seq(self.context.iter().map(|&s| Regex::Atom(s)));
-        let context = template.add_child(template.root(), context_regex)?;
-
-        // Trie below the context. Each trie node = template node; edges are
-        // single labels (maximal sharing of common prefixes).
-        #[derive(Default)]
-        struct TrieNode {
-            children: Vec<(Symbol, usize)>,
-        }
-        let mut trie: Vec<TrieNode> = vec![TrieNode::default()];
-        let insert = |trie: &mut Vec<TrieNode>, word: &[Symbol]| -> usize {
-            let mut cur = 0usize;
-            for &s in word {
-                if let Some(&(_, next)) = trie[cur].children.iter().find(|(l, _)| *l == s) {
-                    cur = next;
-                } else {
-                    let id = trie.len();
-                    trie.push(TrieNode::default());
-                    trie[cur].children.push((s, id));
-                    cur = id;
-                }
-            }
-            cur
-        };
-        let mut ends: Vec<usize> = Vec::new();
-        for (path, _) in &self.conditions {
-            ends.push(insert(&mut trie, path));
-        }
-        ends.push(insert(&mut trie, &self.target.0));
-        // Two identical paths would collapse to one selected node, which the
-        // construction (and [8]) does not support.
-        let mut sorted = ends.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        if sorted.len() != ends.len() {
-            return Err(err("duplicate condition/target paths").into());
-        }
-
-        // Materialize the trie into the template, compressing unary chains
-        // that contain no selected node into single multi-label edges.
-        let mut node_of: Vec<Option<TemplateNodeId>> = vec![None; trie.len()];
-        node_of[0] = Some(context);
-        // Recursive materialization (explicit stack).
-        fn materialize(
-            trie: &[TrieNode],
-            ends: &[usize],
-            template: &mut Template,
-            node_of: &mut [Option<TemplateNodeId>],
-            from_trie: usize,
-            from_tpl: TemplateNodeId,
-        ) -> Result<(), TemplateError> {
-            for &(label, child) in &trie[from_trie].children {
-                // Compress a chain of unselected, unary nodes.
-                let mut word = vec![label];
-                let mut cur = child;
-                while trie[cur].children.len() == 1 && !ends.contains(&cur) {
-                    let (l, nxt) = trie[cur].children[0];
-                    word.push(l);
-                    cur = nxt;
-                }
-                let regex = Regex::seq(word.into_iter().map(Regex::Atom));
-                let tpl = template.add_child(from_tpl, regex)?;
-                node_of[cur] = Some(tpl);
-                materialize(trie, ends, template, node_of, cur, tpl)?;
-            }
-            Ok(())
-        }
-        materialize(&trie, &ends, &mut template, &mut node_of, 0, context)?;
-
-        let mut selected = Vec::new();
-        let mut equality = Vec::new();
-        for (i, (_, eq)) in self.conditions.iter().enumerate() {
-            selected.push(node_of[ends[i]].expect("materialized"));
-            equality.push(*eq);
-        }
-        selected.push(node_of[*ends.last().expect("target")].expect("materialized"));
-        equality.push(self.target.1);
-
-        let pattern = RegularTreePattern::new(template, selected)?;
-        Ok(Fd::new(pattern, context, equality)?)
-    }
-}
 
 /// Why an RTP functional dependency falls outside the \[8\] formalism
 /// (Example 3 of the paper).
@@ -347,90 +146,18 @@ pub fn expressible_in_path_formalism(fd: &Fd) -> Result<(), Inexpressibility> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::satisfy::satisfies;
-    use regtree_xml::parse_document;
-
-    /// expr1 of the paper.
-    const EXPR1: &str =
-        "/session : candidate/exam/discipline, candidate/exam/mark -> candidate/exam/rank";
-    /// expr2 of the paper.
-    const EXPR2: &str = "/session/candidate : exam/date, exam/discipline -> exam[N]";
-
-    #[test]
-    fn parses_expr1() {
-        let a = Alphabet::new();
-        let p = PathFd::parse(&a, EXPR1).unwrap();
-        assert_eq!(p.context.len(), 1);
-        assert_eq!(p.conditions.len(), 2);
-        assert_eq!(p.target.1, EqualityType::Value);
-    }
-
-    #[test]
-    fn parses_expr2_with_node_equality() {
-        let a = Alphabet::new();
-        let p = PathFd::parse(&a, EXPR2).unwrap();
-        assert_eq!(p.context.len(), 2);
-        assert_eq!(p.target.1, EqualityType::Node);
-        assert_eq!(p.target.0, vec![a.intern("exam")]);
-    }
-
-    #[test]
-    fn translation_factorizes_common_prefixes() {
-        let a = Alphabet::new();
-        let fd = PathFd::parse(&a, EXPR1).unwrap().to_fd(&a).unwrap();
-        // Figure 4's FD1: root → session(context) → candidate/exam node →
-        // three leaves discipline/mark/rank. With compression: context,
-        // shared candidate/exam node, 3 selected leaves = 5 + root.
-        assert_eq!(fd.template().len(), 6);
-        assert_eq!(fd.conditions().len(), 2);
-        // The shared node's edge is the word candidate/exam.
-        let shared = fd.template().children(fd.context())[0];
-        assert_eq!(
-            as_word(fd.template().edge_regex(shared).unwrap()).unwrap(),
-            vec![a.intern("candidate"), a.intern("exam")]
-        );
-    }
-
-    #[test]
-    fn translation_handles_prefix_selected_nodes() {
-        let a = Alphabet::new();
-        // expr2: the target 'exam' is a prefix of both condition paths, so
-        // the target node is an *internal* selected node (Figure 4's FD2).
-        let fd = PathFd::parse(&a, EXPR2).unwrap().to_fd(&a).unwrap();
-        let target = fd.target();
-        assert!(!fd.template().is_leaf(target));
-        assert_eq!(fd.target_equality(), EqualityType::Node);
-    }
-
-    #[test]
-    fn translated_fd1_checks_documents() {
-        let a = Alphabet::new();
-        let fd = PathFd::parse(&a, EXPR1).unwrap().to_fd(&a).unwrap();
-        let good = parse_document(
-            &a,
-            "<session>\
-             <candidate><exam><discipline>m</discipline><mark>15</mark><rank>1</rank></exam></candidate>\
-             <candidate><exam><discipline>m</discipline><mark>15</mark><rank>1</rank></exam></candidate>\
-             </session>",
-        )
-        .unwrap();
-        assert!(satisfies(&fd, &good));
-        let bad = parse_document(
-            &a,
-            "<session>\
-             <candidate><exam><discipline>m</discipline><mark>15</mark><rank>1</rank></exam></candidate>\
-             <candidate><exam><discipline>m</discipline><mark>15</mark><rank>2</rank></exam></candidate>\
-             </session>",
-        )
-        .unwrap();
-        assert!(!satisfies(&fd, &bad));
-    }
+    use crate::textfd::parse_fd;
+    use regtree_alphabet::Alphabet;
+    use regtree_pattern::{RegularTreePattern, Template};
 
     #[test]
     fn path_built_fds_are_expressible() {
         let a = Alphabet::new();
-        for src in [EXPR1, EXPR2] {
-            let fd = PathFd::parse(&a, src).unwrap().to_fd(&a).unwrap();
+        for src in [
+            "/session : candidate/exam/discipline, candidate/exam/mark -> candidate/exam/rank",
+            "/session/candidate : exam/date, exam/discipline -> exam[N]",
+        ] {
+            let fd = parse_fd(&a, src).unwrap();
             assert_eq!(expressible_in_path_formalism(&fd), Ok(()), "{src}");
         }
     }
@@ -487,66 +214,4 @@ mod tests {
             Err(Inexpressibility::NonWordEdge(_))
         ));
     }
-
-    #[test]
-    fn parse_errors() {
-        let a = Alphabet::new();
-        assert!(PathFd::parse(&a, "no colon here").is_err());
-        assert!(PathFd::parse(&a, "relative : a -> b").is_err());
-        assert!(PathFd::parse(&a, "/c : a, b").is_err());
-        assert!(PathFd::parse(&a, "/c : a* -> b").is_err()); // not simple
-        let dup = PathFd::parse(&a, "/c : a, a -> b").unwrap();
-        assert!(dup.to_fd(&a).is_err()); // duplicate paths
-    }
-
-    #[test]
-    fn empty_condition_slots_are_rejected() {
-        let a = Alphabet::new();
-        // `a,,b` must not silently parse as two conditions.
-        let e = PathFd::parse(&a, "/r : a,,b -> t").unwrap_err();
-        assert!(e.to_string().contains("empty condition"), "{e}");
-        assert!(PathFd::parse(&a, "/r : ,a -> t").is_err()); // leading comma
-        assert!(PathFd::parse(&a, "/r : a, -> t").is_err()); // trailing comma
-    }
-
-    #[test]
-    fn empty_path_segments_are_rejected() {
-        let a = Alphabet::new();
-        let e = PathFd::parse(&a, "/r : a//b -> t").unwrap_err();
-        assert!(e.to_string().contains("empty segment"), "{e}");
-        assert!(PathFd::parse(&a, "/r : a/ -> t").is_err()); // trailing slash
-        assert!(PathFd::parse(&a, "/r : /a -> t").is_err()); // leading slash
-        assert!(PathFd::parse(&a, "/r/ : a -> t").is_err()); // in the context
-        assert!(PathFd::parse(&a, "/ : a -> t").is_err()); // empty context
-    }
-
-    #[test]
-    fn zero_conditions_is_an_explicit_choice() {
-        let a = Alphabet::new();
-        // A wholly empty condition list is the documented constant-FD case:
-        // the target must be the same in every trace under the context.
-        let p = PathFd::parse(&a, "/c : -> x").unwrap();
-        assert!(p.conditions.is_empty());
-        let fd = p.to_fd(&a).unwrap();
-        assert!(fd.conditions().is_empty());
-        let same = parse_document(&a, "<c><x>1</x><x>1</x></c>").unwrap();
-        assert!(satisfies(&fd, &same));
-        let differ = parse_document(&a, "<c><x>1</x><x>2</x></c>").unwrap();
-        assert!(!satisfies(&fd, &differ));
-    }
-
-    #[test]
-    fn errors_are_the_unified_type() {
-        let a = Alphabet::new();
-        // Parse and translation errors both surface as `Error`, with the
-        // precise subsystem error reachable via `source()`.
-        use std::error::Error as _;
-        let e = PathFd::parse(&a, "no colon here").unwrap_err();
-        assert!(matches!(e, crate::Error::PathFd(_)));
-        assert!(e.source().is_some());
-        let dup = PathFd::parse(&a, "/c : a, a -> b").unwrap();
-        assert!(matches!(dup.to_fd(&a), Err(crate::Error::PathFd(_))));
-    }
-
-    use regtree_pattern::RegularTreePattern;
 }

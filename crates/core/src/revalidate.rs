@@ -61,18 +61,17 @@ pub fn revalidate_full_many(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fd::FdBuilder;
+    use crate::textfd::parse_fd;
     use crate::update::{update_class_from_edges, Update, UpdateOp};
     use regtree_alphabet::Alphabet;
     use regtree_xml::{parse_document, TreeSpec};
 
     fn fd_rank(a: &Alphabet) -> Fd {
-        FdBuilder::new(a.clone())
-            .context("session")
-            .condition("candidate/exam/discipline")
-            .target("candidate/exam/rank")
-            .build()
-            .unwrap()
+        parse_fd(
+            a,
+            "/session : candidate/exam/discipline -> candidate/exam/rank",
+        )
+        .unwrap()
     }
 
     fn doc(a: &Alphabet) -> Document {

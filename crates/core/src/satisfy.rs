@@ -273,14 +273,12 @@ pub(crate) fn check_fd_governed_retaining(
 /// # Examples
 ///
 /// ```
-/// use regtree_core::{satisfies, FdBuilder};
+/// use regtree_core::{parse_fd, satisfies};
 /// use regtree_alphabet::Alphabet;
 /// use regtree_xml::parse_document;
 ///
 /// let a = Alphabet::new();
-/// let fd = FdBuilder::new(a.clone())
-///     .context("s").condition("i/k").target("i/v")
-///     .build().unwrap();
+/// let fd = parse_fd(&a, "/s : i/k -> i/v").unwrap();
 /// let same = parse_document(
 ///     &a,
 ///     "<s><i><k>a</k><v>1</v></i><i><k>a</k><v>1</v></i></s>",
@@ -361,18 +359,16 @@ pub(crate) fn check_fds_governed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fd::FdBuilder;
+    use crate::textfd::parse_fd;
     use regtree_alphabet::Alphabet;
     use regtree_xml::parse_document;
 
     fn fd1(a: &Alphabet) -> Fd {
-        FdBuilder::new(a.clone())
-            .context("session")
-            .condition("candidate/exam/discipline")
-            .condition("candidate/exam/mark")
-            .target("candidate/exam/rank")
-            .build()
-            .unwrap()
+        parse_fd(
+            a,
+            "/session : candidate/exam/discipline, candidate/exam/mark -> candidate/exam/rank",
+        )
+        .unwrap()
     }
 
     fn exam(disc: &str, mark: &str, rank: &str) -> String {
@@ -436,13 +432,11 @@ mod tests {
         let a = Alphabet::new();
         // fd2: a candidate cannot take two different exams of the same
         // discipline at the same date (target: the exam node itself, =N).
-        let fd2 = FdBuilder::new(a.clone())
-            .context("session/candidate")
-            .condition("exam/@date")
-            .condition("exam/discipline")
-            .target_with("exam", crate::fd::EqualityType::Node)
-            .build()
-            .unwrap();
+        let fd2 = parse_fd(
+            &a,
+            "/session/candidate : exam/@date, exam/discipline -> exam[N]",
+        )
+        .unwrap();
         let ok = parse_document(
             &a,
             "<session><candidate>\
@@ -467,12 +461,7 @@ mod tests {
     fn value_equality_is_structural() {
         let a = Alphabet::new();
         // Conditions compare whole subtrees: extra children break equality.
-        let fd = FdBuilder::new(a.clone())
-            .context("r")
-            .condition("item/key")
-            .target("item/val")
-            .build()
-            .unwrap();
+        let fd = parse_fd(&a, "/r : item/key -> item/val").unwrap();
         let doc = parse_document(
             &a,
             "<r><item><key><k/>x</key><val>1</val></item>\

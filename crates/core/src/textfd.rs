@@ -1,23 +1,21 @@
-//! Textual functional dependencies and update classes: the richer grammar
-//! behind [`PathFd::parse`](crate::PathFd::parse), and
-//! [`parse_update_class`], which compiles the same path language into the
-//! monadic patterns that select updated nodes.
+//! Textual functional dependencies and update classes: [`parse_fd`], the
+//! one way from FD text to an [`Fd`], and [`parse_update_class`], which
+//! compiles the same path language into the monadic patterns that select
+//! updated nodes.
 //!
-//! [`parse_fd`] accepts every line the original path-FD syntax accepted —
-//! `context : p1, p2[N] -> q` with simple label paths — and extends every
-//! path with the full pattern language of `regtree_pattern::lang`:
-//! descendant axes (`//`), wildcards (`*`), attribute/text tests, and
-//! counting predicates (`[count(p) >= n]`, `[at-least n p]`). Value tests
-//! (`[p = "v"]`) are rejected: FD checking runs through engines that see
-//! the template only.
+//! [`parse_fd`] reads the path syntax of \[8\] — `context : p1, p2[N] -> q`
+//! with simple label paths — and extends every path with the full pattern
+//! language of `regtree_pattern::lang`: descendant axes (`//`), wildcards
+//! (`*`), attribute/text tests, and counting predicates
+//! (`[count(p) >= n]`, `[at-least n p]`). Value tests (`[p = "v"]`) are
+//! rejected: FD checking runs through engines that see the template only.
 //!
-//! The translation generalizes the \[8\] construction of
-//! [`PathFd::to_fd`](crate::PathFd::to_fd): condition/target paths are
-//! factorized into a trie over *steps* (structural equality), unary
-//! unselected predicate-free chains compress into single multi-label
-//! edges, and counting predicates expand into repeated branches. On
-//! simple-path input the resulting template is structurally identical to
-//! the `PathFd` one, so existing FD corpora keep byte-identical verdicts.
+//! The translation is the \[8\] construction of Section 3.2, generalized:
+//! condition/target paths are factorized into a trie over *steps*
+//! (structural equality), unary unselected predicate-free chains compress
+//! into single multi-label edges, and counting predicates expand into
+//! repeated branches. On simple-path input this is exactly the paper's
+//! longest-common-prefix trie (the Figure 4 shapes).
 
 use regtree_alphabet::Alphabet;
 use regtree_pattern::lang::{
@@ -108,7 +106,7 @@ pub fn parse_fd(alphabet: &Alphabet, src: &str) -> Result<Fd, Error> {
 }
 
 /// Compiles an already-parsed [`FdExpr`] into an [`Fd`].
-pub fn fd_from_expr(alphabet: &Alphabet, expr: &FdExpr) -> Result<Fd, Error> {
+fn fd_from_expr(alphabet: &Alphabet, expr: &FdExpr) -> Result<Fd, Error> {
     if has_value_test(&expr.context.steps)
         || expr
             .conditions
@@ -241,7 +239,7 @@ fn has_value_test(steps: &[Step]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pathfd::PathFd;
+    use crate::pathfd::as_word;
     use crate::satisfy::satisfies;
     use regtree_xml::parse_document;
 
@@ -250,39 +248,84 @@ mod tests {
         "/session : candidate/exam/discipline, candidate/exam/mark -> candidate/exam/rank";
     const EXPR2: &str = "/session/candidate : exam/date, exam/discipline -> exam[N]";
 
+    /// Every simple-path FD string the tests, examples, docs and bench
+    /// corpora build, plus one instance of each generated corpus shape,
+    /// with the template sketch and selected tuple of the \[8\] trie
+    /// construction (Section 3.2). `parse_fd` must build exactly these.
     #[test]
-    fn simple_paths_build_the_exact_pathfd_template() {
+    fn simple_path_fd_templates_are_pinned() {
         let a = Alphabet::new();
-        for src in [
-            EXPR1,
-            EXPR2,
-            "/c : -> x",
-            "/r : a/b/c -> a/b/d",
-            "/r : a, a/b -> a/b/c",
-            "/session/candidate : exam[N], level -> @IDN",
-        ] {
-            let via_path = PathFd::parse(&a, src).unwrap().to_fd(&a).unwrap();
-            let via_text = parse_fd(&a, src).unwrap();
-            assert_eq!(
-                via_text.template().sketch(),
-                via_path.template().sketch(),
-                "template drift for {src}"
-            );
-            assert_eq!(
-                via_text.pattern().selected(),
-                via_path.pattern().selected(),
-                "selection drift for {src}"
-            );
-            assert_eq!(
-                via_text.context(),
-                via_path.context(),
-                "context drift for {src}"
-            );
-            assert_eq!(
-                via_text.describe(),
-                via_path.describe(),
-                "describe drift for {src}"
-            );
+        let golden: &[(&str, &str, &[u32])] = &[
+            ("/session : candidate/exam/discipline, candidate/exam/mark -> candidate/exam/rank", "(root)\n  --[session]--> n1\n    --[candidate/exam]--> n2\n      --[discipline]--> n3\n      --[mark]--> n4\n      --[rank]--> n5\n", &[3, 4, 5]),
+            ("/session/candidate : exam/@date, exam/discipline -> exam[N]", "(root)\n  --[session/candidate]--> n1\n    --[exam]--> n2\n      --[@date]--> n3\n      --[discipline]--> n4\n", &[3, 4, 2]),
+            ("/session/candidate : exam/date, exam/discipline -> exam[N]", "(root)\n  --[session/candidate]--> n1\n    --[exam]--> n2\n      --[date]--> n3\n      --[discipline]--> n4\n", &[3, 4, 2]),
+            ("/session/candidate : exam/@date -> exam[N]", "(root)\n  --[session/candidate]--> n1\n    --[exam]--> n2\n      --[@date]--> n3\n", &[3, 2]),
+            ("/session : candidate/exam/discipline -> candidate/exam/rank", "(root)\n  --[session]--> n1\n    --[candidate/exam]--> n2\n      --[discipline]--> n3\n      --[rank]--> n4\n", &[3, 4]),
+            ("/session : candidate/level -> candidate", "(root)\n  --[session]--> n1\n    --[candidate]--> n2\n      --[level]--> n3\n", &[3, 2]),
+            ("/session : candidate/@IDN -> candidate/level", "(root)\n  --[session]--> n1\n    --[candidate]--> n2\n      --[@IDN]--> n3\n      --[level]--> n4\n", &[3, 4]),
+            ("/session : -> candidate/level", "(root)\n  --[session]--> n1\n    --[candidate/level]--> n2\n", &[2]),
+            ("/session/candidate : level -> firstJob-Year", "(root)\n  --[session/candidate]--> n1\n    --[level]--> n2\n    --[firstJob-Year]--> n3\n", &[2, 3]),
+            ("/session/candidate : exam/discipline -> exam/rank", "(root)\n  --[session/candidate]--> n1\n    --[exam]--> n2\n      --[discipline]--> n3\n      --[rank]--> n4\n", &[3, 4]),
+            ("/session/candidate : exam[N], level -> @IDN", "(root)\n  --[session/candidate]--> n1\n    --[exam]--> n2\n    --[level]--> n3\n    --[@IDN]--> n4\n", &[2, 3, 4]),
+            ("/session/candidate : exam/date -> exam[N]", "(root)\n  --[session/candidate]--> n1\n    --[exam]--> n2\n      --[date]--> n3\n", &[3, 2]),
+            ("/session/candidate : exam/date[N] -> exam[N]", "(root)\n  --[session/candidate]--> n1\n    --[exam]--> n2\n      --[date]--> n3\n", &[3, 2]),
+            ("/catalog : item/sku -> item/price", "(root)\n  --[catalog]--> n1\n    --[item]--> n2\n      --[sku]--> n3\n      --[price]--> n4\n", &[3, 4]),
+            ("/catalog : item/sku -> item/name", "(root)\n  --[catalog]--> n1\n    --[item]--> n2\n      --[sku]--> n3\n      --[name]--> n4\n", &[3, 4]),
+            ("/catalog : item/sku -> item/stock", "(root)\n  --[catalog]--> n1\n    --[item]--> n2\n      --[sku]--> n3\n      --[stock]--> n4\n", &[3, 4]),
+            ("/catalog : item/sku, item/name -> item/price", "(root)\n  --[catalog]--> n1\n    --[item]--> n2\n      --[sku]--> n3\n      --[name]--> n4\n      --[price]--> n5\n", &[3, 4, 5]),
+            ("/catalog : item/sku/id[N] -> item/sku", "(root)\n  --[catalog]--> n1\n    --[item/sku]--> n2\n      --[id]--> n3\n", &[3, 2]),
+            ("/inventory/warehouse : pallet/product -> pallet/qty", "(root)\n  --[inventory/warehouse]--> n1\n    --[pallet]--> n2\n      --[product]--> n3\n      --[qty]--> n4\n", &[3, 4]),
+            ("/library : shelf/book/isbn -> shelf/book/section", "(root)\n  --[library]--> n1\n    --[shelf/book]--> n2\n      --[isbn]--> n3\n      --[section]--> n4\n", &[3, 4]),
+            ("/db : rec/key -> rec/val", "(root)\n  --[db]--> n1\n    --[rec]--> n2\n      --[key]--> n3\n      --[val]--> n4\n", &[3, 4]),
+            ("/r : item/key -> item/val", "(root)\n  --[r]--> n1\n    --[item]--> n2\n      --[key]--> n3\n      --[val]--> n4\n", &[3, 4]),
+            ("/s : i/k -> i/v", "(root)\n  --[s]--> n1\n    --[i]--> n2\n      --[k]--> n3\n      --[v]--> n4\n", &[3, 4]),
+            ("/s : c/d -> c/r", "(root)\n  --[s]--> n1\n    --[c]--> n2\n      --[d]--> n3\n      --[r]--> n4\n", &[3, 4]),
+            ("/s : c/d, c/x -> c/r", "(root)\n  --[s]--> n1\n    --[c]--> n2\n      --[d]--> n3\n      --[x]--> n4\n      --[r]--> n5\n", &[3, 4, 5]),
+            ("/s : c/d, c/y -> c/r", "(root)\n  --[s]--> n1\n    --[c]--> n2\n      --[d]--> n3\n      --[y]--> n4\n      --[r]--> n5\n", &[3, 4, 5]),
+            ("/s : c/e/d -> c/e", "(root)\n  --[s]--> n1\n    --[c/e]--> n2\n      --[d]--> n3\n", &[3, 2]),
+            ("/s : c/e/d -> c/e/r", "(root)\n  --[s]--> n1\n    --[c/e]--> n2\n      --[d]--> n3\n      --[r]--> n4\n", &[3, 4]),
+            ("/s : c/e/d -> c/e/m", "(root)\n  --[s]--> n1\n    --[c/e]--> n2\n      --[d]--> n3\n      --[m]--> n4\n", &[3, 4]),
+            ("/s : c/e/d -> c/e[N]", "(root)\n  --[s]--> n1\n    --[c/e]--> n2\n      --[d]--> n3\n", &[3, 2]),
+            ("/s : c/e/d[N] -> c/e", "(root)\n  --[s]--> n1\n    --[c/e]--> n2\n      --[d]--> n3\n", &[3, 2]),
+            ("/s : c/e[N] -> c/e/m", "(root)\n  --[s]--> n1\n    --[c/e]--> n2\n      --[m]--> n3\n", &[2, 3]),
+            ("/s : c/e/d, c/e/m -> c/e/r", "(root)\n  --[s]--> n1\n    --[c/e]--> n2\n      --[d]--> n3\n      --[m]--> n4\n      --[r]--> n5\n", &[3, 4, 5]),
+            ("/s : c/e/d, c/e/m, c/x -> c/e/r", "(root)\n  --[s]--> n1\n    --[c]--> n2\n      --[e]--> n3\n        --[d]--> n4\n        --[m]--> n5\n        --[r]--> n6\n      --[x]--> n7\n", &[4, 5, 7, 6]),
+            ("/s : c/e/d, c/e/m, c/n -> c/e/r", "(root)\n  --[s]--> n1\n    --[c]--> n2\n      --[e]--> n3\n        --[d]--> n4\n        --[m]--> n5\n        --[r]--> n6\n      --[n]--> n7\n", &[4, 5, 7, 6]),
+            ("/s : a -> b", "(root)\n  --[s]--> n1\n    --[a]--> n2\n    --[b]--> n3\n", &[2, 3]),
+            ("/s : -> x", "(root)\n  --[s]--> n1\n    --[x]--> n2\n", &[2]),
+            ("/c : -> x", "(root)\n  --[c]--> n1\n    --[x]--> n2\n", &[2]),
+            ("/c : -> t", "(root)\n  --[c]--> n1\n    --[t]--> n2\n", &[2]),
+            ("/a : b/c -> b/d", "(root)\n  --[a]--> n1\n    --[b]--> n2\n      --[c]--> n3\n      --[d]--> n4\n", &[3, 4]),
+            ("/r : a -> b", "(root)\n  --[r]--> n1\n    --[a]--> n2\n    --[b]--> n3\n", &[2, 3]),
+            ("/r : a -> c", "(root)\n  --[r]--> n1\n    --[a]--> n2\n    --[c]--> n3\n", &[2, 3]),
+            ("/r : b -> c", "(root)\n  --[r]--> n1\n    --[b]--> n2\n    --[c]--> n3\n", &[2, 3]),
+            ("/r : a/b -> a", "(root)\n  --[r]--> n1\n    --[a]--> n2\n      --[b]--> n3\n", &[3, 2]),
+            ("/r : a/b[N] -> a", "(root)\n  --[r]--> n1\n    --[a]--> n2\n      --[b]--> n3\n", &[3, 2]),
+            ("/r : a/b[N] -> a/c", "(root)\n  --[r]--> n1\n    --[a]--> n2\n      --[b]--> n3\n      --[c]--> n4\n", &[3, 4]),
+            ("/r : a/b[N] -> a/b/d", "(root)\n  --[r]--> n1\n    --[a/b]--> n2\n      --[d]--> n3\n", &[2, 3]),
+            ("/r : a/b/c -> a/b/d", "(root)\n  --[r]--> n1\n    --[a/b]--> n2\n      --[c]--> n3\n      --[d]--> n4\n", &[3, 4]),
+            ("/r : a/b/c -> a/b[N]", "(root)\n  --[r]--> n1\n    --[a/b]--> n2\n      --[c]--> n3\n", &[3, 2]),
+            ("/r : a/b/x -> a/c", "(root)\n  --[r]--> n1\n    --[a]--> n2\n      --[b/x]--> n3\n      --[c]--> n4\n", &[3, 4]),
+            ("/r : a/b/x[N] -> a/c", "(root)\n  --[r]--> n1\n    --[a]--> n2\n      --[b/x]--> n3\n      --[c]--> n4\n", &[3, 4]),
+            ("/r : a, a/b -> a/b/c", "(root)\n  --[r]--> n1\n    --[a]--> n2\n      --[b]--> n3\n        --[c]--> n4\n", &[2, 3, 4]),
+            ("/r/w : p -> q", "(root)\n  --[r/w]--> n1\n    --[p]--> n2\n    --[q]--> n3\n", &[2, 3]),
+            ("/r : w/p -> w/q", "(root)\n  --[r]--> n1\n    --[w]--> n2\n      --[p]--> n3\n      --[q]--> n4\n", &[3, 4]),
+            ("/ctx : p0/v, p1/v -> t/v", "(root)\n  --[ctx]--> n1\n    --[p0/v]--> n2\n    --[p1/v]--> n3\n    --[t/v]--> n4\n", &[2, 3, 4]),
+            ("/db : g0/d -> g0[N]", "(root)\n  --[db]--> n1\n    --[g0]--> n2\n      --[d]--> n3\n", &[3, 2]),
+            ("/db : g0/d -> g0/r", "(root)\n  --[db]--> n1\n    --[g0]--> n2\n      --[d]--> n3\n      --[r]--> n4\n", &[3, 4]),
+            ("/db : g0/d, g0/x -> g0/r", "(root)\n  --[db]--> n1\n    --[g0]--> n2\n      --[d]--> n3\n      --[x]--> n4\n      --[r]--> n5\n", &[3, 4, 5]),
+            ("/db : g0/c/e -> g0/c[N]", "(root)\n  --[db]--> n1\n    --[g0/c]--> n2\n      --[e]--> n3\n", &[3, 2]),
+            ("/db : g0/c[N] -> g0/c/f", "(root)\n  --[db]--> n1\n    --[g0/c]--> n2\n      --[f]--> n3\n", &[2, 3]),
+            ("/db : g0/c/e -> g0/c/f", "(root)\n  --[db]--> n1\n    --[g0/c]--> n2\n      --[e]--> n3\n      --[f]--> n4\n", &[3, 4]),
+            ("/r : a/b, c[N] -> a/c", "(root)\n  --[r]--> n1\n    --[a]--> n2\n      --[b]--> n3\n      --[c]--> n4\n    --[c]--> n5\n", &[3, 5, 4]),
+            ("/r : a/b/c/d/e/x0, a/b/c/d/e/x1 -> a/b/c/d/e/g0", "(root)\n  --[r]--> n1\n    --[a/b/c/d/e]--> n2\n      --[x0]--> n3\n      --[x1]--> n4\n      --[g0]--> n5\n", &[3, 4, 5]),
+        ];
+        for &(src, sketch, selected) in golden {
+            let fd = parse_fd(&a, src).unwrap_or_else(|e| panic!("{src}: {e}"));
+            assert_eq!(fd.template().sketch(), sketch, "template drift for {src}");
+            let got: Vec<u32> = fd.pattern().selected().iter().map(|n| n.0).collect();
+            assert_eq!(got, selected, "selection drift for {src}");
+            assert_eq!(fd.context(), TemplateNodeId(1), "context drift for {src}");
         }
     }
 
@@ -297,6 +340,10 @@ mod tests {
             "/c : ,a -> t",
             "/c : a, -> t",
             "/ : a -> t",
+            "/c : a* -> b",
+            "/r : a/ -> t",
+            "/r : /a -> t",
+            "/r/ : a -> t",
         ] {
             assert!(parse_fd(&a, src).is_err(), "{src} should not parse");
         }
@@ -379,7 +426,69 @@ mod tests {
         let a = Alphabet::new();
         let fd = parse_fd(&a, EXPR2).unwrap();
         assert_eq!(fd.target_equality(), EqualityType::Node);
+        // The target `exam` is a prefix of both condition paths, so it is
+        // an *internal* selected node (Figure 4's FD2).
         assert!(!fd.template().is_leaf(fd.target()));
+    }
+
+    #[test]
+    fn common_prefixes_factorize_into_one_node() {
+        let a = Alphabet::new();
+        let fd = parse_fd(&a, EXPR1).unwrap();
+        // Figure 4's FD1: root → session (context) → one candidate/exam
+        // node → the three selected leaves discipline/mark/rank.
+        assert_eq!(fd.template().len(), 6);
+        assert_eq!(fd.conditions().len(), 2);
+        let shared = fd.template().children(fd.context())[0];
+        assert_eq!(
+            as_word(fd.template().edge_regex(shared).unwrap()).unwrap(),
+            vec![a.intern("candidate"), a.intern("exam")]
+        );
+    }
+
+    #[test]
+    fn fd1_checks_documents() {
+        let a = Alphabet::new();
+        let fd = parse_fd(&a, EXPR1).unwrap();
+        let good = parse_document(
+            &a,
+            "<session>\
+             <candidate><exam><discipline>m</discipline><mark>15</mark><rank>1</rank></exam></candidate>\
+             <candidate><exam><discipline>m</discipline><mark>15</mark><rank>1</rank></exam></candidate>\
+             </session>",
+        )
+        .unwrap();
+        assert!(satisfies(&fd, &good));
+        let bad = parse_document(
+            &a,
+            "<session>\
+             <candidate><exam><discipline>m</discipline><mark>15</mark><rank>1</rank></exam></candidate>\
+             <candidate><exam><discipline>m</discipline><mark>15</mark><rank>2</rank></exam></candidate>\
+             </session>",
+        )
+        .unwrap();
+        assert!(!satisfies(&fd, &bad));
+    }
+
+    #[test]
+    fn zero_conditions_is_a_constant_fd() {
+        let a = Alphabet::new();
+        // \[8\] allows constant dependencies: the target must be the same
+        // in every trace under the context.
+        let fd = parse_fd(&a, "/c : -> x").unwrap();
+        assert!(fd.conditions().is_empty());
+        let same = parse_document(&a, "<c><x>1</x><x>1</x></c>").unwrap();
+        assert!(satisfies(&fd, &same));
+        let differ = parse_document(&a, "<c><x>1</x><x>2</x></c>").unwrap();
+        assert!(!satisfies(&fd, &differ));
+    }
+
+    #[test]
+    fn duplicate_paths_error_names_its_kind_once() {
+        let a = Alphabet::new();
+        let e = parse_fd(&a, "/r : a -> a[N]").unwrap_err();
+        assert!(matches!(e, Error::PathFd(_)), "{e:?}");
+        assert_eq!(e.to_string(), "path FD: duplicate condition/target paths");
     }
 
     /// Every update-class string used by the tests, examples and the

@@ -10,7 +10,7 @@
 use rand::Rng;
 
 use regtree_alphabet::Alphabet;
-use regtree_core::{EqualityType, Fd, FdBuilder, Update, UpdateClass, UpdateOp};
+use regtree_core::{EqualityType, Fd, Update, UpdateClass, UpdateOp};
 use regtree_hedge::Schema;
 use regtree_pattern::{RegularTreePattern, Template};
 use regtree_xml::{Document, TreeSpec};
@@ -180,26 +180,33 @@ pub fn pattern_r4(a: &Alphabet) -> RegularTreePattern {
 }
 
 /// `fd1` (Figure 4): same discipline + same mark ⇒ same rank, per session.
+/// The \[8\] trie of `expr1`: the shared `candidate/exam` prefix is one
+/// template node.
 pub fn fd1(a: &Alphabet) -> Fd {
-    FdBuilder::new(a.clone())
-        .context("session")
-        .condition("candidate/exam/discipline")
-        .condition("candidate/exam/mark")
-        .target("candidate/exam/rank")
-        .build()
-        .expect("fd1 builds")
+    let mut t = Template::new(a.clone());
+    let c = t.add_child_str(t.root(), "session").expect("proper");
+    let exam = t.add_child_str(c, "candidate/exam").expect("proper");
+    let discipline = t.add_child_str(exam, "discipline").expect("proper");
+    let mark = t.add_child_str(exam, "mark").expect("proper");
+    let rank = t.add_child_str(exam, "rank").expect("proper");
+    let pattern = RegularTreePattern::new(t, vec![discipline, mark, rank]).expect("valid");
+    Fd::with_default_equality(pattern, c).expect("fd1 builds")
 }
 
 /// `fd2` (Figure 4): a candidate cannot take two different exams of the
-/// same discipline at the same date (target `exam`, node equality).
+/// same discipline at the same date (target `exam`, node equality). The
+/// target is the internal node both condition paths go through.
 pub fn fd2(a: &Alphabet) -> Fd {
-    FdBuilder::new(a.clone())
-        .context("session/candidate")
-        .condition("exam/@date")
-        .condition("exam/discipline")
-        .target_with("exam", EqualityType::Node)
-        .build()
-        .expect("fd2 builds")
+    let mut t = Template::new(a.clone());
+    let c = t
+        .add_child_str(t.root(), "session/candidate")
+        .expect("proper");
+    let exam = t.add_child_str(c, "exam").expect("proper");
+    let date = t.add_child_str(exam, "@date").expect("proper");
+    let discipline = t.add_child_str(exam, "discipline").expect("proper");
+    let pattern = RegularTreePattern::new(t, vec![date, discipline, exam]).expect("valid");
+    let equality = vec![EqualityType::Value, EqualityType::Value, EqualityType::Node];
+    Fd::new(pattern, c, equality).expect("fd2 builds")
 }
 
 /// `fd3` (Figure 5): two candidates with the same marks in (at least) two

@@ -8,8 +8,7 @@
 //! * [`HedgeAutomaton`] — nondeterministic bottom-up automata over unranked
 //!   trees, with regular horizontal languages ([`regtree_automata::Nfa`]s
 //!   whose letters are tree states);
-//! * [`product`] — intersection (the `A_S × B` product of Proposition 3) and
-//!   union;
+//! * [`product`] — intersection (the `A_S × B` product of Proposition 3);
 //! * [`emptiness`] — the polynomial realizability fixpoint, extended with
 //!   **witness-document extraction** so a nonempty IC language yields a
 //!   concrete document;
@@ -35,7 +34,7 @@ pub use emptiness::{
     witness_document_governed, witness_label, witness_spec,
 };
 pub use partition::{iter_classes, GuardMask, GuardPartition};
-pub use product::{intersect, intersect_with_encoding, union, PairEncoding};
+pub use product::intersect;
 pub use schema::{Schema, SchemaError};
 
 #[cfg(test)]
@@ -133,15 +132,6 @@ mod proptests {
             let m2 = s2.compile();
             let prod = intersect(&m1, &m2);
             prop_assert_eq!(prod.accepts(&doc), m1.accepts(&doc) && m2.accepts(&doc));
-        }
-
-        /// Union automaton = language union on random docs.
-        #[test]
-        fn union_is_union(s1 in arb_schema(), s2 in arb_schema(), doc in arb_doc()) {
-            let m1 = s1.compile();
-            let m2 = s2.compile();
-            let u = union(&m1, &m2);
-            prop_assert_eq!(u.accepts(&doc), m1.accepts(&doc) || m2.accepts(&doc));
         }
 
         /// Emptiness witnesses are genuine members; emptiness of the product

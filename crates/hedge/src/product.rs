@@ -1,8 +1,8 @@
-//! Boolean combinations of hedge automata.
+//! The product of two hedge automata.
 //!
 //! Proposition 3 builds the IC automaton `A` as “a product automaton between
 //! the automata `A_S` and `B`”. [`intersect`] implements that product for
-//! arbitrary nondeterministic hedge automata; [`union`] is the disjoint sum.
+//! arbitrary nondeterministic hedge automata; the eager IC oracle uses it.
 
 use regtree_automata::{Nfa, NfaBuilder, NfaLabel};
 
@@ -10,20 +10,15 @@ use crate::automaton::{HedgeAutomaton, HedgeTransition, TreeState};
 
 /// Pair-state encoding for products: `(qa, qb) -> qa * nb + qb`.
 #[derive(Clone, Copy, Debug)]
-pub struct PairEncoding {
+struct PairEncoding {
     /// Number of states of the second automaton.
-    pub nb: u32,
+    nb: u32,
 }
 
 impl PairEncoding {
     /// Encodes a state pair.
-    pub fn encode(&self, qa: TreeState, qb: TreeState) -> TreeState {
+    fn encode(&self, qa: TreeState, qb: TreeState) -> TreeState {
         qa * self.nb + qb
-    }
-
-    /// Decodes a product state.
-    pub fn decode(&self, q: TreeState) -> (TreeState, TreeState) {
-        (q / self.nb, q % self.nb)
     }
 }
 
@@ -125,12 +120,7 @@ fn horizontal_product(ha: &Nfa, hb: &Nfa, na: u32, enc: PairEncoding) -> Nfa {
 }
 
 /// Product automaton recognizing `L(a) ∩ L(b)`.
-///
-/// Also returns the [`PairEncoding`] so callers can interpret product states.
-pub fn intersect_with_encoding(
-    a: &HedgeAutomaton,
-    b: &HedgeAutomaton,
-) -> (HedgeAutomaton, PairEncoding) {
+pub fn intersect(a: &HedgeAutomaton, b: &HedgeAutomaton) -> HedgeAutomaton {
     let na = a.num_states() as u32;
     let nb = b.num_states() as u32;
     let enc = PairEncoding { nb };
@@ -154,45 +144,7 @@ pub fn intersect_with_encoding(
             finals.push(enc.encode(fa, fb));
         }
     }
-    (
-        HedgeAutomaton::new((na * nb) as usize, transitions, finals),
-        enc,
-    )
-}
-
-/// Product automaton recognizing `L(a) ∩ L(b)`.
-pub fn intersect(a: &HedgeAutomaton, b: &HedgeAutomaton) -> HedgeAutomaton {
-    intersect_with_encoding(a, b).0
-}
-
-/// Disjoint-sum automaton recognizing `L(a) ∪ L(b)`.
-pub fn union(a: &HedgeAutomaton, b: &HedgeAutomaton) -> HedgeAutomaton {
-    let na = a.num_states() as u32;
-    let nb = b.num_states() as u32;
-    // In the sum, a node may simultaneously carry states of both components;
-    // wildcard horizontal letters must therefore be confined to the letters
-    // of their own component before the state spaces are merged.
-    let a_letters: Vec<u32> = (0..na).collect();
-    let b_letters: Vec<u32> = (0..nb).collect();
-    let mut transitions: Vec<HedgeTransition> = a
-        .transitions()
-        .iter()
-        .map(|t| HedgeTransition {
-            guard: t.guard.clone(),
-            horizontal: t.horizontal.expand_any(&a_letters),
-            target: t.target,
-        })
-        .collect();
-    for tb in b.transitions() {
-        transitions.push(HedgeTransition {
-            guard: tb.guard.clone(),
-            horizontal: tb.horizontal.expand_any(&b_letters).map_letters(|x| x + na),
-            target: tb.target + na,
-        });
-    }
-    let mut finals: Vec<TreeState> = a.finals().to_vec();
-    finals.extend(b.finals().iter().map(|&f| f + na));
-    HedgeAutomaton::new(a.num_states() + b.num_states(), transitions, finals)
+    HedgeAutomaton::new((na * nb) as usize, transitions, finals)
 }
 
 #[cfg(test)]
@@ -304,27 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn union_semantics() {
-        let alpha = Alphabet::new();
-        let a = all_x(&alpha, true);
-        let b = few_children(1);
-        let u = union(&a, &b);
-        for (src, _) in [
-            ("<x/>", ()),
-            ("<x/><x/>", ()),
-            ("<y/>", ()),
-            ("<y/><y/>", ()),
-        ] {
-            let doc = parse_document(&alpha, src).unwrap();
-            assert_eq!(
-                u.accepts(&doc),
-                a.accepts(&doc) || b.accepts(&doc),
-                "union law on {src}"
-            );
-        }
-    }
-
-    #[test]
     fn intersection_with_universal_is_identity() {
         let alpha = Alphabet::new();
         let a = all_x(&alpha, true);
@@ -333,16 +264,6 @@ mod tests {
         for src in ["<x/>", "<x/><y/>", "<y/>"] {
             let doc = parse_document(&alpha, src).unwrap();
             assert_eq!(prod.accepts(&doc), a.accepts(&doc), "{src}");
-        }
-    }
-
-    #[test]
-    fn pair_encoding_round_trip() {
-        let enc = PairEncoding { nb: 7 };
-        for qa in 0..5 {
-            for qb in 0..7 {
-                assert_eq!(enc.decode(enc.encode(qa, qb)), (qa, qb));
-            }
         }
     }
 

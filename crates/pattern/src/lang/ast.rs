@@ -84,9 +84,9 @@ pub enum EqTag {
 }
 
 /// A textual functional dependency
-/// `context : p1, p2[N], … -> q` — the richer grammar behind
-/// `PathFd::parse`, with descendant axes, wildcards, and counting
-/// predicates allowed in every path.
+/// `context : p1, p2[N], … -> q` — the path syntax of \[8\] with
+/// descendant axes, wildcards, and counting predicates allowed in every
+/// path. `regtree_core::parse_fd` compiles it into an FD.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FdExpr {
     /// The absolute context path.

@@ -38,9 +38,9 @@ pub fn parse_pattern(src: &str) -> Result<Pattern, ParseError> {
 
 /// Parses the one-line textual FD form `context : p1, p2[N], … -> q`.
 ///
-/// This is the richer grammar behind the original `PathFd` syntax: the
-/// same simple-path lines parse unchanged, and every path may now use
-/// descendant axes, wildcards, and counting predicates. An exact `[N]` or
+/// This extends the simple-path syntax of \[8\]: simple-path lines parse
+/// as written, and every path may also use descendant axes, wildcards,
+/// and counting predicates. An exact `[N]` or
 /// `[V]` bracket at the end of a condition/target is the \[8\] equality
 /// annotation, not a predicate (use `[count(N) >= 1]` to test for a child
 /// literally named `N`).

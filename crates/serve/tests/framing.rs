@@ -115,6 +115,17 @@ fn malformed_utf8_body_is_parse_error() {
 }
 
 #[test]
+fn deeply_nested_frame_is_parse_error_and_connection_survives() {
+    let mut script = frame(&"[".repeat(100_000));
+    script.extend(request(4, "server/stats", "null"));
+    let (resps, _) = run_script(&script, ServerConfig::default());
+    assert_eq!(resps.len(), 2);
+    assert_eq!(error_code(&resps[0]), Some(rpc::PARSE_ERROR));
+    assert_eq!(resps[1].get("id").and_then(Json::as_u64), Some(4));
+    assert!(resps[1].get("result").is_some(), "connection kept working");
+}
+
+#[test]
 fn invalid_json_and_invalid_envelope() {
     let mut script = frame("{not json");
     script.extend(frame(r#"{"id":9,"method":"server/stats"}"#)); // no jsonrpc

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use regtree_alphabet::Alphabet;
 use regtree_core::api::Json;
 use regtree_core::{
-    parse_update_class, Analyzer, Fd, FdOutcome, FdSet, PathFd, RunLimits, UpdateClass,
+    parse_fd, parse_update_class, Analyzer, Fd, FdOutcome, FdSet, RunLimits, UpdateClass,
 };
 use regtree_hedge::Schema;
 use regtree_serve::rpc::{self, read_frame, write_message};
@@ -132,11 +132,7 @@ fn compute_expected(schema_text: &str, xml: &str) -> Expected {
     let alphabet = Alphabet::new();
     let schema = Schema::parse(&alphabet, schema_text).expect("fixture schema parses");
     let analyzer = Analyzer::builder().schema(schema).build();
-    let parse_fd = |expr: &str| -> Fd {
-        PathFd::parse(&alphabet, expr)
-            .and_then(|p| p.to_fd(&alphabet))
-            .expect("workload fd parses")
-    };
+    let parse_fd = |expr: &str| -> Fd { parse_fd(&alphabet, expr).expect("workload fd parses") };
     let parse_upd = |expr: &str| -> UpdateClass {
         parse_update_class(&alphabet, expr).expect("workload update class parses")
     };

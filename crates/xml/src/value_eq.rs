@@ -18,25 +18,52 @@ use crate::model::{Document, NodeId};
 
 /// Structural value equality of two rooted subtrees (possibly across
 /// documents sharing an alphabet).
+///
+/// Iterative, so document depth is bounded by memory, not by the stack.
 pub fn value_eq(da: &Document, a: NodeId, db: &Document, b: NodeId) -> bool {
-    if da.label(a) != db.label(b) {
-        return false;
-    }
-    // Same label ⇒ same kind (kind is a function of the label).
-    if da.kind(a) != db.kind(b) {
-        return false;
-    }
-    match da.kind(a) {
-        LabelKind::Attribute | LabelKind::Text => da.value(a) == db.value(b),
-        LabelKind::Element => {
-            let ca = da.children(a);
-            let cb = db.children(b);
-            ca.len() == cb.len()
-                && ca
-                    .iter()
-                    .zip(cb.iter())
-                    .all(|(&x, &y)| value_eq(da, x, db, y))
+    // Preorder over both trees in step: `siblings` holds the unvisited
+    // right siblings of the current pair, `suspended` those of its
+    // ancestors. Only a pair with children that is not the last of its
+    // siblings suspends anything, so leaves and single-child chains never
+    // allocate.
+    let mut suspended: Vec<(&[NodeId], &[NodeId])> = Vec::new();
+    let mut siblings: (&[NodeId], &[NodeId]) = (&[], &[]);
+    let (mut x, mut y) = (a, b);
+    loop {
+        if da.label(x) != db.label(y) {
+            return false;
         }
+        // Same label ⇒ same kind (kind is a function of the label).
+        if da.kind(x) != db.kind(y) {
+            return false;
+        }
+        match da.kind(x) {
+            LabelKind::Attribute | LabelKind::Text => {
+                if da.value(x) != db.value(y) {
+                    return false;
+                }
+            }
+            LabelKind::Element => {
+                let (cx, cy) = (da.children(x), db.children(y));
+                if cx.len() != cy.len() {
+                    return false;
+                }
+                if !cx.is_empty() {
+                    if !siblings.0.is_empty() {
+                        suspended.push(siblings);
+                    }
+                    siblings = (cx, cy);
+                }
+            }
+        }
+        if siblings.0.is_empty() {
+            match suspended.pop() {
+                Some(run) => siblings = run,
+                None => return true,
+            }
+        }
+        (x, y) = (siblings.0[0], siblings.1[0]);
+        siblings = (&siblings.0[1..], &siblings.1[1..]);
     }
 }
 
@@ -47,25 +74,41 @@ pub fn value_eq_in(doc: &Document, a: NodeId, b: NodeId) -> bool {
 
 /// Canonical hash of a rooted subtree, consistent with [`value_eq`]:
 /// `value_eq(a, b) ⇒ value_hash(a) == value_hash(b)`.
+///
+/// FNV-1a over the preorder stream of (label, value, child count) per
+/// node; iterative, like [`value_eq`].
 pub fn value_hash(doc: &Document, n: NodeId) -> u64 {
     let mut h = Fnv1a::new();
-    hash_subtree(doc, n, &mut h);
-    h.finish()
-}
-
-fn hash_subtree(doc: &Document, n: NodeId, h: &mut Fnv1a) {
-    doc.label(n).0.hash(h);
-    match doc.value(n) {
-        Some(v) => {
-            1u8.hash(h);
-            v.hash(h);
+    // Preorder as in `value_eq`: leaves and single-child chains never
+    // suspend a sibling run, so they never allocate.
+    let mut suspended: Vec<&[NodeId]> = Vec::new();
+    let mut siblings: &[NodeId] = &[];
+    let mut n = n;
+    loop {
+        doc.label(n).0.hash(&mut h);
+        match doc.value(n) {
+            Some(v) => {
+                1u8.hash(&mut h);
+                v.hash(&mut h);
+            }
+            None => 0u8.hash(&mut h),
         }
-        None => 0u8.hash(h),
-    }
-    let children = doc.children(n);
-    children.len().hash(h);
-    for &c in children {
-        hash_subtree(doc, c, h);
+        let children = doc.children(n);
+        children.len().hash(&mut h);
+        if !children.is_empty() {
+            if !siblings.is_empty() {
+                suspended.push(siblings);
+            }
+            siblings = children;
+        }
+        if siblings.is_empty() {
+            match suspended.pop() {
+                Some(run) => siblings = run,
+                None => return h.finish(),
+            }
+        }
+        n = siblings[0];
+        siblings = &siblings[1..];
     }
 }
 
@@ -233,6 +276,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Pinned values of the FNV-1a preorder stream: a change of traversal
+    /// must not change any hash.
+    #[test]
+    fn hashes_are_pinned() {
+        let a = Alphabet::new();
+        let d = crate::parse_document(
+            &a,
+            "<s><i k=\"1\"><v>x</v><w/></i><i k=\"2\"><v>y</v></i></s>",
+        )
+        .unwrap();
+        let s = d.children(d.root())[0];
+        let i0 = d.children(s)[0];
+        let [k, v, w] = d.children(i0) else {
+            panic!("i has three children");
+        };
+        let text = d.children(*v)[0];
+        for (n, pinned) in [
+            (d.root(), 0xe120_32eb_03fa_268d_u64),
+            (s, 0x14f6_3235_e907_cc76),
+            (i0, 0x403c_abe6_5e31_c04f),
+            (*k, 0x0e7b_dfc6_93da_af84),
+            (*v, 0xf074_0cc9_9ddf_7f8a),
+            (text, 0xd664_62a7_4186_dd0e),
+            (*w, 0x5cb3_62aa_ca06_3fa9),
+        ] {
+            assert_eq!(value_hash(&d, n), pinned, "n{}", n.0);
+        }
+        let chain = format!("{}x{}", "<a>".repeat(50), "</a>".repeat(50));
+        let deep = crate::parse_document(&a, &chain).unwrap();
+        assert_eq!(value_hash(&deep, deep.root()), 0xa5cb_adf3_df93_f953);
     }
 
     #[test]

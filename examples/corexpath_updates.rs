@@ -17,12 +17,7 @@ fn main() {
 
     // Library catalog: within a library, two copies of the same ISBN are
     // shelved in the same section.
-    let fd = FdBuilder::new(a.clone())
-        .context("library")
-        .condition("shelf/book/isbn")
-        .target("shelf/book/section")
-        .build()
-        .expect("fd builds");
+    let fd = parse_fd(&a, "/library : shelf/book/isbn -> shelf/book/section").expect("fd builds");
 
     let schema = Schema::parse(
         &a,

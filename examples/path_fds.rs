@@ -18,18 +18,12 @@ fn main() {
     let expr2 = "/session/candidate : exam/@date, exam/discipline -> exam[N]";
 
     println!("— expr1 (the paper's fd1) —");
-    let fd1 = PathFd::parse(&a, expr1)
-        .expect("parses")
-        .to_fd(&a)
-        .expect("translates");
+    let fd1 = parse_fd(&a, expr1).expect("parses");
     println!("template shape:\n{}", fd1.template().sketch());
     println!("holds on Figure 1: {}", satisfies(&fd1, &doc));
 
     println!("— expr2 (the paper's fd2, node-equality target) —");
-    let fd2 = PathFd::parse(&a, expr2)
-        .expect("parses")
-        .to_fd(&a)
-        .expect("translates");
+    let fd2 = parse_fd(&a, expr2).expect("parses");
     println!("template shape:\n{}", fd2.template().sketch());
     println!(
         "target is an internal node (prefix factorization): {}",

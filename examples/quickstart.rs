@@ -13,12 +13,7 @@ fn main() {
 
     // A product catalog: within a catalog, two items with the same sku have
     // the same price.
-    let fd = FdBuilder::new(alphabet.clone())
-        .context("catalog")
-        .condition("item/sku")
-        .target("item/price")
-        .build()
-        .expect("fd builds");
+    let fd = parse_fd(&alphabet, "/catalog : item/sku -> item/price").expect("fd builds");
 
     let doc = parse_document(
         &alphabet,

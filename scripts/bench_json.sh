@@ -14,11 +14,6 @@
 # be 0).
 # Commit the refreshed BENCH_ic.json alongside perf-relevant changes so the
 # trajectory stays in-tree.
-# Also emits BENCH_serve.json from the serve_bench example: rtpserved
-# request latency over loopback TCP, cold (session/open + document/load +
-# check + close per request) vs warm (one pinned session), p50/p99 ns and
-# requests/sec, plus the warm-vs-cold p50 speedup — which must be >= 2,
-# or the session cache is not paying for itself.
 # Finally emits BENCH_core.json, a before/after view of the automata-core
 # hot paths: the committed (HEAD) ic_scaling lazy medians as baseline, the
 # fresh medians, the speedup ratio per axis point, and the current
@@ -37,15 +32,13 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH_ic.json}"
 out_fdset="${2:-BENCH_fdset.json}"
 out_core="${3:-BENCH_core.json}"
-out_serve="${4:-BENCH_serve.json}"
-out_stream="${5:-BENCH_stream.json}"
+out_stream="${4:-BENCH_stream.json}"
 
 raw=$(mktemp)
 raw_fdset=$(mktemp)
-raw_serve=$(mktemp)
 raw_stream=$(mktemp)
 baseline=$(mktemp)
-trap 'rm -f "$raw" "$raw_fdset" "$raw_serve" "$raw_stream" "$baseline"' EXIT
+trap 'rm -f "$raw" "$raw_fdset" "$raw_stream" "$baseline"' EXIT
 
 # Snapshot the committed medians before anything overwrites BENCH_ic.json.
 git show HEAD:BENCH_ic.json >"$baseline" 2>/dev/null || cp BENCH_ic.json "$baseline"
@@ -151,44 +144,6 @@ with open(out, "w", encoding="utf-8") as fh:
     json.dump(rows, fh, indent=2, sort_keys=True)
     fh.write("\n")
 print(f"wrote {out} ({len(rows)} counters)")
-EOF
-
-cargo run --release -p regtree-serve --example serve_bench | tee "$raw_serve"
-
-python3 - "$raw_serve" "$out_serve" <<'EOF'
-import json, re, sys
-
-raw, out = sys.argv[1], sys.argv[2]
-line_re = re.compile(r"^(serve/\S+) (\d+)$")
-
-rows = {}
-with open(raw, encoding="utf-8") as fh:
-    for line in fh:
-        m = line_re.match(line.strip())
-        if m:
-            rows[m.group(1)] = int(m.group(2))
-
-required = [
-    f"serve/{mode}/{metric}"
-    for mode in ("cold", "warm")
-    for metric in ("requests", "p50_ns", "p99_ns", "requests_per_sec")
-]
-missing = [k for k in required if k not in rows]
-if missing:
-    sys.exit(f"bench_json.sh: serve_bench output missing {missing}")
-
-speedup = rows["serve/cold/p50_ns"] / rows["serve/warm/p50_ns"]
-rows["serve/warm_vs_cold_p50_speedup_x100"] = round(speedup * 100)
-if speedup < 2.0:
-    sys.exit(
-        f"bench_json.sh: warm p50 only {speedup:.2f}x better than cold "
-        "(need >= 2x) — the session cache is not paying for itself"
-    )
-
-with open(out, "w", encoding="utf-8") as fh:
-    json.dump(rows, fh, indent=2, sort_keys=True)
-    fh.write("\n")
-print(f"wrote {out} (warm/cold p50 speedup {speedup:.2f}x)")
 EOF
 
 cargo run --release -p regtree-bench --example stream_recheck | tee "$raw_stream"

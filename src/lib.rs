@@ -62,10 +62,10 @@ pub mod prelude {
         build_reduction, check_fd, expressible_in_path_formalism, parse_fd, parse_update_class,
         revalidate_full, revalidate_full_many, satisfies, Analyzer, AnalyzerBuilder, Budget,
         CancelToken, CellProvenance, ChromeTraceSink, DroppedFd, EqualityType, Error, EventKind,
-        Fd, FdBatchReport, FdBuilder, FdOutcome, FdSet, Implication, IncrementalChecker,
-        IndependenceMatrix, Minimization, NullTracer, PathFd, RecheckReport, RecheckScope,
-        Resource, RunLimits, RunMetrics, SpanId, SpanKind, SummarySink, TraceFormat, TraceHandle,
-        TraceSummary, Tracer, Update, UpdateClass, UpdateOp, Verdict,
+        Fd, FdBatchReport, FdOutcome, FdSet, Implication, IncrementalChecker, IndependenceMatrix,
+        Minimization, NullTracer, RecheckReport, RecheckScope, Resource, RunLimits, RunMetrics,
+        SpanId, SpanKind, SummarySink, TraceFormat, TraceHandle, TraceSummary, Tracer, Update,
+        UpdateClass, UpdateOp, Verdict,
     };
     pub use regtree_hedge::{HedgeAutomaton, Schema};
     pub use regtree_pattern::{

@@ -38,13 +38,11 @@ fn fixture_readme_commands_work_via_api() {
     let a = Alphabet::new();
     let doc = parse_document(&a, &fixture("session.xml")).expect("parses");
     // fd-check command line.
-    let fd = PathFd::parse(
+    let fd = parse_fd(
         &a,
         "/session : candidate/exam/discipline, candidate/exam/mark -> candidate/exam/rank",
     )
-    .expect("parses")
-    .to_fd(&a)
-    .expect("translates");
+    .expect("parses");
     assert!(satisfies(&fd, &doc));
     // eval command lines. Branch order must follow document order
     // (Definition 2): `level` precedes `toBePassed` under a candidate, so
@@ -61,13 +59,11 @@ fn fixture_readme_commands_work_via_api() {
         CompiledPattern::from_text(&a, "/session/candidate[toBePassed]/level").expect("parses");
     assert_eq!(wrong_order.evaluate(&doc).len(), 0);
     // independence command line.
-    let fd2 = PathFd::parse(
+    let fd2 = parse_fd(
         &a,
         "/session : candidate/exam/discipline -> candidate/exam/rank",
     )
-    .expect("parses")
-    .to_fd(&a)
-    .expect("translates");
+    .expect("parses");
     let class = parse_update_class(&a, "/session/candidate/level").expect("leaf");
     let schema = Schema::parse(&a, &fixture("exam.rts")).expect("parses");
     let analyzer = Analyzer::builder().schema(schema).build();

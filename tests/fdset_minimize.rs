@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 use regtree_alphabet::Alphabet;
 use regtree_core::{
-    satisfies, update_class_from_edges, Analyzer, CellProvenance, Fd, FdSet, PathFd, RunLimits,
+    parse_fd, satisfies, update_class_from_edges, Analyzer, CellProvenance, Fd, FdSet, RunLimits,
     UpdateClass,
 };
 use regtree_xml::{parse_document, Document};
@@ -70,10 +70,7 @@ fn arb_path_fd() -> impl Strategy<Value = Fd> {
             let cond_strs: Vec<String> = conds.iter().map(|(p, n)| path_str(p, *n)).collect();
             let src = format!("/r : {} -> {}", cond_strs.join(", "), path_str(&target, tn));
             let a = alpha();
-            PathFd::parse(&a, &src)
-                .expect("generated path FD parses")
-                .to_fd(&a)
-                .expect("generated path FD factorizes")
+            parse_fd(&a, &src).expect("generated path FD parses")
         })
 }
 

@@ -155,6 +155,20 @@ fn deep_document_round_trips_through_parse_and_serialize() {
     assert_eq!(to_xml(&back), xml);
 }
 
+/// The same document through an FD check and Definition 3 value equality:
+/// subtree hashing and comparison do not recurse per level either.
+#[test]
+fn deep_document_checks_fds_and_compares_by_value() {
+    let a = Alphabet::new();
+    let depth = 100_000;
+    let src = format!("{}x{}", "<a>".repeat(depth), "</a>".repeat(depth));
+    let doc = parse_document(&a, &src).expect("deep parse");
+    let fd = parse_fd(&a, "/a : a/a -> a").expect("fd parses");
+    assert!(check_fd(&fd, &doc).is_ok());
+    let back = parse_document(&a, &to_xml(&doc)).expect("deep reparse");
+    assert!(value_eq(&doc, doc.root(), &back, back.root()));
+}
+
 /// The checker survives an update stream that empties whole contexts and
 /// repopulates them, agreeing with reparse at every step (regression
 /// anchor with a fixed seed so failures are reproducible verbatim).

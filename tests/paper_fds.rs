@@ -88,22 +88,18 @@ fn e4_fd2_example2_semantics() {
 fn e4_expr1_expr2_translate_to_figure4_patterns() {
     let a = gen::exam_alphabet();
     // expr1 → FD1: factorized trie with a shared candidate/exam node.
-    let fd1 = PathFd::parse(
+    let fd1 = parse_fd(
         &a,
         "/session : candidate/exam/discipline, candidate/exam/mark -> candidate/exam/rank",
     )
-    .unwrap()
-    .to_fd(&a)
     .unwrap();
     assert_eq!(fd1.template().len(), 6, "root+context+shared+3 leaves");
     assert_eq!(fd1.conditions().len(), 2);
     // expr2 → FD2: the target exam node is internal, with [N] equality.
-    let fd2 = PathFd::parse(
+    let fd2 = parse_fd(
         &a,
         "/session/candidate : exam/@date, exam/discipline -> exam[N]",
     )
-    .unwrap()
-    .to_fd(&a)
     .unwrap();
     assert!(!fd2.template().is_leaf(fd2.target()));
     assert_eq!(fd2.target_equality(), EqualityType::Node);

@@ -114,11 +114,7 @@ fn e6_example6_semantic_spotcheck() {
 #[test]
 fn e6_proposition3_size_bound_sanity() {
     let a = gen::exam_alphabet();
-    let small_fd = FdBuilder::new(a.clone())
-        .context("session")
-        .target("candidate/level")
-        .build()
-        .unwrap();
+    let small_fd = parse_fd(&a, "/session : -> candidate/level").unwrap();
     let big_fd = gen::fd3(&a);
     let class = gen::update_class_u(&a);
     let small = regtree_core::build_ic_automaton(&small_fd, &class);
@@ -140,12 +136,7 @@ fn e6_criterion_is_conservative() {
     let a = gen::exam_alphabet();
     // FD whose target is the level; updates rewrite levels — every update
     // *site* is in the FD region, so IC says Unknown…
-    let fd = FdBuilder::new(a.clone())
-        .context("session")
-        .condition("candidate/@IDN")
-        .target("candidate/level")
-        .build()
-        .unwrap();
+    let fd = parse_fd(&a, "/session : candidate/@IDN -> candidate/level").unwrap();
     let class = parse_update_class(&a, "/session/candidate/level").unwrap();
     let analysis = Analyzer::builder().build().independence(&fd, &class);
     assert!(!analysis.verdict.is_independent());

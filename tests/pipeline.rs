@@ -42,10 +42,7 @@ fn full_pipeline_from_text_to_verdicts() {
     schema.validate(&doc).expect("valid");
 
     // FD from the path formalism: same product ⇒ same qty per warehouse.
-    let fd = PathFd::parse(&a, "/inventory/warehouse : pallet/product -> pallet/qty")
-        .expect("parses")
-        .to_fd(&a)
-        .expect("translates");
+    let fd = parse_fd(&a, "/inventory/warehouse : pallet/product -> pallet/qty").expect("parses");
     assert!(satisfies(&fd, &doc));
 
     // Update classes from CoreXPath.
@@ -103,12 +100,7 @@ fn witness_documents_guide_schema_refinement() {
     // A workflow the criterion enables: when the verdict is Unknown, the
     // witness shows the interaction; a tighter schema can rule it out.
     let a = Alphabet::new();
-    let fd = FdBuilder::new(a.clone())
-        .context("db")
-        .condition("rec/key")
-        .target("rec/val")
-        .build()
-        .expect("builds");
+    let fd = parse_fd(&a, "/db : rec/key -> rec/val").expect("builds");
     // Updates touch 'scratch' nodes — but without a schema a 'scratch' node
     // could *contain* a whole rec/key/val region? No: scratch subtrees can
     // not be reached by the FD pattern through a scratch label… unless the
@@ -156,10 +148,7 @@ fn randomized_cross_engine_agreement_on_schema_docs() {
     // with the evaluator, and satisfaction is stable under serialization.
     let a = Alphabet::new();
     let schema = Schema::parse(&a, SCHEMA).expect("parses");
-    let fd = PathFd::parse(&a, "/inventory/warehouse : pallet/product -> pallet/qty")
-        .expect("parses")
-        .to_fd(&a)
-        .expect("translates");
+    let fd = parse_fd(&a, "/inventory/warehouse : pallet/product -> pallet/qty").expect("parses");
     let mut rng = rand::rngs::SmallRng::seed_from_u64(31337);
     for _ in 0..12 {
         let doc = regtree_gen::random_document(&schema, 5, &mut rng);
@@ -184,10 +173,7 @@ fn update_stream_with_incremental_checker() {
         &doc_src(&[("p1", "widget", "5"), ("p2", "widget", "5")]),
     )
     .expect("parses");
-    let fd = PathFd::parse(&a, "/inventory/warehouse : pallet/product -> pallet/qty")
-        .expect("parses")
-        .to_fd(&a)
-        .expect("translates");
+    let fd = parse_fd(&a, "/inventory/warehouse : pallet/product -> pallet/qty").expect("parses");
     let mut vdoc = VersionedDocument::new(doc);
     let mut checker = IncrementalChecker::new(vec![fd], &vdoc);
     assert!(checker.all_satisfied());

@@ -75,13 +75,6 @@ impl Nfa {
         self.accept[s as usize]
     }
 
-    /// All accepting states.
-    pub fn accepting_states(&self) -> Vec<StateId> {
-        (0..self.num_states() as StateId)
-            .filter(|&s| self.accept[s as usize])
-            .collect()
-    }
-
     /// Outgoing transitions of `s`.
     pub fn transitions_from(&self, s: StateId) -> &[(NfaLabel, StateId)] {
         &self.trans[s as usize]

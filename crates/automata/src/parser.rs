@@ -18,6 +18,9 @@
 //! `_` is the single-label wildcard. Bounded repetition `r{n}` / `r{n,}` /
 //! `r{n,m}` desugars through [`Regex::repeat`] into plain
 //! concatenation/option/star, so the AST needs no counting variant.
+//!
+//! The parser recurses once per parenthesis, so groups may nest at most
+//! 256 deep: a hostile schema or edge gets an error, not a stack overflow.
 
 use std::fmt;
 
@@ -226,11 +229,17 @@ fn is_ident_continue(b: u8) -> bool {
     b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b'@' | b'#')
 }
 
+/// How deep parenthesized groups may nest. `primary → '(' union ')'`
+/// recurses once per level; real content models nest a handful of levels.
+const MAX_NESTING: usize = 256;
+
 struct Parser<'a> {
     toks: Vec<(usize, Tok)>,
     cursor: usize,
     alphabet: &'a Alphabet,
     end: usize,
+    /// Groups open around the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -314,11 +323,20 @@ impl<'a> Parser<'a> {
     }
 
     fn primary(&mut self) -> Result<Regex, ParseError> {
+        let at = self.pos();
         match self.bump() {
             Some(Tok::Ident(name)) => Ok(Regex::Atom(self.alphabet.intern(&name))),
             Some(Tok::Wildcard) => Ok(Regex::AnyAtom),
             Some(Tok::LParen) => {
+                if self.depth == MAX_NESTING {
+                    return Err(ParseError {
+                        position: at,
+                        message: format!("parentheses nesting deeper than {MAX_NESTING}"),
+                    });
+                }
+                self.depth += 1;
                 let inner = self.union()?;
+                self.depth -= 1;
                 match self.bump() {
                     Some(Tok::RParen) => Ok(inner),
                     _ => Err(self.err("expected ')'")),
@@ -348,6 +366,7 @@ pub fn parse_regex(alphabet: &Alphabet, src: &str) -> Result<Regex, ParseError> 
         cursor: 0,
         alphabet,
         end: src.len(),
+        depth: 0,
     };
     let r = p.union()?;
     if p.cursor != p.toks.len() {
@@ -466,6 +485,20 @@ mod tests {
             let err = parse_regex(&a, bad).unwrap_err();
             assert_eq!(err.position, 1, "position for {bad:?}");
         }
+    }
+
+    #[test]
+    fn group_nesting_is_bounded() {
+        let a = Alphabet::new();
+        let nested = |levels: usize| format!("{}x{}", "(".repeat(levels), ")".repeat(levels));
+        assert_eq!(
+            parse_regex(&a, &nested(MAX_NESTING)).unwrap(),
+            Regex::Atom(a.intern("x"))
+        );
+        let err = parse_regex(&a, &nested(MAX_NESTING + 1)).unwrap_err();
+        // Reported at the parenthesis that opens level 257.
+        assert_eq!(err.position, MAX_NESTING);
+        assert!(err.to_string().contains("nesting deeper than 256"), "{err}");
     }
 
     #[test]

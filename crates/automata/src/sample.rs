@@ -32,12 +32,6 @@ impl LangSampler {
         LangSampler { dfa, dist }
     }
 
-    /// Builds a sampler directly from a DFA.
-    pub fn from_dfa(dfa: Dfa) -> LangSampler {
-        let dist = distances_to_accept(&dfa);
-        LangSampler { dfa, dist }
-    }
-
     /// Is the language empty?
     pub fn is_empty_language(&self) -> bool {
         self.dist[self.dfa.start() as usize] == u32::MAX

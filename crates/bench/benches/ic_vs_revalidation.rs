@@ -101,8 +101,7 @@ fn bench_strategies(c: &mut Criterion) {
             &doc,
             |b, d| {
                 b.iter(|| {
-                    let mut doc = d.clone();
-                    revalidate_full_many(&fds, &update, &mut doc)
+                    revalidate_full_many(&fds, &update, d)
                         .expect("applies")
                         .iter()
                         .filter(|r| r.is_ok())

@@ -1293,6 +1293,34 @@ mod tests {
         );
     }
 
+    /// Hostile nesting is a runtime error (exit 2) naming the limit, not a
+    /// stack overflow: 20,000 nested predicates, 50,000 nested parentheses.
+    #[test]
+    fn deeply_nested_pattern_and_schema_exit_2() {
+        let pattern = format!("/a{}{}", "[b".repeat(20_000), "]".repeat(20_000));
+        let err = run(&["pattern", "parse", &pattern]);
+        let Err(CliError::Runtime(msg)) = err else {
+            panic!("expected runtime error, got {err:?}");
+        };
+        assert!(msg.contains("nesting deeper than 256"), "{msg}");
+
+        let schema = tmp(
+            &format!("root: {}x{}\n", "(".repeat(50_000), ")".repeat(50_000)),
+            "rts",
+        );
+        let doc = tmp("<x/>", "xml");
+        let err = run(&[
+            "validate",
+            "--schema",
+            schema.0.to_str().unwrap(),
+            doc.0.to_str().unwrap(),
+        ]);
+        let Err(CliError::Runtime(msg)) = err else {
+            panic!("expected runtime error, got {err:?}");
+        };
+        assert!(msg.contains("nesting deeper than 256"), "{msg}");
+    }
+
     #[test]
     fn fd_check_updates_command() {
         let doc = tmp(

@@ -61,9 +61,7 @@ pub use matrix::{CellProvenance, IndependenceMatrix, MatrixCell};
 pub use pathfd::{expressible_in_path_formalism, Inexpressibility, PathFdError};
 pub use reduction::{build_patterns, build_reduction, gadget_alphabet, ReductionInstance};
 pub use revalidate::{revalidate_full, revalidate_full_many};
-pub use satisfy::{
-    check_fd, check_fd_governed, check_fd_indexed, satisfies, FdBatchReport, FdOutcome, FdViolation,
-};
+pub use satisfy::{check_fd, check_fd_governed, satisfies, FdBatchReport, FdOutcome, FdViolation};
 pub use textfd::{parse_fd, parse_update_class};
 // Re-exported so downstreams govern runs without a direct dependency on
 // `regtree-runtime`.

@@ -8,11 +8,15 @@
 //! delta-scoped [`crate::IncrementalChecker`], the production-grade
 //! successor of this baseline; see
 //! `crates/bench/benches/ic_vs_revalidation.rs`.
+//!
+//! Both functions apply the update once, on a clone, and leave the input
+//! document untouched.
 
-use regtree_xml::{Document, UndoJournal};
+use regtree_runtime::{RunLimits, TraceHandle};
+use regtree_xml::Document;
 
 use crate::fd::Fd;
-use crate::satisfy::{check_fd, check_fds_parallel_internal, FdViolation};
+use crate::satisfy::{check_fd, check_fds_governed, FdOutcome, FdViolation};
 use crate::update::{ApplyError, Update};
 
 /// Applies `update` to a clone of `doc` and fully re-verifies `fd` on the
@@ -26,36 +30,29 @@ pub fn revalidate_full(
     Ok(check_fd(fd, &after))
 }
 
-/// Applies `update` once and re-verifies a whole set of FDs on the result,
-/// fanning the checks out over scoped worker threads (results in `fds`
-/// order). The batch counterpart of [`revalidate_full`] for workloads that
-/// maintain many dependencies over the same document.
-///
-/// The update is applied *in place* through an [`UndoJournal`] (only the
-/// touched arena slots are snapshotted) and rolled back before returning,
-/// so `doc` is unchanged on exit — without ever cloning the tree. Updates
-/// with custom ops cannot be journaled and fall back to the cloning path.
+/// Applies `update` once to a clone of `doc` and re-verifies a whole set of
+/// FDs on the result through the FD batch checker (one shared label index,
+/// scoped worker threads, unlimited limits; results in `fds` order). The
+/// batch counterpart of [`revalidate_full`] for workloads that maintain
+/// many dependencies over the same document.
 pub fn revalidate_full_many(
     fds: &[Fd],
     update: &Update,
-    doc: &mut Document,
+    doc: &Document,
 ) -> Result<Vec<Result<(), FdViolation>>, ApplyError> {
-    if update.has_custom_op() {
-        let after = update.apply_cloned(doc)?;
-        return Ok(check_fds_parallel_internal(fds, &after));
-    }
-    let mut journal = UndoJournal::begin(doc);
-    match update.apply_journaled(doc, &mut journal) {
-        Ok(_) => {
-            let results = check_fds_parallel_internal(fds, doc);
-            journal.rollback(doc);
-            Ok(results)
-        }
-        Err(e) => {
-            journal.rollback(doc);
-            Err(e)
-        }
-    }
+    let after = update.apply_cloned(doc)?;
+    let report = check_fds_governed(
+        fds,
+        &after,
+        &RunLimits::UNLIMITED,
+        None,
+        &TraceHandle::disabled(),
+    );
+    Ok(report
+        .outcomes
+        .into_iter()
+        .map(FdOutcome::into_unlimited)
+        .collect())
 }
 
 #[cfg(test)]

@@ -171,18 +171,7 @@ fn nodes_equal(doc: &Document, a: NodeId, b: NodeId, eq: EqualityType) -> bool {
 /// Checks `fd` on `doc`; `Err` carries a concrete violation witness.
 pub fn check_fd(fd: &Fd, doc: &Document) -> Result<(), FdViolation> {
     let index = LabelIndex::build(doc);
-    check_fd_indexed(fd, doc, &index)
-}
-
-/// [`check_fd`] against a prebuilt label index for `doc` (amortizes the
-/// index across many FDs on one document).
-pub fn check_fd_indexed(fd: &Fd, doc: &Document, index: &LabelIndex) -> Result<(), FdViolation> {
-    let mut budget = Budget::unlimited();
-    match check_fd_governed(fd, doc, index, &mut budget) {
-        FdOutcome::Satisfied => Ok(()),
-        FdOutcome::Violated(v) => Err(v),
-        FdOutcome::Unknown { .. } => unreachable!("unlimited budget cannot be exhausted"),
-    }
+    check_fd_governed(fd, doc, &index, &mut Budget::unlimited()).into_unlimited()
 }
 
 /// Outcome of one governed FD check: the budget can run out before the
@@ -215,11 +204,22 @@ impl FdOutcome {
             _ => None,
         }
     }
+
+    /// The verdict of a run with unlimited limits and no cancel token,
+    /// which cannot come back `Unknown`.
+    pub(crate) fn into_unlimited(self) -> Result<(), FdViolation> {
+        match self {
+            FdOutcome::Satisfied => Ok(()),
+            FdOutcome::Violated(v) => Err(v),
+            FdOutcome::Unknown { .. } => unreachable!("an unlimited budget cannot be exhausted"),
+        }
+    }
 }
 
-/// [`check_fd_indexed`] under a resource [`Budget`]: pattern-evaluation work
-/// (DFA steps, candidate-memo entries) is metered and the check aborts with
-/// [`FdOutcome::Unknown`] once a cap or the deadline is crossed.
+/// [`check_fd`] against a prebuilt label index for `doc`, under a resource
+/// [`Budget`]: pattern-evaluation work (DFA steps, candidate-memo entries)
+/// is metered and the check aborts with [`FdOutcome::Unknown`] once a cap
+/// or the deadline is crossed.
 pub fn check_fd_governed(
     fd: &Fd,
     doc: &Document,
@@ -311,21 +311,11 @@ impl FdBatchReport {
     }
 }
 
-/// Checks many FDs on one document over scoped worker threads (the
-/// ungoverned engine behind [`crate::Analyzer::check_fds`] and the
-/// revalidation baseline).
-pub(crate) fn check_fds_parallel_internal(
-    fds: &[Fd],
-    doc: &Document,
-) -> Vec<Result<(), FdViolation>> {
-    let index = LabelIndex::build(doc);
-    regtree_pattern::parallel_map(fds, |fd| check_fd_indexed(fd, doc, &index))
-}
-
 /// Checks many FDs on one document over scoped worker threads, under a
-/// shared budget. The wall-clock deadline is global to the batch; count
-/// caps apply per FD. Cancellation aborts pending checks, which report
-/// `Unknown { exhausted: Cancelled }`.
+/// shared budget: the engine behind [`crate::Analyzer::check_fds`] and
+/// [`crate::revalidate_full_many`]. The wall-clock deadline is global to
+/// the batch; count caps apply per FD. Cancellation aborts pending checks,
+/// which report `Unknown { exhausted: Cancelled }`.
 pub(crate) fn check_fds_governed(
     fds: &[Fd],
     doc: &Document,

@@ -14,7 +14,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use regtree_pattern::{RegularTreePattern, Template, TemplateNodeId};
-use regtree_xml::{edit, Document, NodeId, TreeSpec, UndoJournal, VersionedDocument};
+use regtree_xml::{edit, Document, EditError, NodeId, TreeSpec, VersionedDocument};
 
 /// A class of updates `U = (T_U, s̄_U)`.
 #[derive(Clone, Debug)]
@@ -162,10 +162,6 @@ pub enum ApplyError {
         /// The root label of the replacement spec.
         got: String,
     },
-    /// A [`UpdateOp::Custom`] op reached [`Update::apply_journaled`]:
-    /// arbitrary surgery cannot be journaled for rollback. Callers gate on
-    /// [`Update::has_custom_op`] and fall back to [`Update::apply_cloned`].
-    NotJournalable,
 }
 
 impl fmt::Display for ApplyError {
@@ -177,9 +173,6 @@ impl fmt::Display for ApplyError {
                 "replacement must keep the updated node's label '{expected}', got '{got}' \
                  (independence soundness requires label-preserving updates)"
             ),
-            ApplyError::NotJournalable => {
-                write!(f, "custom update ops cannot be applied through a journal")
-            }
         }
     }
 }
@@ -204,85 +197,14 @@ impl Update {
     /// earlier replacement (nested selections) are skipped — the outermost
     /// replacement wins, matching the subtree-replacement semantics.
     pub fn apply(&self, doc: &mut Document) -> Result<Vec<NodeId>, ApplyError> {
-        let targets = self.class.selected_nodes(doc);
-        let mut touched = Vec::new();
-        let (op, only_first) = match &self.op {
-            UpdateOp::FirstOnly(inner) => (inner.as_ref(), true),
-            other => (other, false),
-        };
-        for n in targets {
-            if !doc.is_alive(n) {
-                continue;
-            }
-            apply_at(op, doc, n)?;
-            touched.push(n);
-            if only_first {
-                break;
-            }
-        }
-        Ok(touched)
+        self.apply_to(doc)
     }
-}
 
-fn apply_at(op: &UpdateOp, doc: &mut Document, n: NodeId) -> Result<(), ApplyError> {
-    match op {
-        UpdateOp::Replace(spec) => {
-            if spec.label != doc.label(n) {
-                return Err(ApplyError::LabelChanged {
-                    expected: doc.label_name(n).to_string(),
-                    got: doc.alphabet().name(spec.label).to_string(),
-                });
-            }
-            edit::replace_subtree(doc, n, spec)?;
-        }
-        UpdateOp::AppendChild(spec) => {
-            edit::insert_child(doc, n, doc.children(n).len(), spec)?;
-        }
-        UpdateOp::PrependChild(spec) => {
-            edit::insert_child(doc, n, 0, spec)?;
-        }
-        UpdateOp::Delete => {
-            edit::delete_subtree(doc, n)?;
-        }
-        UpdateOp::SetText(v) => {
-            set_text(doc, n, |_| v.clone())?;
-        }
-        UpdateOp::MapText(f) => {
-            let f = f.clone();
-            set_text(doc, n, move |old| f(old))?;
-        }
-        UpdateOp::Custom(f) => {
-            f(doc, n);
-        }
-        // Nested FirstOnly degenerates to its inner op per node.
-        UpdateOp::FirstOnly(inner) => {
-            apply_at(inner, doc, n)?;
-        }
-    }
-    Ok(())
-}
-
-impl Update {
     /// Applies on a clone, leaving `doc` untouched.
     pub fn apply_cloned(&self, doc: &Document) -> Result<Document, ApplyError> {
         let mut copy = doc.clone();
         self.apply(&mut copy)?;
         Ok(copy)
-    }
-
-    /// Does this update run arbitrary surgery ([`UpdateOp::Custom`])?
-    ///
-    /// Custom ops cannot be journaled for rollback and force opaque deltas
-    /// on the versioned path.
-    pub fn has_custom_op(&self) -> bool {
-        fn is_custom(op: &UpdateOp) -> bool {
-            match op {
-                UpdateOp::Custom(_) => true,
-                UpdateOp::FirstOnly(inner) => is_custom(inner),
-                _ => false,
-            }
-        }
-        is_custom(&self.op)
     }
 
     /// [`Update::apply`] against a [`VersionedDocument`]: every edit goes
@@ -293,47 +215,22 @@ impl Update {
     ///
     /// Selection and skip semantics are identical to [`Update::apply`].
     pub fn apply_versioned(&self, v: &mut VersionedDocument) -> Result<Vec<NodeId>, ApplyError> {
-        let targets = self.class.selected_nodes(v.doc());
-        let mut touched = Vec::new();
-        let (op, only_first) = match &self.op {
-            UpdateOp::FirstOnly(inner) => (inner.as_ref(), true),
-            other => (other, false),
-        };
-        for n in targets {
-            if !v.doc().is_alive(n) {
-                continue;
-            }
-            apply_at_versioned(op, v, n)?;
-            touched.push(n);
-            if only_first {
-                break;
-            }
-        }
-        Ok(touched)
+        self.apply_to(v)
     }
 
-    /// [`Update::apply`] through an [`UndoJournal`]: the edits mutate `doc`
-    /// in place while the journal snapshots exactly the touched arena
-    /// slots, so [`UndoJournal::rollback`] restores the pre-image without a
-    /// clone. Fails with [`ApplyError::NotJournalable`] on
-    /// [`UpdateOp::Custom`] (gate on [`Update::has_custom_op`]); the
-    /// journal still undoes any edits applied before the failure.
-    pub fn apply_journaled(
-        &self,
-        doc: &mut Document,
-        journal: &mut UndoJournal,
-    ) -> Result<Vec<NodeId>, ApplyError> {
-        let targets = self.class.selected_nodes(doc);
+    /// The one selection loop behind every apply method.
+    fn apply_to(&self, target: &mut impl EditTarget) -> Result<Vec<NodeId>, ApplyError> {
+        let targets = self.class.selected_nodes(target.doc());
         let mut touched = Vec::new();
         let (op, only_first) = match &self.op {
             UpdateOp::FirstOnly(inner) => (inner.as_ref(), true),
             other => (other, false),
         };
         for n in targets {
-            if !doc.is_alive(n) {
+            if !target.doc().is_alive(n) {
                 continue;
             }
-            apply_at_journaled(op, doc, journal, n)?;
+            apply_at(op, target, n)?;
             touched.push(n);
             if only_first {
                 break;
@@ -343,156 +240,135 @@ impl Update {
     }
 }
 
-fn apply_at_versioned(
-    op: &UpdateOp,
-    v: &mut VersionedDocument,
-    n: NodeId,
-) -> Result<(), ApplyError> {
-    match op {
-        UpdateOp::Replace(spec) => {
-            if spec.label != v.doc().label(n) {
-                return Err(ApplyError::LabelChanged {
-                    expected: v.doc().label_name(n).to_string(),
-                    got: v.doc().alphabet().name(spec.label).to_string(),
-                });
-            }
-            v.replace_subtree(n, spec)?;
-        }
-        UpdateOp::AppendChild(spec) => {
-            v.append_child(n, spec)?;
-        }
-        UpdateOp::PrependChild(spec) => {
-            v.insert_child(n, 0, spec)?;
-        }
-        UpdateOp::Delete => {
-            v.delete_subtree(n)?;
-        }
-        UpdateOp::SetText(val) => {
-            set_text_versioned(v, n, |_| val.clone())?;
-        }
-        UpdateOp::MapText(f) => {
-            let f = f.clone();
-            set_text_versioned(v, n, move |old| f(old))?;
-        }
-        UpdateOp::Custom(f) => {
-            let f = f.clone();
-            v.apply_opaque(|doc| f(doc, n));
-        }
-        UpdateOp::FirstOnly(inner) => {
-            apply_at_versioned(inner, v, n)?;
-        }
-    }
-    Ok(())
+/// What an update edits: a plain [`Document`] through the
+/// [`regtree_xml::edit`] functions, or a [`VersionedDocument`] through its
+/// delta methods, which also patch the label index and record the delta.
+trait EditTarget {
+    fn doc(&self) -> &Document;
+    fn replace_subtree(&mut self, n: NodeId, spec: &TreeSpec) -> Result<NodeId, EditError>;
+    fn insert_child(
+        &mut self,
+        parent: NodeId,
+        index: usize,
+        spec: &TreeSpec,
+    ) -> Result<NodeId, EditError>;
+    fn delete_subtree(&mut self, n: NodeId) -> Result<(), EditError>;
+    fn set_value(&mut self, n: NodeId, value: &str) -> Result<(), EditError>;
+    fn custom(&mut self, f: &CustomOp, n: NodeId);
 }
 
-fn set_text_versioned(
-    v: &mut VersionedDocument,
-    n: NodeId,
-    f: impl Fn(&str) -> String,
-) -> Result<(), edit::EditError> {
-    use regtree_alphabet::LabelKind;
-    match v.doc().kind(n) {
-        LabelKind::Attribute | LabelKind::Text => {
-            let new = f(v.doc().value(n).unwrap_or(""));
-            v.set_value(n, &new)
-        }
-        LabelKind::Element => {
-            let text_children: Vec<NodeId> = v
-                .doc()
-                .children(n)
-                .iter()
-                .copied()
-                .filter(|&c| v.doc().kind(c) == LabelKind::Text)
-                .collect();
-            for c in text_children {
-                let new = f(v.doc().value(c).unwrap_or(""));
-                v.set_value(c, &new)?;
-            }
-            Ok(())
-        }
+impl EditTarget for Document {
+    fn doc(&self) -> &Document {
+        self
+    }
+
+    fn replace_subtree(&mut self, n: NodeId, spec: &TreeSpec) -> Result<NodeId, EditError> {
+        edit::replace_subtree(self, n, spec)
+    }
+
+    fn insert_child(
+        &mut self,
+        parent: NodeId,
+        index: usize,
+        spec: &TreeSpec,
+    ) -> Result<NodeId, EditError> {
+        edit::insert_child(self, parent, index, spec)
+    }
+
+    fn delete_subtree(&mut self, n: NodeId) -> Result<(), EditError> {
+        edit::delete_subtree(self, n)
+    }
+
+    fn set_value(&mut self, n: NodeId, value: &str) -> Result<(), EditError> {
+        edit::set_value(self, n, value)
+    }
+
+    fn custom(&mut self, f: &CustomOp, n: NodeId) {
+        f(self, n);
     }
 }
 
-fn apply_at_journaled(
-    op: &UpdateOp,
-    doc: &mut Document,
-    journal: &mut UndoJournal,
-    n: NodeId,
-) -> Result<(), ApplyError> {
+impl EditTarget for VersionedDocument {
+    fn doc(&self) -> &Document {
+        VersionedDocument::doc(self)
+    }
+
+    fn replace_subtree(&mut self, n: NodeId, spec: &TreeSpec) -> Result<NodeId, EditError> {
+        VersionedDocument::replace_subtree(self, n, spec)
+    }
+
+    fn insert_child(
+        &mut self,
+        parent: NodeId,
+        index: usize,
+        spec: &TreeSpec,
+    ) -> Result<NodeId, EditError> {
+        VersionedDocument::insert_child(self, parent, index, spec)
+    }
+
+    fn delete_subtree(&mut self, n: NodeId) -> Result<(), EditError> {
+        VersionedDocument::delete_subtree(self, n)
+    }
+
+    fn set_value(&mut self, n: NodeId, value: &str) -> Result<(), EditError> {
+        VersionedDocument::set_value(self, n, value)
+    }
+
+    fn custom(&mut self, f: &CustomOp, n: NodeId) {
+        self.apply_opaque(|doc| f(doc, n));
+    }
+}
+
+fn apply_at(op: &UpdateOp, target: &mut impl EditTarget, n: NodeId) -> Result<(), ApplyError> {
     match op {
         UpdateOp::Replace(spec) => {
+            let doc = target.doc();
             if spec.label != doc.label(n) {
                 return Err(ApplyError::LabelChanged {
                     expected: doc.label_name(n).to_string(),
                     got: doc.alphabet().name(spec.label).to_string(),
                 });
             }
-            journal.replace_subtree(doc, n, spec)?;
+            target.replace_subtree(n, spec)?;
         }
         UpdateOp::AppendChild(spec) => {
-            journal.insert_child(doc, n, doc.children(n).len(), spec)?;
+            let len = target.doc().children(n).len();
+            target.insert_child(n, len, spec)?;
         }
         UpdateOp::PrependChild(spec) => {
-            journal.insert_child(doc, n, 0, spec)?;
+            target.insert_child(n, 0, spec)?;
         }
         UpdateOp::Delete => {
-            journal.delete_subtree(doc, n)?;
+            target.delete_subtree(n)?;
         }
         UpdateOp::SetText(v) => {
-            set_text_journaled(doc, journal, n, |_| v.clone())?;
+            set_text(target, n, |_| v.clone())?;
         }
         UpdateOp::MapText(f) => {
-            let f = f.clone();
-            set_text_journaled(doc, journal, n, move |old| f(old))?;
+            set_text(target, n, |old| f(old))?;
         }
-        UpdateOp::Custom(_) => {
-            return Err(ApplyError::NotJournalable);
+        UpdateOp::Custom(f) => {
+            target.custom(f, n);
         }
+        // Nested FirstOnly degenerates to its inner op per node.
         UpdateOp::FirstOnly(inner) => {
-            apply_at_journaled(inner, doc, journal, n)?;
+            apply_at(inner, target, n)?;
         }
     }
     Ok(())
 }
 
-fn set_text_journaled(
-    doc: &mut Document,
-    journal: &mut UndoJournal,
-    n: NodeId,
-    f: impl Fn(&str) -> String,
-) -> Result<(), edit::EditError> {
-    use regtree_alphabet::LabelKind;
-    match doc.kind(n) {
-        LabelKind::Attribute | LabelKind::Text => {
-            let new = f(doc.value(n).unwrap_or(""));
-            journal.set_value(doc, n, &new)
-        }
-        LabelKind::Element => {
-            let text_children: Vec<NodeId> = doc
-                .children(n)
-                .iter()
-                .copied()
-                .filter(|&c| doc.kind(c) == LabelKind::Text)
-                .collect();
-            for c in text_children {
-                let new = f(doc.value(c).unwrap_or(""));
-                journal.set_value(doc, c, &new)?;
-            }
-            Ok(())
-        }
-    }
-}
-
 fn set_text(
-    doc: &mut Document,
+    target: &mut impl EditTarget,
     n: NodeId,
     f: impl Fn(&str) -> String,
-) -> Result<(), edit::EditError> {
+) -> Result<(), EditError> {
     use regtree_alphabet::LabelKind;
+    let doc = target.doc();
     match doc.kind(n) {
         LabelKind::Attribute | LabelKind::Text => {
             let new = f(doc.value(n).unwrap_or(""));
-            edit::set_value(doc, n, &new)
+            target.set_value(n, &new)
         }
         LabelKind::Element => {
             let text_children: Vec<NodeId> = doc
@@ -502,8 +378,8 @@ fn set_text(
                 .filter(|&c| doc.kind(c) == LabelKind::Text)
                 .collect();
             for c in text_children {
-                let new = f(doc.value(c).unwrap_or(""));
-                edit::set_value(doc, c, &new)?;
+                let new = f(target.doc().value(c).unwrap_or(""));
+                target.set_value(c, &new)?;
             }
             Ok(())
         }

@@ -364,6 +364,34 @@ firstJob-Year: #text\n";
         schema.validate(&doc2).unwrap();
     }
 
+    /// A content model at the nesting limit parses and compiles on a 2 MiB
+    /// thread, and 5,000 nested parentheses are rejected there instead of
+    /// overflowing the stack.
+    #[test]
+    fn nesting_limit_compiles_on_a_small_stack() {
+        let schema = |levels: usize| {
+            format!(
+                "root: r\nr: {}{}\nx: EMPTY\n",
+                "(x ".repeat(levels),
+                ")*".repeat(levels)
+            )
+        };
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let a = Alphabet::new();
+                let s = Schema::parse(&a, &schema(256)).expect("at the limit");
+                s.compiled();
+                let doc = parse_document(&a, "<r><x/><x/></r>").unwrap();
+                assert!(s.validate(&doc).is_ok());
+                let err = Schema::parse(&a, &schema(5_000)).unwrap_err();
+                assert!(err.to_string().contains("nesting deeper than 256"), "{err}");
+            })
+            .expect("spawns")
+            .join()
+            .expect("no stack overflow");
+    }
+
     #[test]
     fn compiled_size_reflects_rules() {
         let a = Alphabet::new();

@@ -12,7 +12,7 @@ use parking_lot::Mutex;
 
 use regtree_xml::{Document, LabelIndex, NodeId};
 
-use crate::eval::evaluate_indexed;
+use crate::eval::evaluate_unlimited;
 use crate::pattern::RegularTreePattern;
 
 /// Applies `f` to every item on a scoped thread pool, preserving order.
@@ -68,7 +68,7 @@ pub fn evaluate_many(
         let index = LabelIndex::build(doc);
         patterns
             .iter()
-            .map(|p| evaluate_indexed(p, doc, &index))
+            .map(|p| evaluate_unlimited(p, doc, &index))
             .collect()
     })
 }

@@ -16,6 +16,11 @@
 //! source image, in template-sibling order (see DESIGN.md §2); the matcher
 //! enforces exactly that and a property test cross-checks the original
 //! four conditions.
+//!
+//! Every search runs under a [`Budget`], which meters DFA steps and
+//! candidate-memo entries and aborts once a cap or the deadline is
+//! crossed. Entry points without a budget parameter pass
+//! [`Budget::unlimited`] and discard its counters.
 
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
@@ -25,47 +30,8 @@ use regtree_automata::EDGE_DEAD;
 use regtree_runtime::{Budget, Resource};
 use regtree_xml::{label_mask, Document, LabelIndex, NodeId};
 
+use crate::pattern::RegularTreePattern;
 use crate::template::{Template, TemplateNodeId};
-
-/// Optional resource governor threaded through the matcher. `None` keeps
-/// the ungoverned hot path branch-predictable (the `Option` check is a
-/// single well-predicted branch per candidate batch, not per DFA step).
-struct Gov<'a> {
-    budget: Option<&'a mut Budget>,
-}
-
-impl Gov<'_> {
-    #[inline]
-    fn dfa_steps(&mut self, n: u64) -> Result<(), Resource> {
-        match &mut self.budget {
-            Some(b) => b.on_dfa_steps(n),
-            None => Ok(()),
-        }
-    }
-
-    #[inline]
-    fn memo_entry(&mut self) -> Result<(), Resource> {
-        match &mut self.budget {
-            Some(b) => b.on_memo_entry(),
-            None => Ok(()),
-        }
-    }
-
-    #[inline]
-    fn memo_hit(&mut self) {
-        if let Some(b) = &mut self.budget {
-            b.on_memo_hit();
-        }
-    }
-
-    #[inline]
-    fn checkpoint(&mut self) -> Result<(), Resource> {
-        match &mut self.budget {
-            Some(b) => b.checkpoint(),
-            None => Ok(()),
-        }
-    }
-}
 
 /// A mapping of a template on a document: one image per template node.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -115,37 +81,17 @@ impl Mapping {
 /// cached [`EdgeDfa`](regtree_automata::EdgeDfa) (a single `u32` state per
 /// document node instead of an NFA state set), and a freshly built
 /// [`LabelIndex`] prunes document subtrees that cannot end a match. To
-/// amortize the index over several patterns on the same document, build it
-/// once and call [`enumerate_mappings_indexed`].
+/// amortize the index over several patterns on the same document, or to
+/// bound the search, build the index once and call
+/// [`project_mappings_governed`].
 pub fn enumerate_mappings(template: &Template, doc: &Document) -> Vec<Mapping> {
     let index = LabelIndex::build(doc);
-    enumerate_mappings_indexed(template, doc, &index)
+    enumerate_impl(template, doc, &index, &mut Budget::unlimited()).expect(UNLIMITED_CANNOT_EXHAUST)
 }
 
-/// [`enumerate_mappings`] against a prebuilt label index for `doc`.
-pub fn enumerate_mappings_indexed(
-    template: &Template,
-    doc: &Document,
-    index: &LabelIndex,
-) -> Vec<Mapping> {
-    let mut gov = Gov { budget: None };
-    enumerate_impl(template, doc, index, &mut gov).expect("ungoverned search cannot be exhausted")
-}
-
-/// [`enumerate_mappings_indexed`] under a resource [`Budget`]: counts DFA
-/// steps and candidate-memo entries, and aborts with the exhausted
-/// [`Resource`] once a cap or the deadline is crossed.
-pub fn enumerate_mappings_governed(
-    template: &Template,
-    doc: &Document,
-    index: &LabelIndex,
-    budget: &mut Budget,
-) -> Result<Vec<Mapping>, Resource> {
-    let mut gov = Gov {
-        budget: Some(budget),
-    };
-    enumerate_impl(template, doc, index, &mut gov)
-}
+/// Why an unlimited [`Budget`] cannot come back exhausted: no caps, no
+/// deadline and no cancel token.
+const UNLIMITED_CANNOT_EXHAUST: &str = "an unlimited budget cannot be exhausted";
 
 /// Per-edge pruning data: the Bloom mask of letters that can end an
 /// accepted word, and whether unmentioned letters can (wildcard endings).
@@ -181,7 +127,7 @@ fn enumerate_impl(
     template: &Template,
     doc: &Document,
     index: &LabelIndex,
-    gov: &mut Gov,
+    budget: &mut Budget,
 ) -> Result<Vec<Mapping>, Resource> {
     let Some(final_masks) = edge_final_masks(template, index) else {
         return Ok(Vec::new());
@@ -190,11 +136,11 @@ fn enumerate_impl(
     search(
         template,
         doc,
-        &mut |w, source, memo_hit, gov| {
-            candidates_dfa(template, doc, index, &final_masks, w, source, memo_hit, gov)
+        &mut |w, source, memo, budget| {
+            candidates_dfa(template, doc, index, &final_masks, w, source, memo, budget)
         },
         &mut memo,
-        gov,
+        budget,
     )
 }
 
@@ -203,15 +149,14 @@ fn enumerate_impl(
 /// baseline in `regtree-bench`; results must equal [`enumerate_mappings`].
 pub fn enumerate_mappings_nfa(template: &Template, doc: &Document) -> Vec<Mapping> {
     let mut memo: CandidateMemo = HashMap::new();
-    let mut gov = Gov { budget: None };
     search(
         template,
         doc,
-        &mut |w, source, memo_hit, gov| candidates_nfa(template, doc, w, source, memo_hit, gov),
+        &mut |w, source, memo, budget| candidates_nfa(template, doc, w, source, memo, budget),
         &mut memo,
-        &mut gov,
+        &mut Budget::unlimited(),
     )
-    .expect("ungoverned search cannot be exhausted")
+    .expect(UNLIMITED_CANNOT_EXHAUST)
 }
 
 /// Candidate target nodes of an edge from a given source image, annotated
@@ -220,17 +165,22 @@ pub fn enumerate_mappings_nfa(template: &Template, doc: &Document) -> Vec<Mappin
 type CandidateList = Rc<Vec<(usize, NodeId)>>;
 type CandidateMemo = HashMap<(TemplateNodeId, NodeId), CandidateList>;
 
-/// Result of one candidate-list computation under the governor.
+/// Result of one candidate-list computation under the budget.
 type CandidateResult = Result<CandidateList, Resource>;
+
+/// Computes (or recalls) the candidate list of the edge into a template
+/// node from a source image: the one step the two engines differ in.
+type CandidateFn<'a> =
+    dyn FnMut(TemplateNodeId, NodeId, &mut CandidateMemo, &mut Budget) -> CandidateResult + 'a;
 
 /// Backtracking search over template nodes in preorder, shared by both
 /// engines; `cands` computes (or recalls) the candidate list of one edge.
 fn search(
     template: &Template,
     doc: &Document,
-    cands: &mut dyn FnMut(TemplateNodeId, NodeId, &mut CandidateMemo, &mut Gov) -> CandidateResult,
+    cands: &mut CandidateFn<'_>,
     memo: &mut CandidateMemo,
-    gov: &mut Gov,
+    budget: &mut Budget,
 ) -> Result<Vec<Mapping>, Resource> {
     let order: Vec<TemplateNodeId> = template
         .preorder()
@@ -248,7 +198,7 @@ fn search(
         &mut images,
         cands,
         memo,
-        gov,
+        budget,
         &mut out,
     )?;
     Ok(out)
@@ -263,12 +213,12 @@ fn anchor_edge_accepts(
     doc: &Document,
     anchor: TemplateNodeId,
     image: NodeId,
-    gov: &mut Gov,
+    budget: &mut Budget,
 ) -> Result<bool, Resource> {
     let Some(word) = doc.labels_on_path(doc.root(), image) else {
         return Ok(false);
     };
-    gov.dfa_steps(word.len() as u64)?;
+    budget.on_dfa_steps(word.len() as u64)?;
     if let Some(dfa) = template.edge_dfa(anchor) {
         let mut state = dfa.start();
         for sym in &word {
@@ -319,9 +269,6 @@ pub fn project_mappings_anchored_governed(
         std::slice::from_ref(&anchor),
         "anchored search requires the anchor to be the root's only child"
     );
-    let mut gov = Gov {
-        budget: Some(budget),
-    };
     let Some(final_masks) = edge_final_masks(template, index) else {
         return Ok(Vec::new());
     };
@@ -333,12 +280,13 @@ pub fn project_mappings_anchored_governed(
     // Candidate memo shared across anchor images: candidate lists depend
     // only on (edge, source image), not on the preset anchor.
     let mut memo: CandidateMemo = HashMap::new();
-    let mut cands = |w: TemplateNodeId, source: NodeId, memo: &mut CandidateMemo, gov: &mut Gov| {
-        candidates_dfa(template, doc, index, &final_masks, w, source, memo, gov)
-    };
+    let mut cands =
+        |w: TemplateNodeId, source: NodeId, memo: &mut CandidateMemo, budget: &mut Budget| {
+            candidates_dfa(template, doc, index, &final_masks, w, source, memo, budget)
+        };
     let mut out = Vec::new();
     for &img in anchor_images {
-        if !anchor_edge_accepts(template, doc, anchor, img, &mut gov)? {
+        if !anchor_edge_accepts(template, doc, anchor, img, budget)? {
             continue;
         }
         let mut images: Vec<Option<NodeId>> = vec![None; template.len()];
@@ -352,7 +300,7 @@ pub fn project_mappings_anchored_governed(
             &mut images,
             &mut cands,
             &mut memo,
-            &mut gov,
+            budget,
             &mut out,
         )?;
     }
@@ -370,15 +318,15 @@ fn candidates_dfa(
     edge_head: TemplateNodeId,
     source: NodeId,
     memo: &mut CandidateMemo,
-    gov: &mut Gov,
+    budget: &mut Budget,
 ) -> CandidateResult {
     if let Some(c) = memo.get(&(edge_head, source)) {
-        gov.memo_hit();
+        budget.on_memo_hit();
         return Ok(Rc::clone(c));
     }
     let Some(dfa) = template.edge_dfa(edge_head) else {
         // Pathological determinization blow-up: fall back to NFA stepping.
-        return candidates_nfa(template, doc, edge_head, source, memo, gov);
+        return candidates_nfa(template, doc, edge_head, source, memo, budget);
     };
     let (fmask, other_final) = final_masks[edge_head.index()];
     // A subtree can contribute a candidate only if some node in it can be
@@ -410,8 +358,8 @@ fn candidates_dfa(
             }
         }
     }
-    gov.dfa_steps(steps)?;
-    gov.memo_entry()?;
+    budget.on_dfa_steps(steps)?;
+    budget.on_memo_entry()?;
     let found = Rc::new(found);
     memo.insert((edge_head, source), Rc::clone(&found));
     Ok(found)
@@ -424,10 +372,10 @@ fn candidates_nfa(
     edge_head: TemplateNodeId,
     source: NodeId,
     memo: &mut CandidateMemo,
-    gov: &mut Gov,
+    budget: &mut Budget,
 ) -> CandidateResult {
     if let Some(c) = memo.get(&(edge_head, source)) {
-        gov.memo_hit();
+        budget.on_memo_hit();
         return Ok(Rc::clone(c));
     }
     let nfa = template
@@ -453,8 +401,8 @@ fn candidates_nfa(
             }
         }
     }
-    gov.dfa_steps(steps)?;
-    gov.memo_entry()?;
+    budget.on_dfa_steps(steps)?;
+    budget.on_memo_entry()?;
     // Deterministic order: by child index, then document order.
     found.sort_by(|a, b| a.0.cmp(&b.0).then(doc.doc_order(a.1, b.1)));
     let found = Rc::new(found);
@@ -469,12 +417,12 @@ fn assign(
     order: &[TemplateNodeId],
     pos: usize,
     images: &mut Vec<Option<NodeId>>,
-    cands: &mut dyn FnMut(TemplateNodeId, NodeId, &mut CandidateMemo, &mut Gov) -> CandidateResult,
+    cands: &mut CandidateFn<'_>,
     memo: &mut CandidateMemo,
-    gov: &mut Gov,
+    budget: &mut Budget,
     out: &mut Vec<Mapping>,
 ) -> Result<(), Resource> {
-    gov.checkpoint()?;
+    budget.checkpoint()?;
     let Some(&w) = order.get(pos) else {
         out.push(Mapping {
             images: images.iter().map(|i| i.expect("all assigned")).collect(),
@@ -497,40 +445,31 @@ fn assign(
         .max()
         .map(|b| b + 1)
         .unwrap_or(0);
-    let list = cands(w, source, memo, gov)?;
+    let list = cands(w, source, memo, budget)?;
     for &(ci, v) in list.iter() {
         if ci < min_branch {
             continue;
         }
         images[w.index()] = Some(v);
-        assign(template, doc, order, pos + 1, images, cands, memo, gov, out)?;
+        assign(
+            template,
+            doc,
+            order,
+            pos + 1,
+            images,
+            cands,
+            memo,
+            budget,
+            out,
+        )?;
     }
     images[w.index()] = None;
     Ok(())
 }
 
-/// Distinct projections of all mappings onto `keep` (in the given order).
-pub fn project_mappings(
-    template: &Template,
-    doc: &Document,
-    keep: &[TemplateNodeId],
-) -> Vec<Vec<NodeId>> {
-    let index = LabelIndex::build(doc);
-    project_mappings_indexed(template, doc, &index, keep)
-}
-
-/// [`project_mappings`] against a prebuilt label index for `doc`.
-pub fn project_mappings_indexed(
-    template: &Template,
-    doc: &Document,
-    index: &LabelIndex,
-    keep: &[TemplateNodeId],
-) -> Vec<Vec<NodeId>> {
-    let mappings = enumerate_mappings_indexed(template, doc, index);
-    dedup_projections(mappings, keep)
-}
-
-/// [`project_mappings_indexed`] under a resource [`Budget`].
+/// Distinct projections of all mappings onto `keep` (in the given order),
+/// against a prebuilt label index for `doc` and under `budget`: aborts with
+/// the exhausted [`Resource`] once a cap or the deadline is crossed.
 pub fn project_mappings_governed(
     template: &Template,
     doc: &Document,
@@ -538,7 +477,7 @@ pub fn project_mappings_governed(
     keep: &[TemplateNodeId],
     budget: &mut Budget,
 ) -> Result<Vec<Vec<NodeId>>, Resource> {
-    let mappings = enumerate_mappings_governed(template, doc, index, budget)?;
+    let mappings = enumerate_impl(template, doc, index, budget)?;
     Ok(dedup_projections(mappings, keep))
 }
 
@@ -556,36 +495,26 @@ fn dedup_projections(mappings: Vec<Mapping>, keep: &[TemplateNodeId]) -> Vec<Vec
     out.into_iter().map(|p| p.to_vec()).collect()
 }
 
-/// Evaluates a pattern: distinct images of the selected tuple.
-pub fn evaluate(pattern: &crate::pattern::RegularTreePattern, doc: &Document) -> Vec<Vec<NodeId>> {
-    project_mappings(pattern.template(), doc, pattern.selected())
-}
-
-/// [`evaluate`] against a prebuilt label index for `doc` (amortizes the
-/// index when many patterns are evaluated on one document).
-pub fn evaluate_indexed(
-    pattern: &crate::pattern::RegularTreePattern,
+/// Distinct images of `pattern`'s selected tuple under an unlimited
+/// budget, against a prebuilt label index for `doc`.
+pub(crate) fn evaluate_unlimited(
+    pattern: &RegularTreePattern,
     doc: &Document,
     index: &LabelIndex,
 ) -> Vec<Vec<NodeId>> {
-    project_mappings_indexed(pattern.template(), doc, index, pattern.selected())
-}
-
-/// [`evaluate_indexed`] under a resource [`Budget`]: aborts with the
-/// exhausted [`Resource`] once a cap or deadline is crossed.
-pub fn evaluate_governed(
-    pattern: &crate::pattern::RegularTreePattern,
-    doc: &Document,
-    index: &LabelIndex,
-    budget: &mut Budget,
-) -> Result<Vec<Vec<NodeId>>, Resource> {
-    project_mappings_governed(pattern.template(), doc, index, pattern.selected(), budget)
+    project_mappings_governed(
+        pattern.template(),
+        doc,
+        index,
+        pattern.selected(),
+        &mut Budget::unlimited(),
+    )
+    .expect(UNLIMITED_CANNOT_EXHAUST)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pattern::RegularTreePattern;
     use regtree_alphabet::Alphabet;
     use regtree_xml::parse_document;
 
@@ -743,7 +672,9 @@ mod tests {
         // Project onto the session node only: all 4 mappings collapse to 1.
         let t = p.template();
         let session = t.children(t.root())[0];
-        let proj = project_mappings(t, &doc, &[session]);
+        let index = LabelIndex::build(&doc);
+        let mut budget = Budget::unlimited();
+        let proj = project_mappings_governed(t, &doc, &index, &[session], &mut budget).unwrap();
         assert_eq!(proj.len(), 1);
     }
 
@@ -810,10 +741,10 @@ mod tests {
         let index = LabelIndex::build(&doc);
         let keep = p.selected();
 
-        let full = project_mappings_indexed(t, &doc, &index, keep);
+        let mut budget = Budget::unlimited();
+        let full = project_mappings_governed(t, &doc, &index, keep, &mut budget).unwrap();
         // Anchoring at every candidate node reproduces the full result.
         let candidates = index.nodes_with_label(a.intern("candidate")).to_vec();
-        let mut budget = regtree_runtime::Budget::unlimited();
         let anchored = project_mappings_anchored_governed(
             t,
             &doc,

@@ -255,6 +255,28 @@ mod tests {
         p.evaluate(&doc).len()
     }
 
+    /// A pattern at the nesting limit compiles and evaluates on a 2 MiB
+    /// thread, and 5,000 nested predicates are rejected there instead of
+    /// overflowing the stack.
+    #[test]
+    fn nesting_limit_compiles_on_a_small_stack() {
+        let nested = |levels: usize| format!("/a{}{}", "[b".repeat(levels), "]".repeat(levels));
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let a = Alphabet::new();
+                let p = CompiledPattern::from_text(&a, &nested(256)).expect("at the limit");
+                let chain = format!("<a>{}{}</a>", "<b>".repeat(256), "</b>".repeat(256));
+                let doc = parse_document(&a, &chain).unwrap();
+                assert_eq!(p.evaluate(&doc).len(), 1);
+                let err = CompiledPattern::from_text(&a, &nested(5_000)).unwrap_err();
+                assert!(err.to_string().contains("nesting deeper than 256"), "{err}");
+            })
+            .expect("spawns")
+            .join()
+            .expect("no stack overflow");
+    }
+
     /// Positive CoreXPath is a fragment of the language: child and
     /// descendant axes, wildcards, attribute and text tests, conjunctive
     /// predicates. `(query, document, matches)`.

@@ -3,6 +3,9 @@
 //! Every alternative the parser abandons contributes to the
 //! expected-token set of the resulting [`ParseError`], so diagnostics name
 //! everything that would have been accepted at the failure offset.
+//!
+//! The parser recurses once per predicate bracket, so brackets may nest at
+//! most 256 deep: a hostile input gets an error, not a stack overflow.
 
 use super::ast::{Axis, EqTag, FdExpr, NameTest, Pattern, Predicate, RelPath, Step};
 use super::lex::{lex, Tok};
@@ -84,10 +87,16 @@ pub fn parse_fd_expr(src: &str) -> Result<FdExpr, ParseError> {
     })
 }
 
+/// How deep predicate brackets may nest. `step → predicate → relpath`
+/// recurses once per level; real patterns nest a handful of levels.
+const MAX_NESTING: usize = 256;
+
 struct Parser {
     toks: Vec<(usize, Tok)>,
     cursor: usize,
     end: usize,
+    /// Predicate brackets open around the cursor.
+    depth: usize,
 }
 
 const STEP_START: &[&str] = &["a label name", "'*'", "'@'", "'text()'"];
@@ -98,6 +107,7 @@ impl Parser {
             toks: lex(src)?,
             cursor: 0,
             end: src.len(),
+            depth: 0,
         })
     }
 
@@ -260,7 +270,15 @@ impl Parser {
         };
         let mut predicates = Vec::new();
         while matches!(self.peek(), Some(Tok::LBracket)) {
+            if self.depth == MAX_NESTING {
+                return Err(ParseError::note(
+                    self.pos(),
+                    self.found(),
+                    format!("predicates nesting deeper than {MAX_NESTING}"),
+                ));
+            }
             self.bump();
+            self.depth += 1;
             loop {
                 predicates.push(self.predicate()?);
                 if matches!(self.peek(), Some(Tok::Name(n)) if n == "and") {
@@ -270,6 +288,7 @@ impl Parser {
                 }
             }
             self.expect(&Tok::RBracket, &["']'", "'and'"])?;
+            self.depth -= 1;
         }
         Ok(Step {
             axis,
@@ -487,5 +506,24 @@ mod tests {
         let err = parse_fd_expr("-> x").unwrap_err();
         assert_eq!(err.offset, 0);
         assert!(err.expected.contains(&"'/'"));
+    }
+
+    /// `/a[b[b[…]]]` with `levels` nested predicate brackets.
+    fn nested(levels: usize) -> String {
+        format!("/a{}{}", "[b".repeat(levels), "]".repeat(levels))
+    }
+
+    #[test]
+    fn predicate_nesting_is_bounded() {
+        assert!(parse_pattern(&nested(MAX_NESTING)).is_ok());
+        let err = parse_pattern(&nested(MAX_NESTING + 1)).unwrap_err();
+        // Reported at the bracket that opens level 257.
+        assert_eq!(err.offset, 2 + 2 * MAX_NESTING);
+        assert_eq!(err.found, "'['");
+        assert!(err.to_string().contains("nesting deeper than 256"), "{err}");
+        // FD conditions and targets go through the same steps.
+        let fd = format!("/s : {} -> t", &nested(MAX_NESTING + 1)[1..]);
+        let err = parse_fd_expr(&fd).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 256"), "{err}");
     }
 }

@@ -29,10 +29,8 @@ pub mod template;
 pub use batch::{evaluate_many, parallel_map};
 pub use compile::{compile_pattern, compile_template_plain, PatternAutomaton, StateRole};
 pub use eval::{
-    enumerate_mappings, enumerate_mappings_governed, enumerate_mappings_indexed,
-    enumerate_mappings_nfa, evaluate, evaluate_governed, evaluate_indexed, project_mappings,
-    project_mappings_anchored_governed, project_mappings_governed, project_mappings_indexed,
-    Mapping,
+    enumerate_mappings, enumerate_mappings_nfa, project_mappings_anchored_governed,
+    project_mappings_governed, Mapping,
 };
 pub use lang::{parse_pattern, CompiledPattern};
 pub use pattern::{PatternError, RegularTreePattern};

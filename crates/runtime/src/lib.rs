@@ -349,11 +349,6 @@ impl Budget {
         &self.metrics
     }
 
-    /// Mutable access to the metrics (for phase wall-time stamps).
-    pub fn metrics_mut(&mut self) -> &mut RunMetrics {
-        &mut self.metrics
-    }
-
     /// Consumes the governor, yielding the final metrics.
     pub fn into_metrics(self) -> RunMetrics {
         self.metrics

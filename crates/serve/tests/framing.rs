@@ -125,6 +125,48 @@ fn deeply_nested_frame_is_parse_error_and_connection_survives() {
     assert!(resps[1].get("result").is_some(), "connection kept working");
 }
 
+/// Pattern, FD and schema text nested 5,000 levels deep is an invalid
+/// parameter, not a stack overflow: the daemon answers -32602 and then
+/// serves the `server/stats` queued behind it.
+#[test]
+fn deeply_nested_pattern_fd_and_schema_are_invalid_params() {
+    let predicates = format!("a{}{}", "[b".repeat(5_000), "]".repeat(5_000));
+    let parentheses = format!("root: {}x{}", "(".repeat(5_000), ")".repeat(5_000));
+    let cases = [
+        format!(
+            r#"{{"jsonrpc":"2.0","id":2,"method":"pattern/parse","params":{{"pattern":"/{predicates}"}}}}"#
+        ),
+        format!(
+            r#"{{"jsonrpc":"2.0","id":2,"method":"independence/check","params":{{"sessionId":1,"fd":"/s : {predicates} -> t","update":"/s/t"}}}}"#
+        ),
+        format!(
+            r#"{{"jsonrpc":"2.0","id":2,"method":"session/open","params":{{"schema":"{parentheses}"}}}}"#
+        ),
+    ];
+    for hostile in cases {
+        // One batch, so the session exists before the check and the stats
+        // request runs after the hostile one.
+        let batch = format!(
+            r#"[{{"jsonrpc":"2.0","id":1,"method":"session/open","params":{{}}}},{hostile},
+                {{"jsonrpc":"2.0","id":3,"method":"server/stats","params":null}}]"#
+        );
+        let (resps, _) = run_script(&frame(&batch), ServerConfig::default());
+        let items = resps[0].as_array().expect("batch answer is an array");
+        assert_eq!(items.len(), 3);
+        let hostile = &items[1];
+        assert_eq!(error_code(hostile), Some(rpc::INVALID_PARAMS));
+        let message = hostile.get("error").and_then(|e| e.get("message"));
+        assert!(
+            message
+                .and_then(Json::as_str)
+                .is_some_and(|m| m.contains("nesting deeper than 256")),
+            "{message:?}"
+        );
+        assert_eq!(items[2].get("id").and_then(Json::as_u64), Some(3));
+        assert!(items[2].get("result").is_some(), "stats answered");
+    }
+}
+
 #[test]
 fn invalid_json_and_invalid_envelope() {
     let mut script = frame("{not json");

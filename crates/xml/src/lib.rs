@@ -14,8 +14,8 @@
 //!   canonical hash FD checking buckets by;
 //! * [`edit`] — subtree replacement (the paper's primitive update), plus
 //!   insert/delete/set-value conveniences;
-//! * [`VersionedDocument`]/[`UndoJournal`] — in-place delta edits with an
-//!   incrementally maintained index, and clone-free undo.
+//! * [`VersionedDocument`] — in-place delta edits with an incrementally
+//!   maintained index.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,11 +32,11 @@ pub mod versioned;
 pub use edit::{delete_subtree, insert_child, replace_subtree, set_value, EditError};
 pub use index::{label_mask, LabelIndex};
 pub use model::{DocStats, Document, NodeId};
-pub use parse::{parse_document, parse_document_with, ParseOptions, XmlError};
+pub use parse::{parse_document, XmlError};
 pub use serialize::{subtree_to_xml, to_xml, to_xml_with, SerializeOptions};
 pub use spec::{document_from_specs, TreeSpec};
 pub use value_eq::{value_eq, value_eq_in, value_hash, ValueKey};
-pub use versioned::{Delta, UndoJournal, VersionedDocument};
+pub use versioned::{Delta, VersionedDocument};
 
 #[cfg(test)]
 mod proptests {

@@ -8,7 +8,8 @@
 //!
 //! Parsed attributes become `@`-labeled leaf children placed *before* the
 //! element children, matching the document model of Section 2.1 where
-//! attribute nodes are ordinary leaves.
+//! attribute nodes are ordinary leaves. Character data that is only
+//! whitespace is dropped, so indentation does not pollute value equality.
 
 use std::fmt;
 
@@ -37,35 +38,17 @@ impl fmt::Display for XmlError {
 
 impl std::error::Error for XmlError {}
 
-/// Parser configuration.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ParseOptions {
-    /// Keep text nodes that consist solely of whitespace (default: false,
-    /// so indentation does not pollute value equality).
-    pub keep_whitespace_text: bool,
-}
-
 /// Parses an XML string into a [`Document`] under the reserved `/` root.
 ///
 /// The parser keeps its open elements on an explicit stack, not the call
 /// stack, so nesting depth is bounded by memory only.
 pub fn parse_document(alphabet: &Alphabet, src: &str) -> Result<Document, XmlError> {
-    parse_document_with(alphabet, src, ParseOptions::default())
-}
-
-/// [`parse_document`] with explicit options.
-pub fn parse_document_with(
-    alphabet: &Alphabet,
-    src: &str,
-    options: ParseOptions,
-) -> Result<Document, XmlError> {
     let mut doc = Document::new(alphabet.clone());
     let root = doc.root();
     let mut p = XmlParser {
         bytes: src.as_bytes(),
         src,
         pos: 0,
-        options,
     };
     // Open elements with their tag names; an empty stack means the parser
     // is between top-level elements.
@@ -144,7 +127,7 @@ pub fn parse_document_with(
                     p.pos += 1;
                 }
                 let text = unescape(&p.src[start..p.pos]).map_err(|m| p.err(m))?;
-                if p.options.keep_whitespace_text || !text.chars().all(char::is_whitespace) {
+                if !text.chars().all(char::is_whitespace) {
                     doc.add_text(elem, &text);
                 }
             }
@@ -164,7 +147,6 @@ struct XmlParser<'a> {
     bytes: &'a [u8],
     src: &'a str,
     pos: usize,
-    options: ParseOptions,
 }
 
 impl<'a> XmlParser<'a> {
@@ -395,16 +377,6 @@ mod tests {
         let doc = parse_document(&a, "<r>\n  <leaf/>\n  <leaf/>\n</r>").unwrap();
         let r = doc.children(doc.root())[0];
         assert_eq!(doc.children(r).len(), 2);
-        let kept = parse_document_with(
-            &a,
-            "<r> <leaf/> </r>",
-            ParseOptions {
-                keep_whitespace_text: true,
-            },
-        )
-        .unwrap();
-        let r2 = kept.children(kept.root())[0];
-        assert_eq!(kept.children(r2).len(), 3);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! (`Update::apply_cloned` in `regtree-core`) and rebuilds the
 //! [`LabelIndex`] from scratch before every recheck. A
 //! [`VersionedDocument`] instead applies the `edit` primitives *in place*
-//! and patches the index as it goes:
+//! and patches the index as it goes (`Update::apply_versioned` drives the
+//! same update code through these methods):
 //!
 //! * occurrence lists — detached nodes are removed (binary search by
 //!   document order, while their position is still defined), inserted
@@ -19,17 +20,10 @@
 //! (edit sites, detached/inserted subtree roots, touched value leaves, and
 //! a Bloom mask over every touched label) that incremental FD checking
 //! consumes to scope its rechecks.
-//!
-//! [`UndoJournal`] is the complementary primitive for *transient* in-place
-//! application: it snapshots exactly the arena slots an edit mutates so the
-//! pre-image can be restored without ever cloning the tree — the fix for
-//! `revalidate_full_many`'s per-update full-document clone.
-
-use std::collections::HashSet;
 
 use crate::edit::{self, EditError};
 use crate::index::{label_mask, LabelIndex};
-use crate::model::{Document, Node, NodeId};
+use crate::model::{Document, NodeId};
 use crate::spec::TreeSpec;
 
 /// What a batch of versioned edits touched, for impact-scoped rechecking.
@@ -63,15 +57,6 @@ impl Delta {
             && self.removed.is_empty()
             && self.inserted.is_empty()
             && self.value_sites.is_empty()
-    }
-
-    fn merge_from(&mut self, other: Delta) {
-        self.sites.extend(other.sites);
-        self.removed.extend(other.removed);
-        self.inserted.extend(other.inserted);
-        self.value_sites.extend(other.value_sites);
-        self.dirty_mask |= other.dirty_mask;
-        self.opaque |= other.opaque;
     }
 }
 
@@ -120,11 +105,6 @@ impl VersionedDocument {
     /// Takes the delta accumulated since the last call (or construction).
     pub fn take_delta(&mut self) -> Delta {
         std::mem::take(&mut self.pending)
-    }
-
-    /// Consumes the wrapper, returning the document.
-    pub fn into_doc(self) -> Document {
-        self.doc
     }
 
     fn ensure_editable(&self, n: NodeId) -> Result<NodeId, EditError> {
@@ -242,127 +222,6 @@ impl VersionedDocument {
         self.version += 1;
         r
     }
-
-    /// Merges another delta into the pending one (used by callers that
-    /// stage deltas of their own).
-    pub fn record_delta(&mut self, delta: Delta) {
-        self.pending.merge_from(delta);
-    }
-}
-
-/// A snapshot of exactly the arena slots a sequence of edits mutates, so
-/// the pre-image can be restored in place — the clone-free alternative to
-/// `Document::clone` for check-then-rollback workflows.
-///
-/// Only edits performed *through the journal's methods* are undoable;
-/// nodes created during the journal's lifetime are truncated on rollback.
-#[derive(Debug)]
-pub struct UndoJournal {
-    saved: Vec<(NodeId, Node)>,
-    seen: HashSet<NodeId>,
-    arena_len: usize,
-}
-
-impl UndoJournal {
-    /// Starts journaling against the current state of `doc`.
-    pub fn begin(doc: &Document) -> UndoJournal {
-        UndoJournal {
-            saved: Vec::new(),
-            seen: HashSet::new(),
-            arena_len: doc.arena_len(),
-        }
-    }
-
-    fn note(&mut self, doc: &Document, n: NodeId) {
-        if self.seen.insert(n) {
-            self.saved.push((n, doc.nodes[n.index()].clone()));
-        }
-    }
-
-    fn note_subtree(&mut self, doc: &Document, n: NodeId) {
-        for d in doc.descendants_or_self(n) {
-            self.note(doc, d);
-        }
-    }
-
-    /// Journaled [`edit::replace_subtree`].
-    pub fn replace_subtree(
-        &mut self,
-        doc: &mut Document,
-        n: NodeId,
-        spec: &TreeSpec,
-    ) -> Result<NodeId, EditError> {
-        if let Some(parent) = doc.parent(n) {
-            self.note(doc, parent);
-        }
-        self.note_subtree(doc, n);
-        edit::replace_subtree(doc, n, spec)
-    }
-
-    /// Journaled [`edit::delete_subtree`].
-    pub fn delete_subtree(&mut self, doc: &mut Document, n: NodeId) -> Result<(), EditError> {
-        if let Some(parent) = doc.parent(n) {
-            self.note(doc, parent);
-            // Later siblings get their cached positions renumbered.
-            if let Some(pos) = doc.child_index(n) {
-                let later: Vec<NodeId> = doc.children(parent)[pos + 1..].to_vec();
-                for s in later {
-                    self.note(doc, s);
-                }
-            }
-        }
-        self.note_subtree(doc, n);
-        edit::delete_subtree(doc, n)
-    }
-
-    /// Journaled [`edit::insert_child`].
-    pub fn insert_child(
-        &mut self,
-        doc: &mut Document,
-        parent: NodeId,
-        index: usize,
-        spec: &TreeSpec,
-    ) -> Result<NodeId, EditError> {
-        if doc.is_alive(parent) {
-            self.note(doc, parent);
-            let later: Vec<NodeId> = doc
-                .children(parent)
-                .get(index..)
-                .map(<[NodeId]>::to_vec)
-                .unwrap_or_default();
-            for s in later {
-                self.note(doc, s);
-            }
-        }
-        edit::insert_child(doc, parent, index, spec)
-    }
-
-    /// Journaled [`edit::set_value`].
-    pub fn set_value(
-        &mut self,
-        doc: &mut Document,
-        n: NodeId,
-        value: &str,
-    ) -> Result<(), EditError> {
-        self.note(doc, n);
-        edit::set_value(doc, n, value)
-    }
-
-    /// Number of arena slots snapshotted so far.
-    pub fn saved_len(&self) -> usize {
-        self.saved.len()
-    }
-
-    /// Restores every journaled slot and truncates nodes created since
-    /// [`UndoJournal::begin`], returning `doc` to its pre-journal state.
-    pub fn rollback(self, doc: &mut Document) {
-        for (id, node) in self.saved {
-            if id.index() < doc.nodes.len() {
-                doc.nodes[id.index()] = node;
-            }
-        }
-        doc.nodes.truncate(self.arena_len);
-    }
 }
 
 #[cfg(test)]
@@ -472,51 +331,5 @@ mod tests {
         assert_eq!(v.version(), 0);
         assert!(v.take_delta().is_empty());
         assert_index_sound(&v);
-    }
-
-    #[test]
-    fn undo_journal_round_trips() {
-        let a = Alphabet::new();
-        let mut doc = parse_document(
-            &a,
-            "<session><candidate IDN=\"78\"><level>B</level></candidate>\
-             <candidate IDN=\"99\"><level>A</level></candidate></session>",
-        )
-        .unwrap();
-        let before_xml = to_xml(&doc);
-        let before_len = doc.arena_len();
-        let session = doc.children(doc.root())[0];
-        let c1 = doc.children(session)[0];
-        let c2 = doc.children(session)[1];
-        let lvl1 = doc.children(c1)[1];
-
-        let mut j = UndoJournal::begin(&doc);
-        j.replace_subtree(
-            &mut doc,
-            lvl1,
-            &TreeSpec::elem_named(&a, "level", vec![TreeSpec::text("Z")]),
-        )
-        .unwrap();
-        j.delete_subtree(&mut doc, c2).unwrap();
-        j.insert_child(
-            &mut doc,
-            session,
-            0,
-            &TreeSpec::elem_named(&a, "pre", vec![]),
-        )
-        .unwrap();
-        let idn1 = doc.children(doc.children(session)[1])[0];
-        j.set_value(&mut doc, idn1, "7").unwrap();
-        assert_ne!(to_xml(&doc), before_xml);
-        assert!(j.saved_len() > 0);
-
-        j.rollback(&mut doc);
-        assert_eq!(to_xml(&doc), before_xml);
-        assert_eq!(doc.arena_len(), before_len);
-        assert!(doc.check_well_formed().is_ok());
-        // Positions/parents fully restored: edits still work afterwards.
-        let c2_again = doc.children(session)[1];
-        edit::delete_subtree(&mut doc, c2_again).unwrap();
-        assert!(doc.check_well_formed().is_ok());
     }
 }

@@ -6,11 +6,14 @@
 //! lists (same mappings, same order), and the batch/parallel entry points
 //! must agree with their sequential counterparts.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use regtree::prelude::*;
+use regtree_core::update_class_from_edges;
 use regtree_gen as gen;
 use regtree_pattern::{enumerate_mappings, enumerate_mappings_nfa, evaluate_many};
 
@@ -125,13 +128,25 @@ fn revalidate_full_many_agrees_with_single() {
     let a = gen::exam_alphabet();
     let doc = gen::figure1_document(&a);
     let fds = vec![gen::fd1(&a), gen::fd2(&a), gen::fd3(&a)];
-    let update = gen::update_q1(&a);
-    let mut scratch = doc.clone();
-    let many = revalidate_full_many(&fds, &update, &mut scratch).unwrap();
-    // The journaled in-place application rolls back: the document is intact.
-    assert_eq!(to_xml(&scratch), to_xml(&doc));
-    for (fd, m) in fds.iter().zip(&many) {
-        let single = revalidate_full(fd, &update, &doc).unwrap();
-        assert_eq!(m.is_ok(), single.is_ok());
+    // A custom op giving every rank its own value: the two math/15 exams
+    // of Figure 1 then disagree on their rank, which violates fd1.
+    let uneven_ranks = Update::new(
+        update_class_from_edges(&a, &["session/candidate/exam/rank"]).unwrap(),
+        UpdateOp::Custom(Arc::new(|doc: &mut Document, n: NodeId| {
+            let value = format!("r{}", n.index());
+            for k in doc.children(n).to_vec() {
+                regtree_xml::set_value(doc, k, &value).expect("rank text takes a value");
+            }
+        })),
+    );
+    let q1 = gen::update_q1(&a);
+    for update in [&q1, &uneven_ranks] {
+        let many = revalidate_full_many(&fds, update, &doc).unwrap();
+        for (fd, m) in fds.iter().zip(&many) {
+            let single = revalidate_full(fd, update, &doc).unwrap();
+            assert_eq!(m.is_ok(), single.is_ok(), "{:?}", update.op);
+        }
     }
+    let many = revalidate_full_many(&fds, &uneven_ranks, &doc).unwrap();
+    assert!(many[0].is_err(), "uneven ranks violate fd1");
 }

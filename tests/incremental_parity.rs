@@ -8,9 +8,15 @@
 //! one — a single mismatch means the impact scoping reused a verdict it
 //! was not entitled to.
 //!
+//! The same streams pin the one update driver's two edit backends: a
+//! plain [`Document`] and a [`VersionedDocument`] must touch the same nodes
+//! and end up with the same bytes.
+//!
 //! The reparse baseline is only as deep as the parser and serializer go,
 //! so the same file checks that a very deep document survives the round
 //! trip on a test thread's default stack.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -29,7 +35,7 @@ const LEVELS: &[&str] = &["A", "B", "C", "D", "E"];
 /// (exam deletion, subtree insertion), context-killing deletions
 /// (candidate and whole-session removal, which delete the FDs' context
 /// images themselves — the carried-verdict trap for a previously
-/// violated FD), and a custom-op update that forces the opaque path.
+/// violated FD), and the paper's `q1` level rewrite.
 fn random_update(a: &Alphabet, rng: &mut SmallRng) -> Update {
     let edges = |paths: &[&str]| update_class_from_edges(a, paths).expect("exam paths parse");
     let first_only = |op: UpdateOp, rng: &mut SmallRng| {
@@ -77,6 +83,105 @@ fn random_update(a: &Alphabet, rng: &mut SmallRng) -> Update {
         // hinged on the dead contexts must be re-derived, not carried.
         6 => Update::new(edges(&["session"]), UpdateOp::Delete),
         _ => gen::update_q1(a),
+    }
+}
+
+/// [`random_update`] plus the ops its pool leaves out: `MapText` on ranks,
+/// `PrependChild`, a label-preserving `Replace`, a nested `FirstOnly`, a
+/// deterministic `Custom` op, a deletion over nested selections, and a
+/// label-changing `Replace` that must fail.
+fn random_driver_update(a: &Alphabet, rng: &mut SmallRng) -> Update {
+    let edges = |paths: &[&str]| update_class_from_edges(a, paths).expect("exam paths parse");
+    match rng.gen_range(0..15u8) {
+        0..=7 => random_update(a, rng),
+        8 => Update::new(
+            edges(&["session/candidate/exam/rank"]),
+            UpdateOp::MapText(Arc::new(|old: &str| format!("{old}0"))),
+        ),
+        9 => {
+            let labels: Vec<Symbol> = a
+                .symbols()
+                .into_iter()
+                .filter(|&s| s != Alphabet::ROOT)
+                .collect();
+            let spec = gen::random_spec(a, &labels, rng.gen_range(1..5usize), rng);
+            Update::new(edges(&["session/candidate"]), UpdateOp::PrependChild(spec))
+        }
+        10 => {
+            let rank = TreeSpec::elem_named(a, "rank", vec![TreeSpec::text("9")]);
+            Update::new(
+                edges(&["session/candidate/exam"]),
+                UpdateOp::Replace(TreeSpec::elem_named(a, "exam", vec![rank])),
+            )
+        }
+        11 => {
+            let inner = UpdateOp::FirstOnly(Box::new(UpdateOp::SetText("F".to_string())));
+            Update::new(
+                edges(&["session/candidate/level"]),
+                UpdateOp::FirstOnly(Box::new(inner)),
+            )
+        }
+        12 => {
+            let mark = TreeSpec::elem_named(a, "mark", vec![TreeSpec::text("0")]);
+            Update::new(
+                edges(&["session/candidate/exam"]),
+                UpdateOp::Custom(Arc::new(move |doc: &mut Document, n: NodeId| {
+                    regtree_xml::insert_child(doc, n, 0, &mark).expect("exam takes a child");
+                })),
+            )
+        }
+        // Every node below the session, in document order: each deletion
+        // detaches the selections nested under it.
+        13 => Update::new(edges(&["session/_+"]), UpdateOp::Delete),
+        _ => Update::new(
+            edges(&["session/candidate/level"]),
+            UpdateOp::Replace(TreeSpec::elem_named(a, "rank", vec![])),
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    /// The update driver's two backends agree on random update streams:
+    /// `apply` on a plain document (and `apply_cloned` beside it) and
+    /// `apply_versioned` touch the same nodes, fail with the same error,
+    /// and serialize to the same bytes.
+    #[test]
+    fn document_and_versioned_drivers_agree(seed in any::<u64>()) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let a = gen::exam_alphabet();
+        let mut plain = gen::generate_session(
+            &a,
+            rng.gen_range(2..6usize),
+            rng.gen_range(1..4usize),
+            &mut rng,
+        );
+        let mut vdoc = VersionedDocument::new(plain.clone());
+        for step in 0..3 {
+            let update = random_driver_update(&a, &mut rng);
+            let mut next = plain.clone();
+            let on_plain = update.apply(&mut next).map_err(|e| e.to_string());
+            let on_versioned = update.apply_versioned(&mut vdoc).map_err(|e| e.to_string());
+            prop_assert_eq!(
+                &on_plain,
+                &on_versioned,
+                "step {} of seed {}: {:?}",
+                step, seed, update.op
+            );
+            let bytes = to_xml(&next);
+            if on_plain.is_ok() {
+                let cloned = update.apply_cloned(&plain).expect("applied on a clone already");
+                prop_assert_eq!(&to_xml(&cloned), &bytes);
+            }
+            prop_assert_eq!(
+                &to_xml(vdoc.doc()),
+                &bytes,
+                "step {} of seed {}: {:?}",
+                step, seed, update.op
+            );
+            plain = next;
+        }
     }
 }
 

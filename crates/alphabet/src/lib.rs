@@ -96,7 +96,7 @@ pub struct Alphabet {
 
 impl Alphabet {
     /// The reserved name of the document root label.
-    pub const ROOT_NAME: &'static str = "/";
+    pub(crate) const ROOT_NAME: &'static str = "/";
     /// The reserved name of the text pseudo-label.
     pub const TEXT_NAME: &'static str = "#text";
     /// The symbol of the document root label (always interned first).
@@ -136,7 +136,8 @@ impl Alphabet {
     }
 
     /// Looks up an already-interned label without interning.
-    pub fn lookup(&self, name: &str) -> Option<Symbol> {
+    #[cfg(test)]
+    pub(crate) fn lookup(&self, name: &str) -> Option<Symbol> {
         self.inner.read().index.get(name).copied()
     }
 
@@ -193,7 +194,8 @@ impl Alphabet {
     }
 
     /// Snapshot of `(name, symbol)` pairs, in interning order.
-    pub fn entries(&self) -> Vec<(Arc<str>, Symbol)> {
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> Vec<(Arc<str>, Symbol)> {
         let inner = self.inner.read();
         inner
             .names
@@ -201,11 +203,6 @@ impl Alphabet {
             .enumerate()
             .map(|(i, n)| (n.clone(), Symbol(i as u32)))
             .collect()
-    }
-
-    /// True if the two handles share the same underlying interner.
-    pub fn same_as(&self, other: &Alphabet) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
     }
 }
 
@@ -275,8 +272,6 @@ mod tests {
         let b = a.clone();
         let s = b.intern("mark");
         assert_eq!(a.lookup("mark"), Some(s));
-        assert!(a.same_as(&b));
-        assert!(!a.same_as(&Alphabet::new()));
     }
 
     #[test]

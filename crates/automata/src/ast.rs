@@ -36,11 +36,6 @@ pub enum Regex {
 }
 
 impl Regex {
-    /// A single-label atom.
-    pub fn atom(sym: Symbol) -> Regex {
-        Regex::Atom(sym)
-    }
-
     /// Interns `name` in `alphabet` and returns its atom.
     pub fn label(alphabet: &Alphabet, name: &str) -> Regex {
         Regex::Atom(alphabet.intern(name))
@@ -142,7 +137,7 @@ impl Regex {
     /// This is the compilation target for counting constraints in the
     /// textual pattern language (`[count(e) >= n]` repeats predicate
     /// branches; `e{n,m}` repeats along an edge word).
-    pub fn repeat(self, min: usize, max: Option<usize>) -> Regex {
+    pub(crate) fn repeat(self, min: usize, max: Option<usize>) -> Regex {
         if let Some(m) = max {
             if m < min {
                 return Regex::Empty;
@@ -164,7 +159,7 @@ impl Regex {
     }
 
     /// Does the language contain the empty word?
-    pub fn nullable(&self) -> bool {
+    pub(crate) fn nullable(&self) -> bool {
         match self {
             Regex::Empty | Regex::Atom(_) | Regex::AnyAtom => false,
             Regex::Epsilon | Regex::Star(_) | Regex::Opt(_) => true,
@@ -175,7 +170,7 @@ impl Regex {
     }
 
     /// Is the language empty (no word at all)?
-    pub fn is_empty_language(&self) -> bool {
+    pub(crate) fn is_empty_language(&self) -> bool {
         match self {
             Regex::Empty => true,
             Regex::Epsilon | Regex::Atom(_) | Regex::AnyAtom | Regex::Star(_) | Regex::Opt(_) => {
@@ -194,7 +189,8 @@ impl Regex {
     }
 
     /// Syntactic size: number of AST nodes.
-    pub fn size(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn size(&self) -> usize {
         match self {
             Regex::Empty | Regex::Epsilon | Regex::Atom(_) | Regex::AnyAtom => 1,
             Regex::Concat(parts) | Regex::Union(parts) => {
@@ -205,7 +201,8 @@ impl Regex {
     }
 
     /// Collects the distinct atoms mentioned by the expression.
-    pub fn atoms(&self) -> Vec<Symbol> {
+    #[cfg(test)]
+    pub(crate) fn atoms(&self) -> Vec<Symbol> {
         let mut out = Vec::new();
         self.collect_atoms(&mut out);
         out.sort_unstable();
@@ -213,6 +210,7 @@ impl Regex {
         out
     }
 
+    #[cfg(test)]
     fn collect_atoms(&self, out: &mut Vec<Symbol>) {
         match self {
             Regex::Atom(s) => out.push(*s),
@@ -227,7 +225,8 @@ impl Regex {
     }
 
     /// True when the expression contains the wildcard atom.
-    pub fn uses_wildcard(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn uses_wildcard(&self) -> bool {
         match self {
             Regex::AnyAtom => true,
             Regex::Concat(parts) | Regex::Union(parts) => parts.iter().any(Regex::uses_wildcard),
@@ -240,7 +239,7 @@ impl Regex {
     ///
     /// Used as an independent matcher to cross-check the NFA/DFA engines in
     /// property tests.
-    pub fn derivative(&self, sym: Symbol) -> Regex {
+    pub(crate) fn derivative(&self, sym: Symbol) -> Regex {
         match self {
             Regex::Empty | Regex::Epsilon => Regex::Empty,
             Regex::Atom(a) => {

@@ -87,7 +87,7 @@ impl Dfa {
     }
 
     /// The sorted letter universe this automaton is complete over.
-    pub fn letters(&self) -> &[Letter] {
+    pub(crate) fn letters(&self) -> &[Letter] {
         &self.letters
     }
 
@@ -101,7 +101,7 @@ impl Dfa {
     }
 
     /// Deterministic step; `None` when the letter is outside the universe.
-    pub fn step(&self, s: StateId, l: Letter) -> Option<StateId> {
+    pub(crate) fn step(&self, s: StateId, l: Letter) -> Option<StateId> {
         let li = self.letter_index(l)?;
         Some(self.trans[s as usize][li])
     }
@@ -123,7 +123,7 @@ impl Dfa {
     }
 
     /// Complement over the same universe (valid because the DFA is complete).
-    pub fn complement(&self) -> Dfa {
+    pub(crate) fn complement(&self) -> Dfa {
         let mut c = self.clone();
         for b in &mut c.accept {
             *b = !*b;
@@ -191,17 +191,18 @@ impl Dfa {
     }
 
     /// Language union.
-    pub fn union(&self, other: &Dfa) -> Dfa {
+    #[cfg(test)]
+    pub(crate) fn union(&self, other: &Dfa) -> Dfa {
         self.product(other, false)
     }
 
     /// Language difference `self \ other`.
-    pub fn difference(&self, other: &Dfa) -> Dfa {
+    pub(crate) fn difference(&self, other: &Dfa) -> Dfa {
         self.intersect(&other.complement())
     }
 
     /// Shortest accepted word, or `None` when the language is empty.
-    pub fn shortest_accepted(&self) -> Option<Vec<Letter>> {
+    pub(crate) fn shortest_accepted(&self) -> Option<Vec<Letter>> {
         let mut prev: Vec<Option<(StateId, Letter)>> = vec![None; self.num_states()];
         let mut seen = vec![false; self.num_states()];
         let mut queue = VecDeque::new();
@@ -283,8 +284,9 @@ impl Dfa {
     }
 
     /// Enumerates all accepted words of length at most `max_len`
-    /// (tests/examples only — exponential in `max_len`).
-    pub fn words_up_to(&self, max_len: usize) -> Vec<Vec<Letter>> {
+    /// (exponential in `max_len`).
+    #[cfg(test)]
+    pub(crate) fn words_up_to(&self, max_len: usize) -> Vec<Vec<Letter>> {
         let mut out = Vec::new();
         let mut frontier: Vec<(StateId, Vec<Letter>)> = vec![(self.start, Vec::new())];
         if self.accept[self.start as usize] {

@@ -8,7 +8,9 @@
 //! quantity the paper's complexity bounds are stated in — is
 //! [`Nfa::num_states`].
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::BTreeSet;
+#[cfg(test)]
+use std::collections::{HashMap, VecDeque};
 
 use crate::ast::Regex;
 
@@ -81,7 +83,7 @@ impl Nfa {
     }
 
     /// All distinct concrete letters mentioned on transitions.
-    pub fn used_letters(&self) -> Vec<Letter> {
+    pub(crate) fn used_letters(&self) -> Vec<Letter> {
         let mut out: BTreeSet<Letter> = BTreeSet::new();
         for ts in &self.trans {
             for (l, _) in ts {
@@ -112,7 +114,7 @@ impl Nfa {
     }
 
     /// ε-closure of a sorted state set (result sorted, deduplicated).
-    pub fn eps_closure(&self, states: &[StateId]) -> Vec<StateId> {
+    pub(crate) fn eps_closure(&self, states: &[StateId]) -> Vec<StateId> {
         let mut seen = vec![false; self.num_states()];
         let mut stack: Vec<StateId> = Vec::with_capacity(states.len());
         for &s in states {
@@ -200,43 +202,9 @@ impl Nfa {
     }
 
     /// Is the recognized language empty?
-    pub fn is_empty_language(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty_language(&self) -> bool {
         self.shortest_accepted(&[]).is_none()
-    }
-
-    /// Shortest word accepted using only letters from `allowed`
-    /// (wildcard transitions may fire on any allowed letter).
-    ///
-    /// This is the “restricted emptiness” primitive of hedge-automaton
-    /// emptiness checking: can a horizontal language be satisfied using only
-    /// the tree states already known to be realizable?
-    pub fn shortest_accepted_over(&self, allowed: &[Letter]) -> Option<Vec<Letter>> {
-        let init = self.initial_set();
-        if self.set_accepts(&init) {
-            return Some(Vec::new());
-        }
-        let mut seen: HashMap<Vec<StateId>, ()> = HashMap::new();
-        let mut queue: VecDeque<(Vec<StateId>, Vec<Letter>)> = VecDeque::new();
-        seen.insert(init.clone(), ());
-        queue.push_back((init, Vec::new()));
-        while let Some((set, word)) = queue.pop_front() {
-            for &l in allowed {
-                let next = self.step(&set, l);
-                if next.is_empty() {
-                    continue;
-                }
-                let mut w2 = word.clone();
-                w2.push(l);
-                if self.set_accepts(&next) {
-                    return Some(w2);
-                }
-                if !seen.contains_key(&next) {
-                    seen.insert(next.clone(), ());
-                    queue.push_back((next, w2));
-                }
-            }
-        }
-        None
     }
 
     /// Shortest accepted word, if any, by BFS over the subset graph.
@@ -244,7 +212,8 @@ impl Nfa {
     /// `extra_letters` widens the exploration alphabet beyond the letters the
     /// automaton mentions (needed when wildcard transitions should be
     /// witnessed by letters the automaton itself never names).
-    pub fn shortest_accepted(&self, extra_letters: &[Letter]) -> Option<Vec<Letter>> {
+    #[cfg(test)]
+    pub(crate) fn shortest_accepted(&self, extra_letters: &[Letter]) -> Option<Vec<Letter>> {
         let mut letters = self.used_letters();
         for &l in extra_letters {
             if !letters.contains(&l) {
@@ -329,7 +298,7 @@ impl NfaBuilder {
     }
 
     /// Compiles `regex` as a fragment between two existing states.
-    pub fn compile(&mut self, regex: &Regex, from: StateId, to: StateId) {
+    pub(crate) fn compile(&mut self, regex: &Regex, from: StateId, to: StateId) {
         match regex {
             Regex::Empty => {}
             Regex::Epsilon => self.add_transition(from, NfaLabel::Eps, to),
@@ -513,20 +482,6 @@ mod tests {
         // A letter set with no applicable letter yields the empty set.
         assert!(m.step_multi(&init, &[z]).is_empty());
         assert!(m.step_multi(&init, &[]).is_empty());
-    }
-
-    #[test]
-    fn shortest_accepted_over_restricts_letters() {
-        let a = Alphabet::new();
-        let m = nfa(&a, "x/y | z");
-        let (x, y, z) = (a.intern("x").0, a.intern("y").0, a.intern("z").0);
-        // Full alphabet: shortest is "z".
-        assert_eq!(m.shortest_accepted_over(&[x, y, z]).unwrap(), vec![z]);
-        // Without z: must take the longer x/y route.
-        assert_eq!(m.shortest_accepted_over(&[x, y]).unwrap(), vec![x, y]);
-        // z alone still works; x alone accepts nothing.
-        assert_eq!(m.shortest_accepted_over(&[x, z]), Some(vec![z]));
-        assert_eq!(m.shortest_accepted_over(&[x]), None);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! ```
 //!
 //! `_` is the single-label wildcard. Bounded repetition `r{n}` / `r{n,}` /
-//! `r{n,m}` desugars through [`Regex::repeat`] into plain
+//! `r{n,m}` desugars through `Regex::repeat` into plain
 //! concatenation/option/star, so the AST needs no counting variant.
 //!
 //! The parser recurses once per parenthesis, so groups may nest at most

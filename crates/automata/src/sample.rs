@@ -33,7 +33,7 @@ impl LangSampler {
     }
 
     /// Is the language empty?
-    pub fn is_empty_language(&self) -> bool {
+    pub(crate) fn is_empty_language(&self) -> bool {
         self.dist[self.dfa.start() as usize] == u32::MAX
     }
 

@@ -25,7 +25,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use regtree_bench::{
     chain_schema, fd_with_conditions, fresh_independence, padded_alphabet, update_chain,
 };
-use regtree_core::check_independence_eager;
+use regtree_oracle::check_independence_eager;
 
 fn bench_ic_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("ic_scaling");

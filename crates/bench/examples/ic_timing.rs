@@ -110,14 +110,12 @@ fn pieces() {
         std::hint::black_box(regtree_hedge::CompiledAutomaton::compile(
             &pf.automaton,
             &part,
-            &a,
         ));
         std::hint::black_box(regtree_hedge::CompiledAutomaton::compile(
             &pu.automaton,
             &part,
-            &a,
         ));
-        std::hint::black_box(regtree_hedge::CompiledAutomaton::compile(&sa, &part, &a));
+        std::hint::black_box(regtree_hedge::CompiledAutomaton::compile(&sa, &part));
     });
     // A no-schema (u3-shaped) triple: all three automata are tiny.
     let u3 = update_chain(&a, 3);
@@ -128,18 +126,16 @@ fn pieces() {
         std::hint::black_box(regtree_hedge::CompiledAutomaton::compile(
             &pf.automaton,
             &small,
-            &a,
         ));
     });
     time_point("compile au3 alone", 200, &mut || {
         std::hint::black_box(regtree_hedge::CompiledAutomaton::compile(
             &pu3.automaton,
             &small,
-            &a,
         ));
     });
     time_point("compile universal alone", 200, &mut || {
-        std::hint::black_box(regtree_hedge::CompiledAutomaton::compile(&uni, &small, &a));
+        std::hint::black_box(regtree_hedge::CompiledAutomaton::compile(&uni, &small));
     });
 }
 

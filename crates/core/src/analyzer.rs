@@ -61,7 +61,7 @@ pub struct AnalyzerBuilder {
 
 impl AnalyzerBuilder {
     /// A builder with no schema and unlimited budgets.
-    pub fn new() -> AnalyzerBuilder {
+    pub(crate) fn new() -> AnalyzerBuilder {
         AnalyzerBuilder::default()
     }
 
@@ -203,10 +203,10 @@ impl RunOverrides {
 ///
 /// [`AnalyzerBuilder::build`] is infallible: an analyzer without a schema
 /// is fully functional, running every analysis schema-free (all documents
-/// admitted). The entry points that *require* a schema —
-/// [`Analyzer::validate`] and [`Analyzer::try_schema`] — return the typed
-/// [`Error::NoSchema`] instead of panicking, so embedding services can map
-/// the condition to a protocol error.
+/// admitted). The entry point that *requires* a schema,
+/// [`Analyzer::validate`], returns the typed [`Error::NoSchema`] instead of
+/// panicking, so embedding services can map the condition to a protocol
+/// error.
 pub struct Analyzer {
     schema: Option<Schema>,
     schema_auto: Option<std::sync::Arc<HedgeAutomaton>>,
@@ -225,13 +225,9 @@ impl Analyzer {
     }
 
     /// The schema analyses run against, if any.
-    pub fn schema(&self) -> Option<&Schema> {
+    #[cfg(test)]
+    pub(crate) fn schema(&self) -> Option<&Schema> {
         self.schema.as_ref()
-    }
-
-    /// The budgets every run is governed by.
-    pub fn limits(&self) -> &RunLimits {
-        &self.limits
     }
 
     /// Compiled patterns currently cached (observability/test hook).
@@ -275,14 +271,6 @@ impl Analyzer {
         b
     }
 
-    /// The schema analyses run against, or [`Error::NoSchema`] when the
-    /// analyzer was built without one. The typed counterpart of
-    /// [`Analyzer::schema`] for callers that treat a missing schema as an
-    /// error (services answering `validate`-style requests).
-    pub fn try_schema(&self) -> Result<&Schema, Error> {
-        self.schema.as_ref().ok_or(Error::NoSchema)
-    }
-
     /// Validates `doc` against the analyzer's schema.
     ///
     /// Returns [`Error::NoSchema`] when the analyzer was built without a
@@ -302,15 +290,16 @@ impl Analyzer {
     /// assert!(matches!(bare.validate(&doc), Err(Error::NoSchema)));
     /// ```
     pub fn validate(&self, doc: &Document) -> Result<(), Error> {
-        self.try_schema()?.validate(doc)?;
+        self.schema.as_ref().ok_or(Error::NoSchema)?.validate(doc)?;
         Ok(())
     }
 
     /// Runs the independence criterion for `fd` against `class` under the
     /// analyzer's schema and budgets.
     ///
-    /// Verdict-identical to [`crate::check_independence_eager`] when the
-    /// limits are unlimited; under finite budgets an undecided run returns
+    /// Under unlimited limits the verdict is exact for the criterion:
+    /// `tests/ic_lazy_parity.rs` checks it against the eager product of
+    /// `regtree-oracle`. Under finite budgets an undecided run returns
     /// `Verdict::Unknown { exhausted: Some(resource) }` instead of running
     /// to completion. [`IndependenceAnalysis::metrics`] is always populated.
     ///

@@ -40,9 +40,8 @@ pub enum Error {
     Template(TemplateError),
     /// Assembling a regular tree pattern failed (bad selected tuple).
     Pattern(PatternError),
-    /// A schema-requiring entry point was called on an [`crate::Analyzer`]
-    /// built without a schema ([`crate::Analyzer::try_schema`],
-    /// [`crate::Analyzer::validate`]).
+    /// A schema-requiring entry point ([`crate::Analyzer::validate`]) was
+    /// called on an [`crate::Analyzer`] built without a schema.
     NoSchema,
     /// A document failed schema validation.
     Validation(ValidationError),

@@ -134,7 +134,7 @@ impl Fd {
     }
 
     /// Equality types, aligned with `conditions() ++ [target()]`.
-    pub fn equality(&self) -> &[EqualityType] {
+    pub(crate) fn equality(&self) -> &[EqualityType] {
         &self.equality
     }
 
@@ -150,7 +150,8 @@ impl Fd {
 
     /// Human-readable rendering: the template sketch annotated with the
     /// context/condition/target roles and equality types.
-    pub fn describe(&self) -> String {
+    #[cfg(test)]
+    pub(crate) fn describe(&self) -> String {
         let mut out = self.pattern.template().sketch();
         out.push_str(&format!("context: n{}\n", self.context.0));
         for (i, (&p, eq)) in self
@@ -175,6 +176,7 @@ impl Fd {
     }
 }
 
+#[cfg(test)]
 fn eq_str(eq: EqualityType) -> &'static str {
     match eq {
         EqualityType::Value => "V",

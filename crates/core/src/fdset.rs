@@ -163,7 +163,7 @@ impl Minimization {
     }
 
     /// The kept FDs implying dropped FD `index`, if it was dropped.
-    pub fn provenance(&self, index: usize) -> Option<&[usize]> {
+    pub(crate) fn provenance(&self, index: usize) -> Option<&[usize]> {
         self.dropped
             .iter()
             .find(|d| d.index == index)
@@ -261,14 +261,16 @@ impl FdSet {
     }
 
     /// FD `i`.
-    pub fn fd(&self, i: usize) -> &Fd {
+    #[cfg(test)]
+    pub(crate) fn fd(&self, i: usize) -> &Fd {
         &self.fds[i]
     }
 
     /// Does the whole set imply `goal`? Runs the closure under `limits`;
     /// a budget that runs out yields [`Implication::Unknown`] rather than
     /// hanging.
-    pub fn implies(&self, goal: &Fd, limits: &RunLimits) -> Implication {
+    #[cfg(test)]
+    pub(crate) fn implies(&self, goal: &Fd, limits: &RunLimits) -> Implication {
         let mut budget = Budget::new(limits);
         let active = vec![true; self.len()];
         self.implies_active(&active, goal, fd_paths(goal).as_ref(), &mut budget)

@@ -114,7 +114,7 @@ impl FdState {
 /// Report of one [`IncrementalChecker::apply_and_recheck`] round.
 #[derive(Clone, Debug)]
 pub struct RecheckReport {
-    /// The nodes the update touched (empty for [`IncrementalChecker::recheck_delta`]).
+    /// The nodes the update touched.
     pub touched: Vec<NodeId>,
     /// Per FD (input order): how far the recheck had to reach.
     pub scopes: Vec<RecheckScope>,
@@ -242,11 +242,6 @@ impl IncrementalChecker {
         &self.initial_metrics
     }
 
-    /// The FDs under maintenance, in input order.
-    pub fn fds(&self) -> &[Fd] {
-        &self.fds
-    }
-
     /// Current verdicts, in input order.
     pub fn outcomes(&self) -> Vec<FdOutcome> {
         self.states.iter().map(FdState::outcome).collect()
@@ -283,7 +278,11 @@ impl IncrementalChecker {
     /// The delta must correspond to *one* logical update: a batch in which
     /// a removal's former parent was itself detached by a later edit
     /// cannot be scoped and falls back to a global recheck.
-    pub fn recheck_delta(&mut self, vdoc: &VersionedDocument, delta: &Delta) -> RecheckReport {
+    pub(crate) fn recheck_delta(
+        &mut self,
+        vdoc: &VersionedDocument,
+        delta: &Delta,
+    ) -> RecheckReport {
         let search = Stopwatch::start();
         let _span = self.trace.span(SpanKind::ScopeClassify, "");
         let doc = vdoc.doc();

@@ -40,13 +40,13 @@ pub(crate) struct CellInterner {
 }
 
 impl CellInterner {
-    pub fn new() -> CellInterner {
+    pub(crate) fn new() -> CellInterner {
         CellInterner::default()
     }
 
     /// The (created-on-first-use) slot for a pair of automaton identities.
     /// Callers race on `slot.get_or_init(..)`: exactly one runs the engine.
-    pub fn slot(&self, key: (usize, usize)) -> Arc<OnceLock<CellEntry>> {
+    pub(crate) fn slot(&self, key: (usize, usize)) -> Arc<OnceLock<CellEntry>> {
         // Pointer values are word-aligned: shift out the dead low bits
         // before folding, so consecutive allocations spread across shards.
         let h = (key.0 >> 4) ^ (key.1 >> 4).rotate_left(17);

@@ -1,10 +1,11 @@
 //! Lazy, on-the-fly emptiness of the IC product.
 //!
-//! The eager pipeline ([`crate::independence::check_independence_eager`])
-//! materializes the full FD×U×bit automaton, takes a second eager product
-//! with the schema automaton, and only then runs the emptiness fixpoint —
-//! paying for every product state and every horizontal product transition
-//! whether or not it is reachable. This module explores the same product
+//! The eager reference pipeline (`check_independence_eager` in the
+//! test-only `regtree-oracle` crate) materializes the full FD×U×bit
+//! automaton, takes a second eager product with the schema automaton, and
+//! only then runs the emptiness fixpoint — paying for every product state
+//! and every horizontal product transition whether or not it is reachable.
+//! This module, the only IC engine of the product, explores the same product
 //! *bottom-up from realizable firings only*, over the arena/CSR compiled
 //! form of the three automata ([`CompiledAutomaton`]):
 //!
@@ -796,15 +797,15 @@ pub(crate) fn lazy_independence(
         Some(t) => (t.f, t.u, t.s),
         None => {
             owned_pair = (
-                CompiledAutomaton::compile(af, part, alphabet),
-                CompiledAutomaton::compile(au, part, alphabet),
+                CompiledAutomaton::compile(af, part),
+                CompiledAutomaton::compile(au, part),
             );
             // The universal automaton's compiled form depends only on the
             // partition's class count, so no-schema calls can reuse the copy
             // stashed in the workspace by the previous run.
             owned_cs = Some(match (schema, uni_cache.take()) {
                 (None, Some((n, c))) if n == part.num_classes() => c,
-                _ => CompiledAutomaton::compile(a_s, part, alphabet),
+                _ => CompiledAutomaton::compile(a_s, part),
             });
             (
                 &owned_pair.0,

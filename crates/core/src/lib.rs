@@ -9,16 +9,17 @@
 //! * [`textfd`] — [`parse_fd`], the one constructor from FD text (the
 //!   \[8\] path syntax and the §3.2 trie, extended with the pattern
 //!   language), and [`parse_update_class`];
-//! * [`pathfd`] — the Example 3 checks of which FDs the path formalism of
-//!   \[8\] can express;
+//! * [`expressible_in_path_formalism`] — the Example 3 checks of which
+//!   FDs the path formalism of \[8\] can express;
 //! * [`fdset`] — FD-*set* reasoning: implication closure and
 //!   [`FdSet::minimize`], which the pruned matrix uses to drop implied
 //!   rows;
 //! * [`update`] — update classes `U = (T_U, s̄_U)` and executable updates
 //!   (Section 4);
-//! * [`independence`] — the criterion IC: automaton construction, schema
-//!   product, emptiness with witness documents (Definition 6,
-//!   Propositions 2–3);
+//! * [`independence`] — the criterion IC and its [`Verdict`]: one lazy
+//!   engine explores the FD × update × schema product on the fly and
+//!   decides its emptiness, with a witness document when it is nonempty
+//!   (Definition 6, Propositions 2–3), behind [`Analyzer::independence`];
 //! * [`reduction`] — the PSPACE-hardness gadgets (Proposition 1,
 //!   Figures 7–8);
 //! * [`revalidate`] — the document-at-hand baseline (\[14\]-style) the paper
@@ -35,13 +36,12 @@ pub mod api;
 pub mod error;
 pub mod fd;
 pub mod fdset;
-pub mod impact;
 pub mod incremental;
 pub mod independence;
 mod intern;
 mod lazy_ic;
 pub mod matrix;
-pub mod pathfd;
+mod pathfd;
 pub mod reduction;
 pub mod revalidate;
 pub mod satisfy;
@@ -52,22 +52,19 @@ pub use analyzer::{Analyzer, AnalyzerBuilder, RunOverrides};
 pub use error::Error;
 pub use fd::{EqualityType, Fd, FdError};
 pub use fdset::{DroppedFd, FdSet, Implication, Minimization};
-pub use impact::{classify_pair, search_impact, ImpactWitness, PairClassification};
 pub use incremental::{IncrementalChecker, RecheckReport, RecheckScope};
-pub use independence::{
-    build_ic_automaton, check_independence_eager, in_language_naive, IndependenceAnalysis, Verdict,
-};
+pub use independence::{IndependenceAnalysis, Verdict};
 pub use matrix::{CellProvenance, IndependenceMatrix, MatrixCell};
 pub use pathfd::{expressible_in_path_formalism, Inexpressibility, PathFdError};
 pub use reduction::{build_patterns, build_reduction, gadget_alphabet, ReductionInstance};
 pub use revalidate::{revalidate_full, revalidate_full_many};
-pub use satisfy::{check_fd, check_fd_governed, satisfies, FdBatchReport, FdOutcome, FdViolation};
+pub use satisfy::{check_fd, satisfies, FdBatchReport, FdOutcome, FdViolation};
 pub use textfd::{parse_fd, parse_update_class};
 // Re-exported so downstreams govern runs without a direct dependency on
 // `regtree-runtime`.
 pub use regtree_runtime::{
-    Budget, CancelToken, ChromeTraceSink, EventKind, NullTracer, Resource, RunLimits, RunMetrics,
-    SpanId, SpanKind, SummarySink, TraceFormat, TraceHandle, TraceSummary, Tracer,
+    Budget, CancelToken, ChromeTraceSink, EventKind, Resource, RunLimits, RunMetrics, SpanId,
+    SpanKind, SummarySink, TraceFormat, TraceHandle, TraceSummary, Tracer,
 };
 pub use update::{
     update_class_from_edges, ApplyError, Update, UpdateClass, UpdateClassError, UpdateOp,

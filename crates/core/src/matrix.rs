@@ -279,16 +279,14 @@ pub(crate) fn analyze_matrix_governed(
             &universal
         }
     };
-    let compiled = fds.first().map(|(_, fd)| {
-        let al = fd.template().alphabet();
-        let compile =
-            |pa: &PatternAutomaton| CompiledAutomaton::compile(&pa.automaton, &partition, al);
+    let compiled = (!fds.is_empty()).then(|| {
+        let compile = |pa: &PatternAutomaton| CompiledAutomaton::compile(&pa.automaton, &partition);
         (
             kept.iter()
                 .map(|&i| compile(&pa_fds[i]))
                 .collect::<Vec<_>>(),
             pa_us.iter().map(|pa| compile(pa)).collect::<Vec<_>>(),
-            CompiledAutomaton::compile(schema_sym, &partition, al),
+            CompiledAutomaton::compile(schema_sym, &partition),
         )
     });
     let interner = CellInterner::new();

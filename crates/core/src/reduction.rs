@@ -237,7 +237,7 @@ mod tests {
         // η ⊄ η' (there IS an impact), so it must return Unknown.
         let a = gadget_alphabet();
         let (fd, class) = build_patterns(&a, &regex(&a, "D"), &regex(&a, "B"));
-        let analysis = crate::independence::check_independence_internal(&fd, &class, None);
+        let analysis = crate::Analyzer::builder().build().independence(&fd, &class);
         assert!(!analysis.verdict.is_independent());
     }
 }

@@ -197,14 +197,6 @@ impl FdOutcome {
         matches!(self, FdOutcome::Satisfied)
     }
 
-    /// The exhausted resource, when the run was cut short.
-    pub fn exhausted(&self) -> Option<Resource> {
-        match self {
-            FdOutcome::Unknown { exhausted, .. } => Some(*exhausted),
-            _ => None,
-        }
-    }
-
     /// The verdict of a run with unlimited limits and no cancel token,
     /// which cannot come back `Unknown`.
     pub(crate) fn into_unlimited(self) -> Result<(), FdViolation> {
@@ -220,7 +212,7 @@ impl FdOutcome {
 /// [`Budget`]: pattern-evaluation work (DFA steps, candidate-memo entries)
 /// is metered and the check aborts with [`FdOutcome::Unknown`] once a cap
 /// or the deadline is crossed.
-pub fn check_fd_governed(
+pub(crate) fn check_fd_governed(
     fd: &Fd,
     doc: &Document,
     index: &LabelIndex,

@@ -17,7 +17,4 @@ pub use exam::{
     pattern_r1, pattern_r2, pattern_r3, pattern_r4, update_class_u, update_q1, update_q2,
     EXAM_SCHEMA,
 };
-pub use random::{
-    random_document, random_fd_expr, random_pattern, random_proper_regex, random_regex,
-    random_spec, random_text_pattern, random_update_class,
-};
+pub use random::{random_document, random_pattern, random_proper_regex, random_regex, random_spec};

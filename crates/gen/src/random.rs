@@ -3,17 +3,15 @@
 //! * [`random_document`] — schema-conforming random documents, used by the
 //!   IC soundness property tests (E8 of DESIGN.md): every document drawn
 //!   here is `valid(S)` by construction;
-//! * [`random_regex`] / [`random_pattern`] / [`random_update_class`] —
-//!   random pattern-space instances for the Proposition 3 scaling benches;
+//! * [`random_regex`] / [`random_pattern`] — random pattern-space
+//!   instances for the Proposition 3 scaling benches;
 //! * [`random_spec`] — random replacement subtrees for update payloads.
 
 use rand::Rng;
 
 use regtree_alphabet::{Alphabet, LabelKind, Symbol};
 use regtree_automata::{LangSampler, Nfa, Regex};
-use regtree_core::UpdateClass;
 use regtree_hedge::Schema;
-use regtree_pattern::lang::{Axis, EqTag, FdExpr, NameTest, Pattern, Predicate, RelPath, Step};
 use regtree_pattern::{RegularTreePattern, Template};
 use regtree_xml::{Document, TreeSpec};
 
@@ -136,138 +134,6 @@ pub fn random_pattern<R: Rng>(
     RegularTreePattern::monadic(t, selected).expect("valid")
 }
 
-/// A random update class whose selected node is a leaf (retrying the
-/// selection until the paper's restriction holds).
-pub fn random_update_class<R: Rng>(
-    alphabet: &Alphabet,
-    labels: &[Symbol],
-    n_edges: usize,
-    rng: &mut R,
-) -> UpdateClass {
-    loop {
-        let p = random_pattern(alphabet, labels, n_edges, rng);
-        let sel = p.selected()[0];
-        if p.template().is_leaf(sel) {
-            return UpdateClass::new(p).expect("leaf selection");
-        }
-    }
-}
-
-/// A random textual-pattern AST over `names`.
-///
-/// The draw covers the whole grammar — both axes, wildcards, attribute and
-/// text tests, existence/value/counting predicates, nesting up to `depth` —
-/// and stays inside the canonical sub-language, so printing with
-/// [`Pattern::to_text`] and re-parsing yields a structurally equal AST (the
-/// round-trip property the tier-1 proptests check). Avoid the reserved
-/// names `N` and `V` in the pool: a trailing `[N]`/`[V]` predicate would
-/// re-parse as an FD equality annotation instead.
-pub fn random_text_pattern<R: Rng>(names: &[&str], depth: usize, rng: &mut R) -> Pattern {
-    let n_steps = rng.gen_range(1..=3);
-    Pattern {
-        steps: (0..n_steps)
-            .map(|_| random_text_step(names, depth, rng))
-            .collect(),
-    }
-}
-
-/// A random textual-FD AST over `names`: like [`random_text_pattern`] for
-/// every path, minus value tests (FD compilation rejects them), plus random
-/// `[V]`/`[N]` equality tags. Also round-trips through
-/// [`FdExpr::to_text`] and `parse_fd_expr`.
-pub fn random_fd_expr<R: Rng>(names: &[&str], depth: usize, rng: &mut R) -> FdExpr {
-    let mut context = random_text_pattern(names, depth, rng);
-    strip_value_tests(&mut context.steps);
-    let n_conditions = rng.gen_range(0..=2);
-    let conditions = (0..n_conditions)
-        .map(|_| (random_fd_relpath(names, depth, rng), random_eq(rng)))
-        .collect();
-    FdExpr {
-        context,
-        conditions,
-        target: (random_fd_relpath(names, depth, rng), random_eq(rng)),
-    }
-}
-
-fn random_eq<R: Rng>(rng: &mut R) -> EqTag {
-    if rng.gen_bool(0.25) {
-        EqTag::Node
-    } else {
-        EqTag::Value
-    }
-}
-
-fn random_fd_relpath<R: Rng>(names: &[&str], depth: usize, rng: &mut R) -> RelPath {
-    let mut p = random_text_relpath(names, depth, rng);
-    strip_value_tests(&mut p.steps);
-    p
-}
-
-fn strip_value_tests(steps: &mut [Step]) {
-    for s in steps {
-        s.predicates
-            .retain(|p| !matches!(p, Predicate::ValueEq(..)));
-        for p in &mut s.predicates {
-            match p {
-                Predicate::Exists(rp) | Predicate::AtLeast(_, rp) => {
-                    strip_value_tests(&mut rp.steps)
-                }
-                Predicate::ValueEq(..) => unreachable!("retained above"),
-            }
-        }
-    }
-}
-
-fn random_text_step<R: Rng>(names: &[&str], depth: usize, rng: &mut R) -> Step {
-    let axis = if rng.gen_bool(0.25) {
-        Axis::Descendant
-    } else {
-        Axis::Child
-    };
-    let pick = |rng: &mut R| names[rng.gen_range(0..names.len())].to_string();
-    let test = match rng.gen_range(0..8) {
-        0 => NameTest::Wildcard,
-        1 => NameTest::Attribute(pick(rng)),
-        2 => NameTest::Text,
-        _ => NameTest::Name(pick(rng)),
-    };
-    let n_preds = if depth == 0 { 0 } else { rng.gen_range(0..=2) };
-    let predicates = (0..n_preds)
-        .map(|_| random_text_predicate(names, depth - 1, rng))
-        .collect();
-    Step {
-        axis,
-        test,
-        predicates,
-    }
-}
-
-fn random_text_relpath<R: Rng>(names: &[&str], depth: usize, rng: &mut R) -> RelPath {
-    let n_steps = rng.gen_range(1..=2);
-    RelPath {
-        steps: (0..n_steps)
-            .map(|_| random_text_step(names, depth, rng))
-            .collect(),
-    }
-}
-
-fn random_text_predicate<R: Rng>(names: &[&str], depth: usize, rng: &mut R) -> Predicate {
-    let path = random_text_relpath(names, depth, rng);
-    match rng.gen_range(0..4) {
-        0 => {
-            // Escapable characters keep the printer's string escaping honest.
-            let value = match rng.gen_range(0..4) {
-                0 => "a \"quoted\" value".to_string(),
-                1 => "back\\slash".to_string(),
-                _ => random_value(rng),
-            };
-            Predicate::ValueEq(path, value)
-        }
-        1 => Predicate::AtLeast(rng.gen_range(0..=3), path),
-        _ => Predicate::Exists(path),
-    }
-}
-
 /// A random well-formed subtree over `labels` (as an update payload).
 pub fn random_spec<R: Rng>(
     alphabet: &Alphabet,
@@ -296,6 +162,122 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use regtree_pattern::lang::{Axis, EqTag, FdExpr, NameTest, Pattern, Predicate, RelPath, Step};
+
+    /// A random textual-pattern AST over `names`.
+    ///
+    /// The draw covers the whole grammar — both axes, wildcards, attribute and
+    /// text tests, existence/value/counting predicates, nesting up to `depth` —
+    /// and stays inside the canonical sub-language, so printing with
+    /// [`Pattern::to_text`] and re-parsing yields a structurally equal AST (the
+    /// round-trip property the tier-1 proptests check). Avoid the reserved
+    /// names `N` and `V` in the pool: a trailing `[N]`/`[V]` predicate would
+    /// re-parse as an FD equality annotation instead.
+    fn random_text_pattern<R: Rng>(names: &[&str], depth: usize, rng: &mut R) -> Pattern {
+        let n_steps = rng.gen_range(1..=3);
+        Pattern {
+            steps: (0..n_steps)
+                .map(|_| random_text_step(names, depth, rng))
+                .collect(),
+        }
+    }
+
+    /// A random textual-FD AST over `names`: like [`random_text_pattern`] for
+    /// every path, minus value tests (FD compilation rejects them), plus random
+    /// `[V]`/`[N]` equality tags. Also round-trips through
+    /// [`FdExpr::to_text`] and `parse_fd_expr`.
+    fn random_fd_expr<R: Rng>(names: &[&str], depth: usize, rng: &mut R) -> FdExpr {
+        let mut context = random_text_pattern(names, depth, rng);
+        strip_value_tests(&mut context.steps);
+        let n_conditions = rng.gen_range(0..=2);
+        let conditions = (0..n_conditions)
+            .map(|_| (random_fd_relpath(names, depth, rng), random_eq(rng)))
+            .collect();
+        FdExpr {
+            context,
+            conditions,
+            target: (random_fd_relpath(names, depth, rng), random_eq(rng)),
+        }
+    }
+
+    fn random_eq<R: Rng>(rng: &mut R) -> EqTag {
+        if rng.gen_bool(0.25) {
+            EqTag::Node
+        } else {
+            EqTag::Value
+        }
+    }
+
+    fn random_fd_relpath<R: Rng>(names: &[&str], depth: usize, rng: &mut R) -> RelPath {
+        let mut p = random_text_relpath(names, depth, rng);
+        strip_value_tests(&mut p.steps);
+        p
+    }
+
+    fn strip_value_tests(steps: &mut [Step]) {
+        for s in steps {
+            s.predicates
+                .retain(|p| !matches!(p, Predicate::ValueEq(..)));
+            for p in &mut s.predicates {
+                match p {
+                    Predicate::Exists(rp) | Predicate::AtLeast(_, rp) => {
+                        strip_value_tests(&mut rp.steps)
+                    }
+                    Predicate::ValueEq(..) => unreachable!("retained above"),
+                }
+            }
+        }
+    }
+
+    fn random_text_step<R: Rng>(names: &[&str], depth: usize, rng: &mut R) -> Step {
+        let axis = if rng.gen_bool(0.25) {
+            Axis::Descendant
+        } else {
+            Axis::Child
+        };
+        let pick = |rng: &mut R| names[rng.gen_range(0..names.len())].to_string();
+        let test = match rng.gen_range(0..8) {
+            0 => NameTest::Wildcard,
+            1 => NameTest::Attribute(pick(rng)),
+            2 => NameTest::Text,
+            _ => NameTest::Name(pick(rng)),
+        };
+        let n_preds = if depth == 0 { 0 } else { rng.gen_range(0..=2) };
+        let predicates = (0..n_preds)
+            .map(|_| random_text_predicate(names, depth - 1, rng))
+            .collect();
+        Step {
+            axis,
+            test,
+            predicates,
+        }
+    }
+
+    fn random_text_relpath<R: Rng>(names: &[&str], depth: usize, rng: &mut R) -> RelPath {
+        let n_steps = rng.gen_range(1..=2);
+        RelPath {
+            steps: (0..n_steps)
+                .map(|_| random_text_step(names, depth, rng))
+                .collect(),
+        }
+    }
+
+    fn random_text_predicate<R: Rng>(names: &[&str], depth: usize, rng: &mut R) -> Predicate {
+        let path = random_text_relpath(names, depth, rng);
+        match rng.gen_range(0..4) {
+            0 => {
+                // Escapable characters keep the printer's string escaping honest.
+                let value = match rng.gen_range(0..4) {
+                    0 => "a \"quoted\" value".to_string(),
+                    1 => "back\\slash".to_string(),
+                    _ => random_value(rng),
+                };
+                Predicate::ValueEq(path, value)
+            }
+            1 => Predicate::AtLeast(rng.gen_range(0..=3), path),
+            _ => Predicate::Exists(path),
+        }
+    }
 
     #[test]
     fn random_documents_conform_to_schema() {
@@ -345,18 +327,6 @@ mod tests {
             let p = random_pattern(&a, &labels, 3, &mut rng);
             let doc = random_document(&schema, 4, &mut rng);
             let _ = p.evaluate(&doc); // must not panic
-        }
-    }
-
-    #[test]
-    fn random_update_classes_have_leaf_selection() {
-        let a = Alphabet::with_labels(["x", "y"]);
-        let labels: Vec<Symbol> = ["x", "y"].iter().map(|l| a.intern(l)).collect();
-        let mut rng = SmallRng::seed_from_u64(5);
-        for _ in 0..10 {
-            let u = random_update_class(&a, &labels, 3, &mut rng);
-            let sel = u.pattern().selected()[0];
-            assert!(u.template().is_leaf(sel));
         }
     }
 

@@ -41,14 +41,8 @@ impl LabelGuard {
     /// leaves in well-formed documents, so a transition guarded this way can
     /// only ever fire with the empty child word.
     pub fn forces_leaf(&self, alphabet: &Alphabet) -> bool {
-        self.forces_leaf_with(&alphabet.kind_reader())
-    }
-
-    /// [`LabelGuard::forces_leaf`] against an already-held kind lock, for
-    /// loops classifying many guards.
-    pub fn forces_leaf_with(&self, kinds: &regtree_alphabet::KindReader<'_>) -> bool {
         match self {
-            LabelGuard::Is(s) => kinds.kind(*s) != LabelKind::Element,
+            LabelGuard::Is(s) => alphabet.kind(*s) != LabelKind::Element,
             // Any/AnyExcept guards can always be satisfied by an element
             // label (fresh element labels can be interned at will).
             LabelGuard::Any | LabelGuard::AnyExcept(_) => false,
@@ -143,7 +137,7 @@ impl HedgeAutomaton {
     ///
     /// Returns a vector indexed by arena id; nodes outside the live tree get
     /// an empty set.
-    pub fn run(&self, doc: &Document) -> Vec<Vec<TreeState>> {
+    pub(crate) fn run(&self, doc: &Document) -> Vec<Vec<TreeState>> {
         let mut states: Vec<Vec<TreeState>> = vec![Vec::new(); doc.arena_len()];
         // Post-order traversal.
         let order = doc.all_nodes();
@@ -196,7 +190,7 @@ impl HedgeAutomaton {
 
     /// Validates `doc`, reporting the shallowest node that could take no
     /// state (useful diagnostics for schema validation).
-    pub fn validate(&self, doc: &Document) -> Result<(), ValidationError> {
+    pub(crate) fn validate(&self, doc: &Document) -> Result<(), ValidationError> {
         let states = self.run(doc);
         // Report the *origin* of a failure: a stateless node whose children
         // all carry states (ancestors of such a node are stateless too, but
@@ -466,5 +460,35 @@ mod tests {
         let a_node = doc.children(doc.root())[0];
         assert_eq!(states[a_node.index()], vec![0, 1]);
         assert!(m.accepts(&doc));
+    }
+
+    #[test]
+    fn guard_intersection_table() {
+        let a = Alphabet::new();
+        let x = a.intern("x");
+        let y = a.intern("y");
+        assert_eq!(
+            LabelGuard::Is(x).intersect(&LabelGuard::Is(x)),
+            Some(LabelGuard::Is(x))
+        );
+        assert_eq!(LabelGuard::Is(x).intersect(&LabelGuard::Is(y)), None);
+        assert_eq!(
+            LabelGuard::Is(x).intersect(&LabelGuard::Any),
+            Some(LabelGuard::Is(x))
+        );
+        assert_eq!(
+            LabelGuard::AnyExcept(vec![x]).intersect(&LabelGuard::Is(x)),
+            None
+        );
+        assert_eq!(
+            LabelGuard::AnyExcept(vec![x]).intersect(&LabelGuard::Is(y)),
+            Some(LabelGuard::Is(y))
+        );
+        match LabelGuard::AnyExcept(vec![x]).intersect(&LabelGuard::AnyExcept(vec![y])) {
+            Some(LabelGuard::AnyExcept(n)) => {
+                assert!(n.contains(&x) && n.contains(&y));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
     }
 }

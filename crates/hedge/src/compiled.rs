@@ -19,15 +19,13 @@
 //!   guard conjunction is a word-parallel `&` instead of a clone-and-dedup
 //!   walk of symbol lists — the symbolic [`LabelGuard`] stays behind at the
 //!   construction/API boundary;
-//! * transitions are additionally grouped contiguously by target tree state
-//!   (`transitions_targeting`) and by `Is`-guard class
+//! * transitions are additionally grouped contiguously by `Is`-guard class
 //!   (`guard_class_candidates`) via counting sort, replacing per-use linear
 //!   scans and hash-keyed candidate indexes.
 //!
 //! Masks are exact (not conservative) as long as `partition` covers the
 //! automaton's guards — see the [`crate::partition`] module docs.
 
-use regtree_alphabet::Alphabet;
 use regtree_automata::{NfaLabel, StateId};
 
 use crate::automaton::{HedgeAutomaton, LabelGuard, TreeState};
@@ -50,7 +48,8 @@ pub struct Csr<T> {
 impl<T> Csr<T> {
     /// Builds a table by pushing rows in order: `fill(i, row)` appends row
     /// `i`'s items.
-    pub fn build(rows: usize, mut fill: impl FnMut(usize, &mut Vec<T>)) -> Csr<T> {
+    #[cfg(test)]
+    pub(crate) fn build(rows: usize, mut fill: impl FnMut(usize, &mut Vec<T>)) -> Csr<T> {
         let mut offsets = Vec::with_capacity(rows + 1);
         offsets.push(0);
         let mut items = Vec::new();
@@ -70,12 +69,13 @@ impl<T> Csr<T> {
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn rows(&self) -> usize {
         self.offsets.len().saturating_sub(1)
     }
 
     /// Row `i` as a contiguous slice (empty for out-of-range rows).
-    pub fn row(&self, i: usize) -> &[T] {
+    pub(crate) fn row(&self, i: usize) -> &[T] {
         match (self.offsets.get(i), self.offsets.get(i + 1)) {
             (Some(&a), Some(&b)) => &self.items[a as usize..b as usize],
             _ => &[],
@@ -104,8 +104,6 @@ pub struct CompiledAutomaton {
     targets: Vec<TreeState>,
     /// Guard masks, one `mask_words` stride per transition.
     masks: Vec<u64>,
-    root_match: Vec<bool>,
-    leaf_only: Vec<bool>,
     /// Global start state of transition `i`'s horizontal NFA.
     h_start: Vec<StateId>,
     /// Accept bitset over global horizontal states.
@@ -115,7 +113,6 @@ pub struct CompiledAutomaton {
     /// then wildcard edges with [`ANY_LETTER`] as the letter — the hot loop
     /// scans a single slice per state.
     h_step: Csr<(u32, StateId)>,
-    by_target: Csr<u32>,
     by_guard_class: Csr<u32>,
     wild: Vec<u32>,
     finals: Vec<u64>,
@@ -152,18 +149,12 @@ impl CompiledAutomaton {
     /// Compiles `automaton` against `partition` (which should cover its
     /// guards for the masks to be exact; [`GuardPartition::from_automata`]
     /// over every automaton of the analysis guarantees that).
-    pub fn compile(
-        automaton: &HedgeAutomaton,
-        partition: &GuardPartition,
-        alphabet: &Alphabet,
-    ) -> CompiledAutomaton {
+    pub fn compile(automaton: &HedgeAutomaton, partition: &GuardPartition) -> CompiledAutomaton {
         let transitions = automaton.transitions();
         let nt = transitions.len();
         let words = partition.mask_words();
         let mut masks = vec![0u64; nt * words];
         let mut targets = Vec::with_capacity(nt);
-        let mut root_match = Vec::with_capacity(nt);
-        let mut leaf_only = Vec::with_capacity(nt);
         // One pass flattens every horizontal NFA into the shared arenas.
         let total_h: usize = transitions.iter().map(|t| t.horizontal.num_states()).sum();
         let mut h_start = Vec::with_capacity(nt);
@@ -174,13 +165,10 @@ impl CompiledAutomaton {
         step_off.push(0u32);
         let mut eps_items = Vec::new();
         let mut step_items: Vec<(u32, StateId)> = Vec::new();
-        let kinds = alphabet.kind_reader();
         let mut base: u32 = 0;
         for (i, t) in transitions.iter().enumerate() {
             partition.mask_into(&t.guard, &mut masks[i * words..(i + 1) * words]);
             targets.push(t.target);
-            root_match.push(t.guard.matches(Alphabet::ROOT));
-            leaf_only.push(t.guard.forces_leaf_with(&kinds));
             let h = &t.horizontal;
             h_start.push(base + h.start());
             let n = h.num_states();
@@ -209,12 +197,7 @@ impl CompiledAutomaton {
             }
             base += n as u32;
         }
-        drop(kinds);
         let num_states = automaton.num_states();
-        let by_target = bucket_by(
-            num_states,
-            transitions.iter().map(|t| Some(t.target as usize)),
-        );
         // `Is`-guard transitions bucket by their symbol's class; `Any` and
         // `AnyExcept` guards are candidates for every class.
         let by_guard_class = bucket_by(
@@ -239,13 +222,10 @@ impl CompiledAutomaton {
             mask_words: words,
             targets,
             masks,
-            root_match,
-            leaf_only,
             h_start,
             h_accept,
             h_eps: Csr::from_parts(eps_off, eps_items),
             h_step: Csr::from_parts(step_off, step_items),
-            by_target,
             by_guard_class,
             wild,
             finals,
@@ -277,16 +257,6 @@ impl CompiledAutomaton {
         &self.masks[i * self.mask_words..(i + 1) * self.mask_words]
     }
 
-    /// Does transition `i`'s guard match the reserved root label?
-    pub fn guard_matches_root(&self, i: usize) -> bool {
-        self.root_match[i]
-    }
-
-    /// Does transition `i`'s guard force a leaf node?
-    pub fn forces_leaf(&self, i: usize) -> bool {
-        self.leaf_only[i]
-    }
-
     /// Global start state of transition `i`'s horizontal NFA.
     pub fn horizontal_start(&self, i: usize) -> StateId {
         self.h_start[i]
@@ -313,11 +283,6 @@ impl CompiledAutomaton {
         self.h_step.row(s as usize)
     }
 
-    /// Transition indices targeting state `q`, contiguous.
-    pub fn transitions_targeting(&self, q: TreeState) -> &[u32] {
-        self.by_target.row(q as usize)
-    }
-
     /// Is `q` a final (root-accepting) state?
     pub fn is_final(&self, q: TreeState) -> bool {
         let i = q as usize;
@@ -342,6 +307,7 @@ impl CompiledAutomaton {
 mod tests {
     use super::*;
     use crate::automaton::{horizontal_epsilon, horizontal_star, HedgeTransition};
+    use regtree_alphabet::Alphabet;
     use regtree_automata::NfaBuilder;
 
     fn sample(alpha: &Alphabet) -> HedgeAutomaton {
@@ -397,7 +363,7 @@ mod tests {
         let alpha = Alphabet::new();
         let m = sample(&alpha);
         let part = GuardPartition::from_automata([&m]);
-        let c = CompiledAutomaton::compile(&m, &part, &alpha);
+        let c = CompiledAutomaton::compile(&m, &part);
         // Transition 0: 1 ε-state NFA; transition 1: 1-state star over
         // letter 0; transition 2: the hand-built 2-state NFA.
         let b2 = c.horizontal_start(2);
@@ -417,19 +383,15 @@ mod tests {
         let alpha = Alphabet::new();
         let m = sample(&alpha);
         let part = GuardPartition::from_automata([&m]);
-        let c = CompiledAutomaton::compile(&m, &part, &alpha);
+        let c = CompiledAutomaton::compile(&m, &part);
         assert_eq!(c.num_states(), 3);
         assert_eq!(c.num_transitions(), 3);
         for (i, t) in m.transitions().iter().enumerate() {
             assert_eq!(c.target(i), t.target);
-            assert_eq!(c.guard_matches_root(i), t.guard.matches(Alphabet::ROOT));
-            assert_eq!(c.forces_leaf(i), t.guard.forces_leaf(&alpha));
             assert_eq!(c.mask(i), part.mask(&t.guard).words());
         }
         assert!(c.is_final(2));
         assert!(!c.is_final(0));
-        assert_eq!(c.transitions_targeting(1), &[1]);
-        assert_eq!(c.transitions_targeting(2), &[2]);
         let a = alpha.intern("a");
         assert_eq!(c.guard_class_candidates(part.class_of(a)), &[0]);
         assert_eq!(c.wildcard_transitions(), &[1]);

@@ -3,15 +3,15 @@
 //! The paper's Proposition 3 works entirely with “regular Bottom-Up tree
 //! automata”: the schema `S` is one (`A_S`), patterns compile to them, and
 //! the independence criterion is an emptiness test on their product. This
-//! crate provides that substrate:
+//! crate provides the automata; `regtree-core` explores their product and
+//! decides its emptiness on the fly:
 //!
 //! * [`HedgeAutomaton`] — nondeterministic bottom-up automata over unranked
 //!   trees, with regular horizontal languages ([`regtree_automata::Nfa`]s
 //!   whose letters are tree states);
-//! * [`product`] — intersection (the `A_S × B` product of Proposition 3);
-//! * [`emptiness`] — the polynomial realizability fixpoint, extended with
-//!   **witness-document extraction** so a nonempty IC language yields a
-//!   concrete document;
+//! * [`compiled`] — the arena/CSR form the lazy product engine runs on;
+//! * [`partition`] — guard minterm classes, so guard conjunctions are
+//!   word-parallel mask intersections;
 //! * [`Schema`] — a DTD-like rule language compiled to automata.
 
 #![deny(unsafe_code)]
@@ -19,9 +19,7 @@
 
 pub mod automaton;
 pub mod compiled;
-pub mod emptiness;
 pub mod partition;
-pub mod product;
 pub mod schema;
 
 pub use automaton::{
@@ -29,12 +27,7 @@ pub use automaton::{
     HedgeAutomaton, HedgeTransition, LabelGuard, TreeState, ValidationError,
 };
 pub use compiled::{CompiledAutomaton, Csr, ANY_LETTER};
-pub use emptiness::{
-    is_empty_language, realizability, realizability_governed, witness_document,
-    witness_document_governed, witness_label, witness_spec,
-};
 pub use partition::{iter_classes, GuardMask, GuardPartition};
-pub use product::intersect;
 pub use schema::{Schema, SchemaError};
 
 #[cfg(test)]
@@ -123,37 +116,6 @@ mod proptests {
         fn compiled_schema_agrees_with_reference(schema in arb_schema(), doc in arb_doc()) {
             let m = schema.compile();
             prop_assert_eq!(m.accepts(&doc), schema_accepts_ref(&schema, &doc));
-        }
-
-        /// Product automaton = language intersection on random docs.
-        #[test]
-        fn product_is_intersection(s1 in arb_schema(), s2 in arb_schema(), doc in arb_doc()) {
-            let m1 = s1.compile();
-            let m2 = s2.compile();
-            let prod = intersect(&m1, &m2);
-            prop_assert_eq!(prod.accepts(&doc), m1.accepts(&doc) && m2.accepts(&doc));
-        }
-
-        /// Emptiness witnesses are genuine members; emptiness of the product
-        /// is sound on sampled documents.
-        #[test]
-        fn emptiness_witnesses(s1 in arb_schema(), s2 in arb_schema(), doc in arb_doc()) {
-            let a = alpha();
-            let prod = intersect(&s1.compile(), &s2.compile());
-            match witness_document(&prod, &a) {
-                Some(w) => prop_assert!(prod.accepts(&w), "witness rejected"),
-                None => prop_assert!(!prod.accepts(&doc), "empty language accepted a doc"),
-            }
-        }
-
-        /// A schema's own witness validates against the schema.
-        #[test]
-        fn schema_witness_validates(schema in arb_schema()) {
-            let a = alpha();
-            let m = schema.compile();
-            if let Some(w) = witness_document(&m, &a) {
-                prop_assert!(schema.validate(&w).is_ok());
-            }
         }
     }
 }

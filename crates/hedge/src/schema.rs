@@ -81,28 +81,6 @@ fn err(message: impl Into<String>) -> SchemaError {
 }
 
 impl Schema {
-    /// Creates an empty schema accepting a root with content model `root`.
-    pub fn new(alphabet: Alphabet, root: Regex) -> Schema {
-        Schema {
-            alphabet,
-            root,
-            rules: Vec::new(),
-            compiled: Mutex::new(None),
-        }
-    }
-
-    /// Adds (or replaces) the content model of an element label.
-    pub fn set_rule(&mut self, label: Symbol, content: Regex) -> &mut Self {
-        debug_assert_eq!(self.alphabet.kind(label), LabelKind::Element);
-        if let Some(r) = self.rules.iter_mut().find(|(l, _)| *l == label) {
-            r.1 = content;
-        } else {
-            self.rules.push((label, content));
-        }
-        *self.compiled.get_mut().unwrap_or_else(|e| e.into_inner()) = None;
-        self
-    }
-
     fn lock_compiled(&self) -> MutexGuard<'_, Option<(usize, Arc<HedgeAutomaton>)>> {
         self.compiled.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -218,8 +196,8 @@ impl Schema {
     /// The compiled automaton, built on first use and shared from then on:
     /// repeated analyses or validations against one schema reuse a single
     /// automaton instead of recompiling per call. The cache is invalidated
-    /// by [`Schema::set_rule`] and by alphabet growth (newly interned
-    /// attribute/text labels gain implicit leaf transitions on recompile).
+    /// by alphabet growth (newly interned attribute/text labels gain
+    /// implicit leaf transitions on recompile).
     pub fn compiled(&self) -> Arc<HedgeAutomaton> {
         let len = self.alphabet.len();
         let mut slot = self.lock_compiled();
@@ -347,21 +325,6 @@ firstJob-Year: #text\n";
         assert!(Schema::parse(&a, "root: x\n@attr: y\n").is_err());
         assert!(Schema::parse(&a, "root: x\nx: a\nx: b\n").is_err());
         assert!(Schema::parse(&a, "just a line\n").is_err());
-    }
-
-    #[test]
-    fn programmatic_construction() {
-        let a = Alphabet::new();
-        let item = a.intern("item");
-        let mut schema = Schema::new(a.clone(), Regex::Atom(item).star());
-        schema.set_rule(item, Regex::Epsilon);
-        let doc = parse_document(&a, "<item/><item/><item/>").unwrap();
-        schema.validate(&doc).unwrap();
-        // Replace the rule: items must now contain one text node.
-        schema.set_rule(item, Regex::Atom(Alphabet::TEXT));
-        assert!(schema.validate(&doc).is_err());
-        let doc2 = parse_document(&a, "<item>hi</item>").unwrap();
-        schema.validate(&doc2).unwrap();
     }
 
     /// A content model at the nesting limit parses and compiles on a 2 MiB

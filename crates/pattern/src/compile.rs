@@ -30,7 +30,7 @@ use crate::template::{Template, TemplateNodeId};
 
 /// Role of a compiled automaton state.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StateRole {
+pub(crate) enum StateRole {
     /// Off-trace, outside any marked subtree.
     Bot,
     /// Strictly inside the subtree rooted at a marked node's image.
@@ -59,7 +59,8 @@ pub struct PatternAutomaton {
 
 impl PatternAutomaton {
     /// Role of a state.
-    pub fn role(&self, q: TreeState) -> StateRole {
+    #[cfg(test)]
+    pub(crate) fn role(&self, q: TreeState) -> StateRole {
         self.roles[q as usize]
     }
 
@@ -94,11 +95,6 @@ pub fn compile_pattern(pattern: &RegularTreePattern, mark_selected: bool) -> Pat
         Vec::new()
     };
     compile_template(template, &marked)
-}
-
-/// Compiles a bare template (no marking): accepts documents with a trace.
-pub fn compile_template_plain(template: &Template) -> PatternAutomaton {
-    compile_template(template, &[])
 }
 
 fn region_marked(template: &Template, marked: &[TemplateNodeId], w: TemplateNodeId) -> bool {

@@ -46,7 +46,8 @@ impl Mapping {
     }
 
     /// All images, indexed by template node.
-    pub fn images(&self) -> &[NodeId] {
+    #[cfg(test)]
+    pub(crate) fn images(&self) -> &[NodeId] {
         &self.images
     }
 

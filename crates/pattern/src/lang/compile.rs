@@ -158,7 +158,7 @@ impl Pattern {
 /// The string value of a node: its own value for attributes and text
 /// nodes, the document-order concatenation of descendant text values for
 /// elements (XPath's element string-value).
-pub fn string_value(doc: &Document, n: NodeId) -> String {
+pub(crate) fn string_value(doc: &Document, n: NodeId) -> String {
     if let Some(v) = doc.value(n) {
         return v.to_string();
     }

@@ -48,7 +48,7 @@ mod lex;
 mod parse;
 
 pub use ast::{Axis, EqTag, FdExpr, NameTest, Pattern, Predicate, RelPath, Step};
-pub use compile::{append_relpath, string_value, CompileError, CompiledPattern};
+pub use compile::{append_relpath, CompileError, CompiledPattern};
 pub use parse::{parse_fd_expr, parse_pattern};
 
 /// Error raised while lexing or parsing pattern-language text.

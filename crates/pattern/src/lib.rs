@@ -27,7 +27,7 @@ pub mod pattern;
 pub mod template;
 
 pub use batch::{evaluate_many, parallel_map};
-pub use compile::{compile_pattern, compile_template_plain, PatternAutomaton, StateRole};
+pub use compile::{compile_pattern, PatternAutomaton};
 pub use eval::{
     enumerate_mappings, enumerate_mappings_nfa, project_mappings_anchored_governed,
     project_mappings_governed, Mapping,

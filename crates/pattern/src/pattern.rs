@@ -69,11 +69,6 @@ impl RegularTreePattern {
         &self.selected
     }
 
-    /// Arity `n` of the pattern.
-    pub fn arity(&self) -> usize {
-        self.selected.len()
-    }
-
     /// The size `|R|` (Definition 1).
     pub fn size(&self) -> usize {
         self.template.size()
@@ -104,7 +99,6 @@ mod tests {
         assert!(RegularTreePattern::new(t.clone(), vec![]).is_err());
         assert!(RegularTreePattern::new(t.clone(), vec![TemplateNodeId(99)]).is_err());
         let p = RegularTreePattern::monadic(t, c).unwrap();
-        assert_eq!(p.arity(), 1);
         assert_eq!(p.selected(), &[c]);
     }
 

@@ -165,13 +165,13 @@ impl Template {
     }
 
     /// Incoming edge automaton `A_e` (`None` for the root).
-    pub fn edge_nfa(&self, n: TemplateNodeId) -> Option<&Nfa> {
+    pub(crate) fn edge_nfa(&self, n: TemplateNodeId) -> Option<&Nfa> {
         self.nodes[n.index()].nfa.as_ref()
     }
 
     /// Cached determinization of the incoming edge automaton (`None` for the
     /// root, or when subset construction exceeded its state cap).
-    pub fn edge_dfa(&self, n: TemplateNodeId) -> Option<&EdgeDfa> {
+    pub(crate) fn edge_dfa(&self, n: TemplateNodeId) -> Option<&EdgeDfa> {
         self.nodes[n.index()].dfa.as_ref()
     }
 
@@ -206,7 +206,7 @@ impl Template {
     }
 
     /// All non-root nodes (i.e. all edges, identified by their head).
-    pub fn edges(&self) -> Vec<TemplateNodeId> {
+    pub(crate) fn edges(&self) -> Vec<TemplateNodeId> {
         self.preorder()
             .into_iter()
             .filter(|&n| n != self.root())
@@ -214,7 +214,7 @@ impl Template {
     }
 
     /// The size `|R| = |Σ| + Σ_e |A_e|` of Definition 1.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.alphabet.len()
             + self
                 .nodes
@@ -222,16 +222,6 @@ impl Template {
                 .filter_map(|n| n.nfa.as_ref())
                 .map(Nfa::num_states)
                 .sum::<usize>()
-    }
-
-    /// Maximum number of children of any template node (the arity `a_R`
-    /// appearing in the Proposition 3 bounds).
-    pub fn max_arity(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| n.children.len())
-            .max()
-            .unwrap_or(0)
     }
 
     /// Renders an ASCII sketch of the template tree (for docs and debugging).
@@ -314,7 +304,6 @@ mod tests {
     fn size_metric() {
         let (a, t, _) = template();
         assert!(t.size() > a.len());
-        assert_eq!(t.max_arity(), 2);
     }
 
     #[test]

@@ -35,8 +35,8 @@
 pub mod trace;
 
 pub use trace::{
-    ChromeTraceSink, EventKind, NullTracer, SpanGuard, SpanId, SpanKind, SpanStats, SummarySink,
-    TraceFormat, TraceHandle, TraceSummary, Tracer,
+    ChromeTraceSink, EventKind, SpanGuard, SpanId, SpanKind, SpanStats, SummarySink, TraceFormat,
+    TraceHandle, TraceSummary, Tracer,
 };
 
 use std::fmt;
@@ -141,11 +141,6 @@ impl RunLimits {
     pub fn with_max_frontier(mut self, n: u64) -> Self {
         self.max_frontier = Some(n);
         self
-    }
-
-    /// Are all limits absent?
-    pub fn is_unlimited(&self) -> bool {
-        *self == RunLimits::UNLIMITED
     }
 }
 
@@ -615,8 +610,5 @@ mod tests {
         assert_eq!(l.max_states, Some(7));
         assert_eq!(l.max_frontier, Some(9));
         assert_eq!(l.max_memo, Some(11));
-        assert!(!l.is_unlimited());
-        assert!(RunLimits::UNLIMITED.is_unlimited());
-        assert!(RunLimits::default().is_unlimited());
     }
 }

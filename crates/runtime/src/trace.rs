@@ -5,17 +5,17 @@
 //! through a [`TraceHandle`]:
 //!
 //! * **spans** ([`SpanKind`]) — bracketed phases with wall-clock extent:
-//!   pattern/schema compilation, the lazy IC product search, a hedge
-//!   emptiness fixpoint, one FD document check, one matrix cell;
+//!   pattern/schema compilation, the lazy IC product search, its emptiness
+//!   fixpoint, one FD document check, one matrix cell;
 //! * **events** ([`EventKind`]) — instantaneous occurrences at the existing
 //!   amortized budget sites: a state interned, a frontier push, a memo hit
 //!   or miss, a guard-minterm intersection, a deadline/cancellation poll,
 //!   a budget exhaustion.
 //!
-//! A [`Tracer`] is any sink for those records. Three are shipped:
+//! A [`Tracer`] is any sink for those records. Tracing is off by default:
+//! a disabled [`TraceHandle`] short-circuits on a null check before any
+//! dispatch. Two sinks are shipped:
 //!
-//! * [`NullTracer`] — the default; never invoked, because a disabled
-//!   [`TraceHandle`] short-circuits on a null check before any dispatch;
 //! * [`ChromeTraceSink`] — records everything and serializes to the
 //!   Chrome-trace JSON consumed by `chrome://tracing` and Perfetto (or to
 //!   a line-per-record JSONL variant);
@@ -80,7 +80,9 @@ pub enum SpanKind {
     Compile,
     /// One lazy independence-criterion product search.
     IcSearch,
-    /// One hedge-automaton emptiness fixpoint (realizability / witness).
+    /// One emptiness fixpoint: the lazy product's, nested in an
+    /// [`SpanKind::IcSearch`] span (the reference engines of
+    /// `regtree-oracle` emit it too).
     EmptinessFixpoint,
     /// One FD checked against one document.
     FdCheck,
@@ -295,27 +297,6 @@ pub trait Tracer: Send + Sync {
 
     /// An instantaneous event of kind `kind` occurred.
     fn event(&self, kind: EventKind);
-}
-
-/// The do-nothing sink: attaching it is behaviorally identical to not
-/// tracing at all (verified by the `ic_lazy_parity` proptest).
-///
-/// # Examples
-///
-/// ```
-/// use regtree_runtime::{NullTracer, SpanKind, TraceHandle};
-/// use std::sync::Arc;
-///
-/// let trace = TraceHandle::new(Arc::new(NullTracer));
-/// let _span = trace.span(SpanKind::FdCheck, "fd1");
-/// ```
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullTracer;
-
-impl Tracer for NullTracer {
-    fn span_begin(&self, _id: SpanId, _kind: SpanKind, _label: &str) {}
-    fn span_end(&self, _id: SpanId, _kind: SpanKind) {}
-    fn event(&self, _kind: EventKind) {}
 }
 
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
@@ -555,7 +536,7 @@ impl ChromeTraceSink {
     }
 
     /// Writes the capture as one Chrome-trace JSON document.
-    pub fn write_chrome_json(&self, w: &mut impl Write) -> io::Result<()> {
+    pub(crate) fn write_chrome_json(&self, w: &mut impl Write) -> io::Result<()> {
         let inner = self.inner.lock().unwrap();
         write!(w, "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")?;
         for (i, r) in inner.records.iter().enumerate() {
@@ -569,7 +550,7 @@ impl ChromeTraceSink {
     }
 
     /// Writes the capture as JSONL: one record object per line.
-    pub fn write_jsonl(&self, w: &mut impl Write) -> io::Result<()> {
+    pub(crate) fn write_jsonl(&self, w: &mut impl Write) -> io::Result<()> {
         let inner = self.inner.lock().unwrap();
         for r in inner.records.iter() {
             Self::write_record(w, r)?;
@@ -682,11 +663,6 @@ impl TraceSummary {
     /// How many events of `kind` were emitted.
     pub fn event_count(&self, kind: EventKind) -> u64 {
         self.events[kind.index()]
-    }
-
-    /// Sum of all span counts (handy for "did anything run" checks).
-    pub fn total_span_count(&self) -> u64 {
-        self.spans.iter().map(|s| s.count).sum()
     }
 }
 
@@ -867,7 +843,6 @@ mod tests {
         assert_eq!(s.span(SpanKind::Compile).count, 0);
         assert_eq!(s.event_count(EventKind::MemoHit), 3);
         assert_eq!(s.event_count(EventKind::MemoMiss), 3);
-        assert_eq!(s.total_span_count(), 3);
         let rendered = s.to_string();
         assert!(rendered.contains("fd_check"));
         assert!(rendered.contains("memo_hit"));

@@ -67,7 +67,7 @@ pub struct RpcError {
 
 impl RpcError {
     /// An error with no `data`.
-    pub fn new(code: i64, message: impl Into<String>) -> RpcError {
+    pub(crate) fn new(code: i64, message: impl Into<String>) -> RpcError {
         RpcError {
             code,
             message: message.into(),
@@ -76,7 +76,7 @@ impl RpcError {
     }
 
     /// An error carrying a structured `data` payload.
-    pub fn with_data(code: i64, message: impl Into<String>, data: Json) -> RpcError {
+    pub(crate) fn with_data(code: i64, message: impl Into<String>, data: Json) -> RpcError {
         RpcError {
             code,
             message: message.into(),
@@ -85,7 +85,7 @@ impl RpcError {
     }
 
     /// The `{code, message, data?}` error object.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut members = vec![
             ("code".to_string(), Json::Num(self.code.to_string())),
             ("message".to_string(), Json::str(self.message.clone())),

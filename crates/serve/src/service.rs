@@ -88,7 +88,7 @@ struct DocEntry {
 
 /// One client analysis context: an [`Analyzer`] with its caches, the
 /// documents loaded so far, and the session's default budget.
-pub struct Session {
+pub(crate) struct Session {
     /// Session id (unique per server lifetime).
     pub id: u64,
     alphabet: Alphabet,
@@ -953,7 +953,7 @@ mod tests {
             Some("violated")
         );
 
-        // fd/check and document/validate read the mutated document.
+        // fd/check reads the mutated document.
         let resp = service
             .dispatch(
                 "fd/check",
@@ -971,6 +971,62 @@ mod tests {
             Some("violated"),
             "full check agrees with the incremental verdict"
         );
+    }
+
+    #[test]
+    fn document_validate_answers_validity_and_errors() {
+        let service = Service::new(ServerConfig::default());
+        let cancel = CancelToken::new();
+        let open = |params: Json| {
+            let resp = service
+                .dispatch("session/open", &params, &cancel)
+                .expect("session opens");
+            resp.get("sessionId").and_then(Json::as_u64).expect("id")
+        };
+        let load = |sid: u64, name: &str, xml: &str| {
+            service
+                .dispatch(
+                    "document/load",
+                    &obj(vec![
+                        ("sessionId", Json::u64(sid)),
+                        ("name", Json::str(name)),
+                        ("xml", Json::str(xml)),
+                    ]),
+                    &cancel,
+                )
+                .expect("document loads");
+        };
+        let validate = |sid: u64, name: &str| {
+            service.dispatch(
+                "document/validate",
+                &obj(vec![
+                    ("sessionId", Json::u64(sid)),
+                    ("name", Json::str(name)),
+                ]),
+                &cancel,
+            )
+        };
+
+        let sid = open(obj(vec![(
+            "schema",
+            Json::str("root: a\na: b*\nb: EMPTY\n"),
+        )]));
+        load(sid, "good", "<a><b/></a>");
+        load(sid, "bad", "<a><c/></a>");
+        let good = validate(sid, "good").expect("a valid document answers");
+        assert_eq!(good.get("valid").and_then(Json::as_bool), Some(true));
+        assert_eq!(good.get("reason"), Some(&Json::Null));
+        let bad = validate(sid, "bad").expect("an invalid document answers");
+        assert_eq!(bad.get("valid").and_then(Json::as_bool), Some(false));
+        let reason = bad.get("reason").and_then(Json::as_str).expect("reason");
+        assert!(!reason.is_empty());
+        let unknown = validate(sid, "ghost").expect_err("no such document");
+        assert_eq!(unknown.code, -32005);
+
+        let bare = open(Json::Obj(vec![]));
+        load(bare, "good", "<a><b/></a>");
+        let no_schema = validate(bare, "good").expect_err("no schema to validate against");
+        assert_eq!(no_schema.code, -32003);
     }
 
     #[test]

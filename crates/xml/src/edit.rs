@@ -124,7 +124,8 @@ pub fn insert_child(
 }
 
 /// Appends `spec` as the last child of `parent`.
-pub fn append_child(
+#[cfg(test)]
+pub(crate) fn append_child(
     doc: &mut Document,
     parent: NodeId,
     spec: &TreeSpec,

@@ -71,19 +71,13 @@ impl LabelIndex {
 
     /// Bloom mask of all labels occurring in the subtree rooted at `n`
     /// (including `n` itself).
-    pub fn subtree_mask(&self, n: NodeId) -> u64 {
+    pub(crate) fn subtree_mask(&self, n: NodeId) -> u64 {
         self.subtree[n.index()]
     }
 
-    /// May the subtree of `n` contain a node labeled `sym`?
-    ///
-    /// `false` is definitive; `true` may be a Bloom collision.
-    pub fn subtree_may_contain(&self, n: NodeId, sym: Symbol) -> bool {
-        self.subtree[n.index()] & label_mask(sym) != 0
-    }
-
     /// May the subtree of `n` contain any label from `mask`
-    /// (a union of [`label_mask`] bits)?
+    /// (a union of [`label_mask`] bits)? `false` is definitive; `true` may
+    /// be a Bloom collision.
     pub fn subtree_may_intersect(&self, n: NodeId, mask: u64) -> bool {
         self.subtree[n.index()] & mask != 0
     }
@@ -177,12 +171,12 @@ mod tests {
         let val = a.intern("val");
         let recs = idx.nodes_with_label(a.intern("rec"));
         // key occurs under rec #1 only; val under rec #2 only.
-        assert!(idx.subtree_may_contain(recs[0], key));
-        assert!(idx.subtree_may_contain(recs[1], val));
-        assert!(idx.subtree_may_contain(d.root(), key));
+        assert!(idx.subtree_may_intersect(recs[0], label_mask(key)));
+        assert!(idx.subtree_may_intersect(recs[1], label_mask(val)));
+        assert!(idx.subtree_may_intersect(d.root(), label_mask(key)));
         // Definitive negatives hold when the bits differ.
         if label_mask(val) != label_mask(key) {
-            assert!(!idx.subtree_may_contain(recs[0], val));
+            assert!(!idx.subtree_may_intersect(recs[0], label_mask(val)));
         }
         let both = label_mask(key) | label_mask(val);
         assert!(idx.subtree_may_intersect(d.root(), both));
@@ -192,8 +186,8 @@ mod tests {
     fn masks_track_text_and_attributes() {
         let (a, d) = doc();
         let idx = LabelIndex::build(&d);
-        assert!(idx.subtree_may_contain(d.root(), Alphabet::TEXT));
-        assert!(idx.subtree_may_contain(d.root(), a.intern("@id")));
+        assert!(idx.subtree_may_intersect(d.root(), label_mask(Alphabet::TEXT)));
+        assert!(idx.subtree_may_intersect(d.root(), label_mask(a.intern("@id"))));
         assert_eq!(idx.count(Alphabet::TEXT), 1);
     }
 }

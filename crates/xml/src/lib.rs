@@ -33,7 +33,7 @@ pub use edit::{delete_subtree, insert_child, replace_subtree, set_value, EditErr
 pub use index::{label_mask, LabelIndex};
 pub use model::{DocStats, Document, NodeId};
 pub use parse::{parse_document, XmlError};
-pub use serialize::{subtree_to_xml, to_xml, to_xml_with, SerializeOptions};
+pub use serialize::{to_xml, to_xml_with, SerializeOptions};
 pub use spec::{document_from_specs, TreeSpec};
 pub use value_eq::{value_eq, value_eq_in, value_hash, ValueKey};
 pub use versioned::{Delta, VersionedDocument};

@@ -8,8 +8,7 @@
 //!
 //! Nodes live in an arena ([`Document`]) and are addressed by stable
 //! [`NodeId`]s. Edits (crate module [`crate::edit`]) detach/attach subtrees
-//! in place; detached nodes stay in the arena as tombstones until
-//! [`Document::compact`].
+//! in place; detached nodes stay in the arena as tombstones.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -166,7 +165,7 @@ impl Document {
     }
 
     /// Creates and appends a fresh element child.
-    pub fn add_element(&mut self, parent: NodeId, label: Symbol) -> NodeId {
+    pub(crate) fn add_element(&mut self, parent: NodeId, label: Symbol) -> NodeId {
         debug_assert_eq!(self.alphabet.kind(label), LabelKind::Element);
         let id = self.push_node(label, Some(parent), None);
         self.nodes[id.index()].pos = self.nodes[parent.index()].children.len() as u32;
@@ -175,7 +174,7 @@ impl Document {
     }
 
     /// Creates and appends a fresh attribute child.
-    pub fn add_attribute(&mut self, parent: NodeId, label: Symbol, value: &str) -> NodeId {
+    pub(crate) fn add_attribute(&mut self, parent: NodeId, label: Symbol, value: &str) -> NodeId {
         debug_assert_eq!(self.alphabet.kind(label), LabelKind::Attribute);
         let id = self.push_node(label, Some(parent), Some(Arc::from(value)));
         self.nodes[id.index()].pos = self.nodes[parent.index()].children.len() as u32;
@@ -184,7 +183,7 @@ impl Document {
     }
 
     /// Creates and appends a fresh text child.
-    pub fn add_text(&mut self, parent: NodeId, value: &str) -> NodeId {
+    pub(crate) fn add_text(&mut self, parent: NodeId, value: &str) -> NodeId {
         let id = self.push_node(Alphabet::TEXT, Some(parent), Some(Arc::from(value)));
         self.nodes[id.index()].pos = self.nodes[parent.index()].children.len() as u32;
         self.nodes[parent.index()].children.push(id);
@@ -234,7 +233,7 @@ impl Document {
     }
 
     /// Is `a` an ancestor of `b` (strict)?
-    pub fn is_ancestor(&self, a: NodeId, b: NodeId) -> bool {
+    pub(crate) fn is_ancestor(&self, a: NodeId, b: NodeId) -> bool {
         let mut cur = self.parent(b);
         while let Some(p) = cur {
             if p == a {
@@ -264,7 +263,7 @@ impl Document {
     }
 
     /// Depth of `n` (root = 0).
-    pub fn depth(&self, n: NodeId) -> usize {
+    pub(crate) fn depth(&self, n: NodeId) -> usize {
         let mut d = 0;
         let mut cur = n;
         while let Some(p) = self.parent(cur) {
@@ -352,7 +351,8 @@ impl Document {
     ///
     /// Returns the remapping table `old id -> new id` (dead nodes map to
     /// `None`).
-    pub fn compact(&mut self) -> Vec<Option<NodeId>> {
+    #[cfg(test)]
+    pub(crate) fn compact(&mut self) -> Vec<Option<NodeId>> {
         // Which nodes are reachable from the root?
         let mut reach = vec![false; self.nodes.len()];
         for n in self.all_nodes() {

@@ -35,7 +35,8 @@ pub fn to_xml_with(doc: &Document, options: SerializeOptions) -> String {
 }
 
 /// Serializes the subtree rooted at `n`.
-pub fn subtree_to_xml(doc: &Document, n: NodeId) -> String {
+#[cfg(test)]
+pub(crate) fn subtree_to_xml(doc: &Document, n: NodeId) -> String {
     let mut out = String::new();
     write_node(doc, n, &mut out, SerializeOptions::default(), 0);
     out

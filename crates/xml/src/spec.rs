@@ -62,13 +62,9 @@ impl TreeSpec {
     }
 
     /// Number of nodes in the spec.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         1 + self.children.iter().map(TreeSpec::len).sum::<usize>()
-    }
-
-    /// Always false: a spec has at least its own node.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// Extracts the subtree rooted at `n` from a document (deep copy).

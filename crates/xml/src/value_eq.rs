@@ -115,14 +115,14 @@ pub fn value_hash(doc: &Document, n: NodeId) -> u64 {
 /// Small, fast, deterministic FNV-1a hasher (stable across runs, unlike the
 /// std `DefaultHasher` whose seeding is unspecified between processes).
 #[derive(Clone, Copy, Debug)]
-pub struct Fnv1a(u64);
+pub(crate) struct Fnv1a(u64);
 
 impl Fnv1a {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
 
     /// New hasher at the FNV offset basis.
-    pub fn new() -> Fnv1a {
+    pub(crate) fn new() -> Fnv1a {
         Fnv1a(Self::OFFSET)
     }
 }
@@ -154,16 +154,6 @@ pub struct ValueKey {
     pub hash: u64,
     /// The keyed node.
     pub node: NodeId,
-}
-
-impl ValueKey {
-    /// Computes the key of `n` in `doc`.
-    pub fn of(doc: &Document, n: NodeId) -> ValueKey {
-        ValueKey {
-            hash: value_hash(doc, n),
-            node: n,
-        }
-    }
 }
 
 #[cfg(test)]

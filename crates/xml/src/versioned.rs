@@ -196,7 +196,12 @@ impl VersionedDocument {
     }
 
     /// [`edit::append_child`] as a delta.
-    pub fn append_child(&mut self, parent: NodeId, spec: &TreeSpec) -> Result<NodeId, EditError> {
+    #[cfg(test)]
+    pub(crate) fn append_child(
+        &mut self,
+        parent: NodeId,
+        spec: &TreeSpec,
+    ) -> Result<NodeId, EditError> {
         let len = self.doc.children(parent).len();
         self.insert_child(parent, len, spec)
     }

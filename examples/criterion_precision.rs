@@ -19,7 +19,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use regtree::prelude::*;
-use regtree_core::{classify_pair, PairClassification};
+use regtree_oracle::{classify_pair, PairClassification};
 
 const LABELS: [&str; 3] = ["a", "b", "c"];
 

@@ -19,10 +19,15 @@
 //! | [`alphabet`] | interned label alphabets |
 //! | [`automata`] | word regexes, NFAs/DFAs, inclusion, sampling |
 //! | [`xml`] | the document model, XML parser/serializer, value equality, edits |
-//! | [`hedge`] | bottom-up unranked tree automata, schemas, products, emptiness |
+//! | [`hedge`] | bottom-up unranked tree automata, schemas, the compiled form the lazy IC engine runs on |
 //! | [`pattern`] | regular tree patterns: evaluation & automaton compilation |
 //! | [`core`] | FDs, update classes, the independence criterion, the PSPACE reduction |
 //! | [`gen`] | the paper's running example and random workload generators |
+//!
+//! The reference engines the parity tests compare against (eager IC
+//! product, hedge intersection and emptiness, impact search) live in the
+//! test-only `regtree-oracle` crate, a dev-dependency of this package; they
+//! are not part of this API.
 //!
 //! ## Quickstart
 //!
@@ -63,9 +68,9 @@ pub mod prelude {
         revalidate_full, revalidate_full_many, satisfies, Analyzer, AnalyzerBuilder, Budget,
         CancelToken, CellProvenance, ChromeTraceSink, DroppedFd, EqualityType, Error, EventKind,
         Fd, FdBatchReport, FdOutcome, FdSet, Implication, IncrementalChecker, IndependenceMatrix,
-        Minimization, NullTracer, RecheckReport, RecheckScope, Resource, RunLimits, RunMetrics,
-        SpanId, SpanKind, SummarySink, TraceFormat, TraceHandle, TraceSummary, Tracer, Update,
-        UpdateClass, UpdateOp, Verdict,
+        Minimization, RecheckReport, RecheckScope, Resource, RunLimits, RunMetrics, SpanId,
+        SpanKind, SummarySink, TraceFormat, TraceHandle, TraceSummary, Tracer, Update, UpdateClass,
+        UpdateOp, Verdict,
     };
     pub use regtree_hedge::{HedgeAutomaton, Schema};
     pub use regtree_pattern::{

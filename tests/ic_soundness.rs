@@ -11,7 +11,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use regtree::prelude::*;
-use regtree_core::{build_ic_automaton, in_language_naive};
+use regtree_oracle::{build_ic_automaton, in_language_naive, witness_document};
 
 const LABELS: [&str; 3] = ["a", "b", "c"];
 
@@ -105,7 +105,7 @@ fn e8_automaton_recognizes_exactly_l() {
         // emptiness witness (a guaranteed member when L ≠ ∅) and random
         // mutations of it, plus fresh random documents.
         let mut docs: Vec<Document> = Vec::new();
-        if let Some(w) = regtree::hedge::witness_document(&automaton, &a) {
+        if let Some(w) = witness_document(&automaton, &a) {
             for _ in 0..3 {
                 let mut m = w.clone();
                 mutate(&a, &mut m, &mut rng);

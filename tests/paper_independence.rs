@@ -2,8 +2,8 @@
 //! on the paper's running scenario.
 
 use regtree::prelude::*;
-use regtree_core::in_language_naive;
 use regtree_gen as gen;
+use regtree_oracle::in_language_naive;
 
 /// Example 4: the class U on Figure 1 selects exactly one node to update.
 #[test]
@@ -117,8 +117,8 @@ fn e6_proposition3_size_bound_sanity() {
     let small_fd = parse_fd(&a, "/session : -> candidate/level").unwrap();
     let big_fd = gen::fd3(&a);
     let class = gen::update_class_u(&a);
-    let small = regtree_core::build_ic_automaton(&small_fd, &class);
-    let big = regtree_core::build_ic_automaton(&big_fd, &class);
+    let small = regtree_oracle::build_ic_automaton(&small_fd, &class);
+    let big = regtree_oracle::build_ic_automaton(&big_fd, &class);
     assert!(big.num_states() > small.num_states());
     // The state count is exactly (fd states) × (u states) × 2.
     let pa_fd = compile_pattern(big_fd.pattern(), true);

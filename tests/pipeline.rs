@@ -123,7 +123,7 @@ fn witness_documents_guide_schema_refinement() {
         witness: Some(w), ..
     } = &loose.verdict
     {
-        assert!(regtree::core::in_language_naive(&loose_fd, &class, w));
+        assert!(regtree_oracle::in_language_naive(&loose_fd, &class, w));
     }
 
     // A schema confining keys/vals to recs restores independence.

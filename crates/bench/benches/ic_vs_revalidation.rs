@@ -46,7 +46,7 @@ fn bench_strategies(c: &mut Criterion) {
         b.iter(|| {
             let r = fresh_independence(&fd1, &class, Some(&schema));
             assert!(r.verdict.is_independent());
-            r.automaton_size
+            r.total_states
         })
     });
 

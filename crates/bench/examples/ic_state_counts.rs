@@ -124,13 +124,13 @@ fn row(axis: &str, point: usize, r: &regtree_core::IndependenceAnalysis, machine
     if machine {
         // Flat keys for scripts/bench_json.sh: counters land in BENCH_ic.json
         // next to the medians so the work done per sweep point is versioned
-        // alongside the time it took.
+        // alongside the time it took. No `dfa_steps`: the IC search never
+        // runs the DFA matcher, so it would read 0 on every row.
         let m = &r.metrics;
         for (metric, value) in [
             ("states_interned", m.states_interned),
             ("transitions_fired", m.transitions_fired),
             ("guard_intersections", m.guard_intersections),
-            ("dfa_steps", m.dfa_steps),
             ("frontier_pushes", m.frontier_pushes),
             ("explored_states", r.explored_states as u64),
             ("total_states", r.total_states as u64),

@@ -28,9 +28,10 @@
 //! exits 3 instead of hanging on an adversarial instance.
 //!
 //! Analysis commands also accept the tracing flags: `--trace FILE` captures
-//! a timeline loadable in `chrome://tracing`/Perfetto (`--trace-format
-//! jsonl` switches to one-record-per-line JSON), and `--stats-verbose`
-//! prints a per-phase wall-time breakdown. With `--format json`, stdout is
+//! a timeline of phase spans loadable in `chrome://tracing`/Perfetto
+//! (`--trace-format jsonl` switches to one-record-per-line JSON), and
+//! `--stats-verbose` adds a per-phase wall-time breakdown to the `--stats`
+//! counters, which it implies. With `--format json`, stdout is
 //! exactly one JSON document — progress notes (such as the trace-file
 //! confirmation) go to stderr.
 
@@ -45,9 +46,9 @@ use regtree_core::api::{
     PatternParseResponse, UpdateCheckEntry, UpdateResponse,
 };
 use regtree_core::{
-    parse_fd, parse_update_class, Analyzer, ChromeTraceSink, Error as CoreError, EventKind,
-    FdOutcome, FdSet, RunLimits, RunMetrics, SpanId, SpanKind, SummarySink, TraceFormat,
-    TraceSummary, Tracer, UpdateClass, Verdict,
+    parse_fd, parse_update_class, Analyzer, ChromeTraceSink, Error as CoreError, FdOutcome, FdSet,
+    RunLimits, RunMetrics, SpanId, SpanKind, SummarySink, TraceFormat, TraceSummary, Tracer,
+    UpdateClass, Verdict,
 };
 use regtree_hedge::Schema;
 use regtree_pattern::CompiledPattern;
@@ -110,7 +111,9 @@ USAGE:
   OUTPUT flags:     --format json|text  --stats  --stats-verbose
                     --trace FILE  --trace-format chrome|jsonl
                     (--format json: stdout is one JSON document; notes on
-                    stderr. --trace: timeline for chrome://tracing/Perfetto)
+                    stderr. --stats: work counters as name=value.
+                    --stats-verbose: --stats plus per-phase wall time.
+                    --trace: phase timeline for chrome://tracing/Perfetto)
   EXIT CODES:       0 independent/satisfied · 1 violation or unproven
                     independence · 2 usage/input errors · 3 budget exhausted
   FD EXPR syntax:   /ctx/path : cond1, cond2[N] -> target
@@ -178,6 +181,9 @@ fn parse_flags(args: &[&str]) -> Result<Flags, CliError> {
             stats = true;
             i += 1;
         } else if a == "--stats-verbose" {
+            // The phase table carries only time; the counts stay on the
+            // `--stats` line.
+            stats = true;
             stats_verbose = true;
             i += 1;
         } else if a == "--prune" {
@@ -384,12 +390,6 @@ impl Tracer for TeeTracer {
     fn span_end(&self, id: SpanId, kind: SpanKind) {
         for t in &self.0 {
             t.span_end(id, kind);
-        }
-    }
-
-    fn event(&self, kind: EventKind) {
-        for t in &self.0 {
-            t.event(kind);
         }
     }
 }
@@ -1553,7 +1553,7 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("INDEPENDENT"), "{out}");
-        assert!(out.contains("stats: states"), "{out}");
+        assert!(out.contains("stats: states_interned="), "{out}");
     }
 
     #[test]
@@ -1995,10 +1995,15 @@ mod tests {
         ]);
         assert!(matches!(err, Err(CliError::Exhausted(_))), "{err:?}");
         let written = std::fs::read_to_string(&trace.0).expect("trace file written");
-        assert!(
-            written.lines().any(|l| l.contains("exhausted")),
-            "{written}"
-        );
+        // The exhausted search still closes its span: one B and one E.
+        let ic_search = |ph: &str| {
+            written
+                .lines()
+                .filter(|l| l.contains("\"name\":\"ic_search") && l.contains(ph))
+                .count()
+        };
+        assert_eq!(ic_search("\"ph\":\"B\""), 1, "{written}");
+        assert_eq!(ic_search("\"ph\":\"E\""), 1, "{written}");
     }
 
     #[test]
@@ -2014,7 +2019,7 @@ mod tests {
         .unwrap();
         assert!(out.contains("phase"), "{out}");
         assert!(out.contains("ic_search"), "{out}");
-        assert!(out.contains("state_interned"), "{out}");
+        assert!(out.contains("stats: states_interned="), "{out}");
     }
 
     #[test]
@@ -2030,10 +2035,14 @@ mod tests {
             "--stats-verbose",
         ])
         .unwrap();
-        Json::parse(&out).unwrap_or_else(|e| panic!("stdout is not JSON: {e}\n{out}"));
-        assert!(out.contains("\"phases\""), "{out}");
-        assert!(out.contains("\"ic_search\""), "{out}");
-        assert!(out.contains("\"state_interned\""), "{out}");
+        let doc = Json::parse(&out).unwrap_or_else(|e| panic!("stdout is not JSON: {e}\n{out}"));
+        assert!(doc.get("metrics").is_some(), "{out}");
+        let phases = doc.get("phases").expect("phases member");
+        assert!(phases
+            .get("spans")
+            .and_then(|s| s.get("ic_search"))
+            .is_some());
+        assert!(phases.get("events").is_none(), "{out}");
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * pattern automata, cached by structural template sketch + selected
 //!   tuple + marking flag, so repeated queries over the same FD or update
 //!   class hit the cache — including across matrix calls;
-//! * the [`RunLimits`] every run is governed by, with an optional
-//!   [`CancelToken`] for early abort of batch work.
+//! * the [`RunLimits`] every run is governed by; each call may override
+//!   them and bring its own [`CancelToken`] through [`RunOverrides`].
 //!
 //! ```
 //! use regtree_core::{parse_fd, update_class_from_edges, Analyzer};
@@ -55,7 +55,6 @@ type PatternKey = (String, Vec<u32>, bool);
 pub struct AnalyzerBuilder {
     schema: Option<Schema>,
     limits: RunLimits,
-    cancel: Option<CancelToken>,
     tracer: Option<Arc<dyn Tracer>>,
 }
 
@@ -96,17 +95,10 @@ impl AnalyzerBuilder {
         self
     }
 
-    /// Cancellation token batch operations poll. Cancelling it aborts
-    /// in-flight matrix cells and FD checks at their next checkpoint.
-    pub fn cancel_token(mut self, token: CancelToken) -> AnalyzerBuilder {
-        self.cancel = Some(token);
-        self
-    }
-
     /// Attaches a [`Tracer`]: every run emits phase spans (compile,
-    /// search, matrix cells, FD checks) and budget-site events to it.
-    /// Without a tracer the emission sites compile down to a null check —
-    /// see [`regtree_runtime::trace`].
+    /// search, matrix cells, FD checks) to it; the work counts stay in
+    /// each result's [`regtree_runtime::RunMetrics`]. Without a tracer each
+    /// span site is a null check — see [`regtree_runtime::trace`].
     ///
     /// # Examples
     ///
@@ -135,7 +127,6 @@ impl AnalyzerBuilder {
             schema_auto: self.schema.as_ref().map(|s| s.compiled()),
             schema: self.schema,
             limits: self.limits,
-            cancel: self.cancel,
             trace: self.tracer.map(TraceHandle::new).unwrap_or_default(),
             patterns: Mutex::new(HashMap::new()),
         }
@@ -147,9 +138,9 @@ impl AnalyzerBuilder {
 /// while the compiled schema and pattern caches stay shared.
 ///
 /// This is what lets a long-lived service hold one `Analyzer` per session
-/// and still give every request its own budget and cancellation scope —
-/// the builder-time token would cancel *every* in-flight call at once.
-/// Absent fields fall back to the analyzer's builder-time configuration.
+/// and still give every request its own budget and cancellation scope.
+/// Absent limits fall back to the analyzer's builder-time limits; without a
+/// token the call cannot be cancelled.
 ///
 /// ```
 /// use regtree_core::{parse_fd, update_class_from_edges, Analyzer};
@@ -189,7 +180,8 @@ impl RunOverrides {
         self
     }
 
-    /// Cancellation token for this call, replacing the analyzer's token.
+    /// Cancellation token for this call. Cancelling it aborts the call's
+    /// in-flight matrix cells and FD checks at their next checkpoint.
     pub fn cancel_token(mut self, token: CancelToken) -> RunOverrides {
         self.cancel = Some(token);
         self
@@ -211,7 +203,6 @@ pub struct Analyzer {
     schema: Option<Schema>,
     schema_auto: Option<std::sync::Arc<HedgeAutomaton>>,
     limits: RunLimits,
-    cancel: Option<CancelToken>,
     trace: TraceHandle,
     /// Compiled pattern automata, keyed by structural identity so distinct
     /// but identical `Fd`/`UpdateClass` values share one compilation.
@@ -252,11 +243,11 @@ impl Analyzer {
     }
 
     /// The limits and cancel token effective for one call: the override
-    /// when present, the analyzer's configuration otherwise.
+    /// limits when present, the analyzer's otherwise, and the call's token.
     fn effective<'a>(&'a self, run: &'a RunOverrides) -> (&'a RunLimits, Option<&'a CancelToken>) {
         (
             run.limits.as_ref().unwrap_or(&self.limits),
-            run.cancel.as_ref().or(self.cancel.as_ref()),
+            run.cancel.as_ref(),
         )
     }
 
@@ -363,8 +354,9 @@ impl Analyzer {
     /// partition, and — when a deadline is set — one wall-clock budget for
     /// the whole matrix (count caps apply per cell).
     ///
-    /// Cancellation (via the builder's token) aborts remaining cells; the
-    /// returned matrix still has every cell, with aborted ones reporting
+    /// Cancellation (via [`RunOverrides::cancel_token`] on
+    /// [`Analyzer::matrix_with`]) aborts remaining cells; the returned
+    /// matrix still has every cell, with aborted ones reporting
     /// `Unknown { exhausted: Some(Cancelled) }`.
     ///
     /// # Examples
@@ -407,7 +399,7 @@ impl Analyzer {
 
     /// Like [`Analyzer::matrix`], but reasons about the FD *set* first:
     /// rows implied by the rest ([`FdSet::minimize`], run under the
-    /// analyzer's limits and cancel token) never reach the engine and
+    /// call's limits and cancel token) never reach the engine and
     /// report [`crate::CellProvenance::ImpliedRow`]. The kept rows run
     /// through the same driver as [`Analyzer::matrix`], so the only extra
     /// cost is the closure.
@@ -464,14 +456,7 @@ impl Analyzer {
         for (name, fd) in fds {
             set.push(*name, (*fd).clone());
         }
-        // The closure gets its own budget (no tracer: its counters belong
-        // to no cell, and traced events must match the cells' metrics).
-        let (limits, cancel) = self.effective(run);
-        let mut budget = Budget::new(limits);
-        if let Some(c) = cancel {
-            budget = budget.with_cancel(c.clone());
-        }
-        let minimization = set.minimize_governed(budget);
+        let minimization = set.minimize_governed(self.budget(run));
         self.run_matrix(fds, classes, run, Some(&minimization))
     }
 
@@ -548,10 +533,11 @@ impl Analyzer {
 
     /// Builds an [`IncrementalChecker`] over `fds` and `vdoc` that runs its
     /// initial verification and every later recheck under the analyzer's
-    /// limits, cancel token, and tracer. The checker is the stateful
-    /// counterpart of
-    /// [`Analyzer::check_fds`] for workloads that stream updates against
-    /// one document (see [`crate::incremental`]).
+    /// limits and tracer. It starts without a cancel token; a caller that
+    /// cancels per request sets one with
+    /// [`IncrementalChecker::set_cancel`]. The checker is the stateful
+    /// counterpart of [`Analyzer::check_fds`] for workloads that stream
+    /// updates against one document (see [`crate::incremental`]).
     ///
     /// # Examples
     ///
@@ -572,13 +558,7 @@ impl Analyzer {
         fds: Vec<Fd>,
         vdoc: &VersionedDocument,
     ) -> IncrementalChecker {
-        IncrementalChecker::with_governance(
-            fds,
-            vdoc,
-            self.limits,
-            self.trace.clone(),
-            self.cancel.clone(),
-        )
+        IncrementalChecker::with_governance(fds, vdoc, self.limits, self.trace.clone(), None)
     }
 }
 

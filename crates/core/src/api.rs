@@ -18,9 +18,11 @@
 //! * [`PROTOCOL_VERSION`] — the version string of this surface, exchanged
 //!   in the `rtpserved` `initialize` handshake ([`protocol_compatible`]).
 //!
-//! Field names are part of the contract: they are what `--format json`
-//! prints and what the JSON-RPC methods return, and they only change with
-//! a [`PROTOCOL_VERSION`] bump.
+//! Field names are part of the contract for what the JSON-RPC methods
+//! return (and `--format json` prints the same shapes): they only change
+//! with a [`PROTOCOL_VERSION`] bump. The `phases` member is not part of
+//! it: only `rtpcheck --stats-verbose` fills it, as CLI diagnostics, and
+//! the daemon never emits it.
 //!
 //! ```
 //! use regtree_core::api::Json;
@@ -34,7 +36,7 @@
 use std::fmt::Write as _;
 
 use regtree_alphabet::Alphabet;
-use regtree_runtime::{EventKind, RunMetrics, SpanKind, TraceSummary};
+use regtree_runtime::{RunMetrics, SpanKind, TraceSummary};
 use regtree_xml::{parse_document, TreeSpec};
 
 use crate::fdset::{FdSet, Minimization};
@@ -538,31 +540,19 @@ impl Parser<'_> {
 }
 
 /// [`RunMetrics`] as the stable `metrics` object every response embeds
-/// under `--stats` / on the wire.
+/// under `--stats` / on the wire, keyed by [`RunMetrics::fields`].
 pub fn metrics_to_json(m: &RunMetrics) -> Json {
-    Json::Obj(vec![
-        ("states_interned".into(), Json::u64(m.states_interned)),
-        ("transitions_fired".into(), Json::u64(m.transitions_fired)),
-        (
-            "guard_intersections".into(),
-            Json::u64(m.guard_intersections),
-        ),
-        ("dfa_steps".into(), Json::u64(m.dfa_steps)),
-        ("frontier_pushes".into(), Json::u64(m.frontier_pushes)),
-        ("memo_entries".into(), Json::u64(m.memo_entries)),
-        ("memo_hits".into(), Json::u64(m.memo_hits)),
-        ("verdicts_reused".into(), Json::u64(m.verdicts_reused)),
-        ("deltas_applied".into(), Json::u64(m.deltas_applied)),
-        ("rechecks_localized".into(), Json::u64(m.rechecks_localized)),
-        ("rechecks_full".into(), Json::u64(m.rechecks_full)),
-        ("compile_nanos".into(), Json::u64(m.compile_nanos)),
-        ("search_nanos".into(), Json::u64(m.search_nanos)),
-    ])
+    Json::Obj(
+        m.fields()
+            .into_iter()
+            .map(|(name, value)| (name.to_string(), Json::u64(value)))
+            .collect(),
+    )
 }
 
-/// [`TraceSummary`] as the stable `phases` object (`--stats-verbose`).
-/// Every span and event kind is present — zero counts included — so the
-/// shape is stable for downstream parsers.
+/// [`TraceSummary`] as the `phases` object (`--stats-verbose`). Every span
+/// kind is present — zero counts included — so the shape is stable for
+/// downstream parsers.
 pub fn phases_to_json(s: &TraceSummary) -> Json {
     let spans = SpanKind::ALL
         .into_iter()
@@ -577,14 +567,7 @@ pub fn phases_to_json(s: &TraceSummary) -> Json {
             )
         })
         .collect();
-    let events = EventKind::ALL
-        .into_iter()
-        .map(|kind| (kind.name().to_string(), Json::u64(s.event_count(kind))))
-        .collect();
-    Json::Obj(vec![
-        ("spans".into(), Json::Obj(spans)),
-        ("events".into(), Json::Obj(events)),
-    ])
+    Json::Obj(vec![("spans".into(), Json::Obj(spans))])
 }
 
 /// Appends the optional `metrics`/`phases` members shared by all analysis
@@ -708,7 +691,7 @@ impl IndependenceResponse {
             independent: a.verdict.is_independent(),
             exhausted: a.verdict.exhausted().map(|r| r.name().to_string()),
             ic_states: a.ic_states,
-            automaton_size: a.automaton_size,
+            automaton_size: a.total_states,
             explored_states: a.explored_states,
             witness_xml,
             metrics: None,
@@ -1372,6 +1355,29 @@ mod tests {
         };
         let json = metrics_to_json(&m);
         assert_eq!(json.get("states_interned").and_then(Json::as_u64), Some(3));
-        assert_eq!(json.as_object().unwrap().len(), 13);
+        let keys: Vec<&str> = json
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "states_interned",
+                "transitions_fired",
+                "guard_intersections",
+                "dfa_steps",
+                "frontier_pushes",
+                "memo_entries",
+                "memo_hits",
+                "verdicts_reused",
+                "deltas_applied",
+                "rechecks_localized",
+                "rechecks_full",
+                "compile_nanos",
+                "search_nanos",
+            ]
+        );
     }
 }

@@ -58,8 +58,7 @@ use std::collections::HashSet;
 use regtree_automata::{EdgeDfa, Nfa, Regex, StateId, EDGE_DEAD};
 use regtree_pattern::{project_mappings_anchored_governed, Template, TemplateNodeId};
 use regtree_runtime::{
-    Budget, CancelToken, EventKind, Resource, RunLimits, RunMetrics, SpanKind, Stopwatch,
-    TraceHandle,
+    Budget, CancelToken, Resource, RunLimits, RunMetrics, SpanKind, Stopwatch, TraceHandle,
 };
 use regtree_xml::{Delta, Document, NodeId, VersionedDocument};
 
@@ -304,17 +303,13 @@ impl IncrementalChecker {
         for ((fd, state), fd_scope) in fds.iter().zip(states.iter_mut()).zip(fd_scopes.iter()) {
             let (scope, affected) = classify(fd_scope.as_ref(), state, doc, delta);
             match scope {
-                RecheckScope::Unaffected => {
-                    metrics.verdicts_reused += 1;
-                    trace.event(EventKind::ScopeUnaffected);
-                }
+                RecheckScope::Unaffected => metrics.verdicts_reused += 1,
                 RecheckScope::Localized => {
                     let mut budget =
                         round_budget(limits, cancel.as_ref(), trace).with_deadline_at(deadline_at);
                     recheck_localized(fd, state, doc, index, &affected, &mut budget);
                     metrics.merge(&budget.into_metrics());
                     metrics.rechecks_localized += 1;
-                    trace.event(EventKind::ScopeLocalized);
                 }
                 RecheckScope::Global => {
                     let mut budget =
@@ -324,7 +319,6 @@ impl IncrementalChecker {
                     *state = FdState::from_check(outcome, buckets);
                     metrics.merge(&budget.into_metrics());
                     metrics.rechecks_full += 1;
-                    trace.event(EventKind::ScopeGlobal);
                 }
             }
             scopes.push(scope);

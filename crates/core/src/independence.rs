@@ -71,10 +71,6 @@ pub struct IndependenceAnalysis {
     pub verdict: Verdict,
     /// States of the combined (pre-schema) automaton.
     pub ic_states: usize,
-    /// Size `|A|` (states + horizontal automata) of the final automaton.
-    /// The lazy engine never materializes it and reports the state count of
-    /// the full product instead.
-    pub automaton_size: usize,
     /// Product states actually interned by the emptiness check, usually far
     /// fewer than `total_states`.
     pub explored_states: usize,
@@ -114,7 +110,6 @@ pub(crate) fn check_independence_governed(
                 exhausted: Some(r),
             },
             ic_states,
-            automaton_size: 0,
             explored_states: 0,
             total_states: 0,
             metrics,
@@ -140,7 +135,6 @@ pub(crate) fn check_independence_governed(
     IndependenceAnalysis {
         verdict: out.verdict,
         ic_states,
-        automaton_size: out.total_states,
         explored_states: out.explored_states,
         total_states: out.total_states,
         metrics,
@@ -302,6 +296,6 @@ mod tests {
         let class = update_class_from_edges(&a, &["x/y"]).unwrap();
         let r = analyze(&fd, &class, None);
         assert!(r.ic_states > 0);
-        assert!(r.automaton_size >= r.ic_states);
+        assert!(r.total_states >= r.ic_states);
     }
 }

@@ -80,7 +80,6 @@ mod tests {
             analysis: crate::independence::IndependenceAnalysis {
                 verdict: crate::independence::Verdict::Independent,
                 ic_states: 0,
-                automaton_size: 0,
                 explored_states: 0,
                 total_states: 0,
                 metrics: Default::default(),

@@ -63,8 +63,8 @@ pub use textfd::{parse_fd, parse_update_class};
 // Re-exported so downstreams govern runs without a direct dependency on
 // `regtree-runtime`.
 pub use regtree_runtime::{
-    Budget, CancelToken, ChromeTraceSink, EventKind, Resource, RunLimits, RunMetrics, SpanId,
-    SpanKind, SummarySink, TraceFormat, TraceHandle, TraceSummary, Tracer,
+    Budget, CancelToken, ChromeTraceSink, Resource, RunLimits, RunMetrics, SpanId, SpanKind,
+    SummarySink, TraceFormat, TraceHandle, TraceSummary, Tracer,
 };
 pub use update::{
     update_class_from_edges, ApplyError, Update, UpdateClass, UpdateClassError, UpdateOp,

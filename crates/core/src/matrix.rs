@@ -342,10 +342,11 @@ pub(crate) fn analyze_matrix_governed(
         let (metrics, provenance) = if ran {
             (entry.analysis.metrics, CellProvenance::Computed)
         } else {
-            let mut b = Budget::new(limits).with_trace(trace.clone());
-            b.on_verdict_reused();
             (
-                b.into_metrics(),
+                RunMetrics {
+                    verdicts_reused: 1,
+                    ..RunMetrics::default()
+                },
                 CellProvenance::ReusedFrom { fd: entry.fd },
             )
         };

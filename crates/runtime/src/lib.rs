@@ -14,7 +14,8 @@
 //!   batch callers can abort remaining matrix cells early;
 //! * [`RunMetrics`] — the counters every analysis reports as a first-class
 //!   output (states interned, transitions fired, guard-minterm
-//!   intersections, DFA steps, frontier pushes, per-phase wall time);
+//!   intersections, DFA steps, frontier pushes, per-phase wall time), each
+//!   under the one name [`RunMetrics::fields`] gives it;
 //! * [`Budget`] — the per-run governor the engines consult cooperatively:
 //!   each counting call is a couple of integer compares, and the deadline /
 //!   cancellation flags are polled on an amortized tick so the hot loops
@@ -24,10 +25,10 @@
 //! [`Resource`]; engines translate that into a graceful
 //! `Verdict::Unknown { exhausted }` instead of a wrong answer or a hang.
 //!
-//! The [`trace`] module adds the event-level counterpart: a [`Tracer`]
-//! attached to a [`Budget`] (via [`TraceHandle`]) observes every counter
-//! bump as a structured event and every engine phase as a span, at zero
-//! cost when disabled.
+//! The [`trace`] module adds the timing counterpart: a [`Tracer`] attached
+//! to a [`Budget`] (via [`TraceHandle`]) receives every engine phase as a
+//! span, at zero cost when disabled. Spans carry time; counts live only in
+//! [`RunMetrics`].
 
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
@@ -35,8 +36,8 @@
 pub mod trace;
 
 pub use trace::{
-    ChromeTraceSink, EventKind, SpanGuard, SpanId, SpanKind, SpanStats, SummarySink, TraceFormat,
-    TraceHandle, TraceSummary, Tracer,
+    ChromeTraceSink, SpanGuard, SpanId, SpanKind, SpanStats, SummarySink, TraceFormat, TraceHandle,
+    TraceSummary, Tracer,
 };
 
 use std::fmt;
@@ -212,6 +213,36 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
+    /// Every counter under its one name, in struct order: the `--stats`
+    /// line, the JSON `metrics` object and the bench counters all use these
+    /// names.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use regtree_runtime::RunMetrics;
+    /// let m = RunMetrics { states_interned: 3, ..RunMetrics::default() };
+    /// assert_eq!(m.fields()[0], ("states_interned", 3));
+    /// assert!(m.to_string().starts_with("states_interned=3 "));
+    /// ```
+    pub fn fields(&self) -> [(&'static str, u64); 13] {
+        [
+            ("states_interned", self.states_interned),
+            ("transitions_fired", self.transitions_fired),
+            ("guard_intersections", self.guard_intersections),
+            ("dfa_steps", self.dfa_steps),
+            ("frontier_pushes", self.frontier_pushes),
+            ("memo_entries", self.memo_entries),
+            ("memo_hits", self.memo_hits),
+            ("verdicts_reused", self.verdicts_reused),
+            ("deltas_applied", self.deltas_applied),
+            ("rechecks_localized", self.rechecks_localized),
+            ("rechecks_full", self.rechecks_full),
+            ("compile_nanos", self.compile_nanos),
+            ("search_nanos", self.search_nanos),
+        ]
+    }
+
     /// Accumulates `other` into `self` (counters add, wall times add).
     pub fn merge(&mut self, other: &RunMetrics) {
         self.states_interned += other.states_interned;
@@ -231,24 +262,15 @@ impl RunMetrics {
 }
 
 impl fmt::Display for RunMetrics {
+    /// `name=value` for every [`RunMetrics::fields`] entry, space-separated.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "states {} · transitions {} · guard∩ {} · dfa steps {} · frontier pushes {} · memo {}+{} hits · verdicts reused {} · deltas {} · rechecks {}loc+{}full · compile {:.3}ms · search {:.3}ms",
-            self.states_interned,
-            self.transitions_fired,
-            self.guard_intersections,
-            self.dfa_steps,
-            self.frontier_pushes,
-            self.memo_entries,
-            self.memo_hits,
-            self.verdicts_reused,
-            self.deltas_applied,
-            self.rechecks_localized,
-            self.rechecks_full,
-            self.compile_nanos as f64 / 1e6,
-            self.search_nanos as f64 / 1e6,
-        )
+        for (i, (name, value)) in self.fields().into_iter().enumerate() {
+            if i > 0 {
+                f.write_str(" ")?;
+            }
+            write!(f, "{name}={value}")?;
+        }
+        Ok(())
     }
 }
 
@@ -315,19 +337,22 @@ impl Budget {
         self.deadline_at
     }
 
-    /// Attaches a trace handle: every counter bump from here on also emits
-    /// the corresponding [`EventKind`] to the handle's [`Tracer`].
+    /// Attaches a trace handle: the engines a budget governs open their
+    /// phase spans on it ([`Budget::trace`]). Counter bumps are not traced;
+    /// they stay in [`Budget::metrics`].
     ///
     /// # Examples
     ///
     /// ```
-    /// use regtree_runtime::{Budget, EventKind, SummarySink, TraceHandle};
+    /// use regtree_runtime::{Budget, SpanKind, SummarySink, TraceHandle};
     /// use std::sync::Arc;
     ///
     /// let sink = Arc::new(SummarySink::new());
     /// let mut budget = Budget::unlimited().with_trace(TraceHandle::new(sink.clone()));
+    /// drop(budget.trace().span(SpanKind::IcSearch, ""));
     /// budget.on_frontier_push().unwrap();
-    /// assert_eq!(sink.summary().event_count(EventKind::FrontierPush), 1);
+    /// assert_eq!(sink.summary().span(SpanKind::IcSearch).count, 1);
+    /// assert_eq!(budget.metrics().frontier_pushes, 1);
     /// ```
     pub fn with_trace(mut self, trace: TraceHandle) -> Budget {
         self.trace = trace;
@@ -361,25 +386,17 @@ impl Budget {
     /// Unconditionally polls the deadline and cancellation flag.
     #[inline]
     pub fn poll_now(&mut self) -> Result<(), Resource> {
-        self.trace.event(EventKind::BudgetPoll);
         if let Some(t) = &self.cancel {
             if t.is_cancelled() {
-                return Err(self.exhausted(Resource::Cancelled));
+                return Err(Resource::Cancelled);
             }
         }
         if let Some(at) = self.deadline_at {
             if Instant::now() >= at {
-                return Err(self.exhausted(Resource::Deadline));
+                return Err(Resource::Deadline);
             }
         }
         Ok(())
-    }
-
-    /// Emits the exhaustion event and passes the resource through.
-    #[inline]
-    fn exhausted(&mut self, r: Resource) -> Resource {
-        self.trace.event(EventKind::Exhausted);
-        r
     }
 
     /// A cooperative checkpoint with no counter attached (loop headers).
@@ -392,9 +409,8 @@ impl Budget {
     #[inline]
     pub fn on_state(&mut self) -> Result<(), Resource> {
         self.metrics.states_interned += 1;
-        self.trace.event(EventKind::StateInterned);
         if self.metrics.states_interned > self.max_states {
-            return Err(self.exhausted(Resource::States));
+            return Err(Resource::States);
         }
         self.poll()
     }
@@ -403,9 +419,8 @@ impl Budget {
     #[inline]
     pub fn on_memo_entry(&mut self) -> Result<(), Resource> {
         self.metrics.memo_entries += 1;
-        self.trace.event(EventKind::MemoMiss);
         if self.metrics.memo_entries > self.max_memo {
-            return Err(self.exhausted(Resource::Memo));
+            return Err(Resource::Memo);
         }
         self.poll()
     }
@@ -414,27 +429,16 @@ impl Budget {
     #[inline]
     pub fn on_memo_hit(&mut self) {
         self.metrics.memo_hits += 1;
-        self.trace.event(EventKind::MemoHit);
     }
 
     /// Records one frontier push; errs when the frontier cap is crossed.
     #[inline]
     pub fn on_frontier_push(&mut self) -> Result<(), Resource> {
         self.metrics.frontier_pushes += 1;
-        self.trace.event(EventKind::FrontierPush);
         if self.metrics.frontier_pushes > self.max_frontier {
-            return Err(self.exhausted(Resource::Frontier));
+            return Err(Resource::Frontier);
         }
         self.poll()
-    }
-
-    /// Records one matrix cell whose verdict was shared with an identical
-    /// compiled `(row, column)` pair instead of recomputed (counter only,
-    /// never errs).
-    #[inline]
-    pub fn on_verdict_reused(&mut self) {
-        self.metrics.verdicts_reused += 1;
-        self.trace.event(EventKind::VerdictReused);
     }
 
     /// Records one transition firing (counter only, never errs).
@@ -447,7 +451,6 @@ impl Budget {
     #[inline]
     pub fn on_guard_intersection(&mut self) {
         self.metrics.guard_intersections += 1;
-        self.trace.event(EventKind::GuardIntersection);
     }
 
     /// Records a batch of DFA steps, then polls (counter plus checkpoint).
@@ -543,45 +546,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_events_mirror_metrics() {
-        use std::sync::Arc;
-        let sink = Arc::new(SummarySink::new());
-        let mut b = Budget::unlimited().with_trace(TraceHandle::new(sink.clone()));
-        for _ in 0..10 {
-            b.on_state().unwrap();
-            b.on_frontier_push().unwrap();
-            b.on_memo_entry().unwrap();
-            b.on_guard_intersection();
-        }
-        b.on_memo_hit();
-        b.on_memo_hit();
-        b.on_verdict_reused();
-        let s = sink.summary();
-        let m = b.metrics();
-        assert_eq!(s.event_count(EventKind::StateInterned), m.states_interned);
-        assert_eq!(s.event_count(EventKind::FrontierPush), m.frontier_pushes);
-        assert_eq!(s.event_count(EventKind::MemoMiss), m.memo_entries);
-        assert_eq!(s.event_count(EventKind::MemoHit), m.memo_hits);
-        assert_eq!(s.event_count(EventKind::VerdictReused), m.verdicts_reused);
-        assert_eq!(
-            s.event_count(EventKind::GuardIntersection),
-            m.guard_intersections
-        );
-        assert_eq!(s.event_count(EventKind::Exhausted), 0);
-    }
-
-    #[test]
-    fn exhaustion_emits_event() {
-        use std::sync::Arc;
-        let sink = Arc::new(SummarySink::new());
-        let mut b = Budget::new(&RunLimits::default().with_max_states(1))
-            .with_trace(TraceHandle::new(sink.clone()));
-        b.on_state().unwrap();
-        assert_eq!(b.on_state(), Err(Resource::States));
-        assert_eq!(sink.summary().event_count(EventKind::Exhausted), 1);
-    }
-
-    #[test]
     fn metrics_merge_and_display() {
         let mut a = RunMetrics {
             states_interned: 1,
@@ -596,7 +560,10 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.states_interned, 11);
         assert_eq!(a.frontier_pushes, 5);
-        assert!(a.to_string().contains("states 11"));
+        assert!(a
+            .to_string()
+            .starts_with("states_interned=11 transitions_fired=0 "));
+        assert!(a.to_string().ends_with(" search_nanos=0"));
     }
 
     #[test]

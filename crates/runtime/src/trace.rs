@@ -1,40 +1,33 @@
 //! Structured tracing for the analysis engines.
 //!
 //! [`RunMetrics`](crate::RunMetrics) answers *how much* a run cost; this
-//! module answers *where* and *when*. Engines emit two kinds of records
-//! through a [`TraceHandle`]:
+//! module answers *where* and *when*. Engines open **spans** ([`SpanKind`])
+//! through a [`TraceHandle`]: bracketed phases with wall-clock extent —
+//! pattern/schema compilation, the lazy IC product search, its emptiness
+//! fixpoint, one FD document check, one matrix cell. Counts stay in
+//! `RunMetrics` alone, so a trace holds one begin/end pair per phase
+//! however much work the phase did.
 //!
-//! * **spans** ([`SpanKind`]) — bracketed phases with wall-clock extent:
-//!   pattern/schema compilation, the lazy IC product search, its emptiness
-//!   fixpoint, one FD document check, one matrix cell;
-//! * **events** ([`EventKind`]) — instantaneous occurrences at the existing
-//!   amortized budget sites: a state interned, a frontier push, a memo hit
-//!   or miss, a guard-minterm intersection, a deadline/cancellation poll,
-//!   a budget exhaustion.
-//!
-//! A [`Tracer`] is any sink for those records. Tracing is off by default:
+//! A [`Tracer`] is any sink for those spans. Tracing is off by default:
 //! a disabled [`TraceHandle`] short-circuits on a null check before any
 //! dispatch. Two sinks are shipped:
 //!
-//! * [`ChromeTraceSink`] — records everything and serializes to the
+//! * [`ChromeTraceSink`] — records every span and serializes to the
 //!   Chrome-trace JSON consumed by `chrome://tracing` and Perfetto (or to
 //!   a line-per-record JSONL variant);
 //! * [`SummarySink`] — keeps only per-kind aggregates (span counts and
-//!   total wall time, event counts), cheap enough to leave on in
-//!   production.
+//!   total wall time), cheap enough to leave on in production.
 //!
 //! # Zero cost when disabled
 //!
-//! The handle stores `Option<Arc<dyn Tracer>>`; every emission site is an
-//! inlined `if self.tracer.is_none() { return }`. The hooks reuse the
-//! budget-poll sites the engines already pay for, so the disabled overhead
-//! is one predictable branch per counter bump — within measurement noise
-//! (verified against the committed `BENCH_ic.json` baseline).
+//! The handle stores `Option<Arc<dyn Tracer>>`; [`TraceHandle::span`] on a
+//! disabled handle is one predictable branch and allocates nothing. Spans
+//! open once per phase, never inside the engines' hot loops.
 //!
 //! # Examples
 //!
 //! ```
-//! use regtree_runtime::{Budget, EventKind, SpanKind, SummarySink, TraceHandle};
+//! use regtree_runtime::{Budget, SpanKind, SummarySink, TraceHandle};
 //! use std::sync::Arc;
 //!
 //! let sink = Arc::new(SummarySink::new());
@@ -42,17 +35,13 @@
 //! let mut budget = Budget::unlimited().with_trace(trace.clone());
 //!
 //! {
-//!     let _span = trace.span(SpanKind::IcSearch, "fd1 × levels");
-//!     budget.on_state().unwrap(); // emits EventKind::StateInterned
+//!     let _span = budget.trace().span(SpanKind::IcSearch, "fd1 × levels");
+//!     budget.on_state().unwrap();
 //! }
 //!
 //! let summary = sink.summary();
 //! assert_eq!(summary.span(SpanKind::IcSearch).count, 1);
-//! assert_eq!(summary.event_count(EventKind::StateInterned), 1);
-//! assert_eq!(
-//!     summary.event_count(EventKind::StateInterned),
-//!     budget.metrics().states_interned,
-//! );
+//! assert_eq!(budget.metrics().states_interned, 1);
 //! ```
 
 use std::borrow::Cow;
@@ -138,117 +127,6 @@ impl fmt::Display for SpanKind {
     }
 }
 
-/// An instantaneous occurrence emitted at a budget site.
-///
-/// # Examples
-///
-/// ```
-/// use regtree_runtime::EventKind;
-/// assert_eq!(EventKind::MemoHit.name(), "memo_hit");
-/// assert_eq!(EventKind::ALL.len(), 11);
-/// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum EventKind {
-    /// A product/tree state was interned ([`Budget::on_state`]).
-    ///
-    /// [`Budget::on_state`]: crate::Budget::on_state
-    StateInterned,
-    /// A worklist/frontier push ([`Budget::on_frontier_push`]).
-    ///
-    /// [`Budget::on_frontier_push`]: crate::Budget::on_frontier_push
-    FrontierPush,
-    /// A memoized result was reused ([`Budget::on_memo_hit`]).
-    ///
-    /// [`Budget::on_memo_hit`]: crate::Budget::on_memo_hit
-    MemoHit,
-    /// A new memo entry was created ([`Budget::on_memo_entry`]).
-    ///
-    /// [`Budget::on_memo_entry`]: crate::Budget::on_memo_entry
-    MemoMiss,
-    /// A guard intersection over label-partition minterms
-    /// ([`Budget::on_guard_intersection`]).
-    ///
-    /// [`Budget::on_guard_intersection`]: crate::Budget::on_guard_intersection
-    GuardIntersection,
-    /// An unconditional deadline/cancellation poll ([`Budget::poll_now`]).
-    ///
-    /// [`Budget::poll_now`]: crate::Budget::poll_now
-    BudgetPoll,
-    /// A resource budget ran out; the run is about to stop with
-    /// `Unknown { exhausted }`.
-    Exhausted,
-    /// A verdict was reused instead of recomputed: a matrix cell sharing an
-    /// identical compiled `(row, column)` pair ([`Budget::on_verdict_reused`]).
-    ///
-    /// [`Budget::on_verdict_reused`]: crate::Budget::on_verdict_reused
-    VerdictReused,
-    /// An FD was classified *unaffected* by a delta: its verdict is carried
-    /// forward without touching the document.
-    ScopeUnaffected,
-    /// An FD was classified *affected-localized*: only mappings through the
-    /// dirty region are rechecked.
-    ScopeLocalized,
-    /// An FD was classified *affected-global*: the delta forces a full
-    /// recheck.
-    ScopeGlobal,
-}
-
-impl EventKind {
-    /// Every event kind, in rendering order.
-    pub const ALL: [EventKind; 11] = [
-        EventKind::StateInterned,
-        EventKind::FrontierPush,
-        EventKind::MemoHit,
-        EventKind::MemoMiss,
-        EventKind::GuardIntersection,
-        EventKind::BudgetPoll,
-        EventKind::Exhausted,
-        EventKind::VerdictReused,
-        EventKind::ScopeUnaffected,
-        EventKind::ScopeLocalized,
-        EventKind::ScopeGlobal,
-    ];
-
-    /// Short machine-readable name (used by trace files).
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::StateInterned => "state_interned",
-            EventKind::FrontierPush => "frontier_push",
-            EventKind::MemoHit => "memo_hit",
-            EventKind::MemoMiss => "memo_miss",
-            EventKind::GuardIntersection => "guard_intersection",
-            EventKind::BudgetPoll => "budget_poll",
-            EventKind::Exhausted => "exhausted",
-            EventKind::VerdictReused => "verdict_reused",
-            EventKind::ScopeUnaffected => "scope_unaffected",
-            EventKind::ScopeLocalized => "scope_localized",
-            EventKind::ScopeGlobal => "scope_global",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            EventKind::StateInterned => 0,
-            EventKind::FrontierPush => 1,
-            EventKind::MemoHit => 2,
-            EventKind::MemoMiss => 3,
-            EventKind::GuardIntersection => 4,
-            EventKind::BudgetPoll => 5,
-            EventKind::Exhausted => 6,
-            EventKind::VerdictReused => 7,
-            EventKind::ScopeUnaffected => 8,
-            EventKind::ScopeLocalized => 9,
-            EventKind::ScopeGlobal => 10,
-        }
-    }
-}
-
-impl fmt::Display for EventKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Identifies one span across its begin/end pair.
 ///
 /// Ids are allocated process-wide by [`TraceHandle::span`], so records from
@@ -256,8 +134,8 @@ impl fmt::Display for EventKind {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct SpanId(pub u64);
 
-/// A sink for trace records. Implementations must be thread-safe: matrix
-/// analysis emits from scoped worker threads concurrently.
+/// A sink for spans. Implementations must be thread-safe: matrix analysis
+/// opens spans from scoped worker threads concurrently.
 ///
 /// The caller allocates the [`SpanId`] and passes it to both `span_begin`
 /// and `span_end`, so fan-out tracers (the CLI tees a [`ChromeTraceSink`]
@@ -268,7 +146,7 @@ pub struct SpanId(pub u64);
 /// A tracer that counts begun spans:
 ///
 /// ```
-/// use regtree_runtime::{EventKind, SpanId, SpanKind, TraceHandle, Tracer};
+/// use regtree_runtime::{SpanId, SpanKind, TraceHandle, Tracer};
 /// use std::sync::atomic::{AtomicU64, Ordering};
 /// use std::sync::Arc;
 ///
@@ -279,7 +157,6 @@ pub struct SpanId(pub u64);
 ///         self.0.fetch_add(1, Ordering::Relaxed);
 ///     }
 ///     fn span_end(&self, _id: SpanId, _kind: SpanKind) {}
-///     fn event(&self, _kind: EventKind) {}
 /// }
 ///
 /// let sink = Arc::new(Counting::default());
@@ -294,9 +171,6 @@ pub trait Tracer: Send + Sync {
 
     /// The span opened under `id` ends now.
     fn span_end(&self, id: SpanId, kind: SpanKind);
-
-    /// An instantaneous event of kind `kind` occurred.
-    fn event(&self, kind: EventKind);
 }
 
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
@@ -305,24 +179,24 @@ static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 ///
 /// This is what the engines actually hold (inside [`Budget`] and the
 /// `Analyzer`): the `Option` means a disabled handle costs one predictable
-/// null-check branch per emission site and allocates nothing.
+/// null-check branch per span and allocates nothing.
 ///
 /// [`Budget`]: crate::Budget
 ///
 /// # Examples
 ///
 /// ```
-/// use regtree_runtime::{EventKind, SummarySink, TraceHandle};
+/// use regtree_runtime::{SpanKind, SummarySink, TraceHandle};
 /// use std::sync::Arc;
 ///
 /// let disabled = TraceHandle::disabled();
 /// assert!(!disabled.is_enabled());
-/// disabled.event(EventKind::BudgetPoll); // no-op
+/// drop(disabled.span(SpanKind::Compile, "")); // no-op
 ///
 /// let sink = Arc::new(SummarySink::new());
 /// let enabled = TraceHandle::new(sink.clone());
-/// enabled.event(EventKind::BudgetPoll);
-/// assert_eq!(sink.summary().event_count(EventKind::BudgetPoll), 1);
+/// drop(enabled.span(SpanKind::Compile, ""));
+/// assert_eq!(sink.summary().span(SpanKind::Compile).count, 1);
 /// ```
 #[derive(Clone, Default)]
 pub struct TraceHandle {
@@ -330,7 +204,7 @@ pub struct TraceHandle {
 }
 
 impl TraceHandle {
-    /// The disabled handle (every emission is a no-op).
+    /// The disabled handle (every span is a no-op).
     pub fn disabled() -> TraceHandle {
         TraceHandle { tracer: None }
     }
@@ -345,14 +219,6 @@ impl TraceHandle {
     /// Is a sink attached?
     pub fn is_enabled(&self) -> bool {
         self.tracer.is_some()
-    }
-
-    /// Emits an instantaneous event (no-op when disabled).
-    #[inline]
-    pub fn event(&self, kind: EventKind) {
-        if let Some(t) = &self.tracer {
-            t.event(kind);
-        }
     }
 
     /// Opens a span; it ends when the returned guard drops.
@@ -437,12 +303,11 @@ impl TraceFormat {
 
 /// One record captured by [`ChromeTraceSink`].
 struct ChromeRecord {
-    /// Trace Event Format phase: `'B'`egin, `'E'`nd, or `'i'`nstant.
+    /// Trace Event Format phase: `'B'`egin or `'E'`nd.
     ph: char,
     ts_micros: u64,
     tid: u32,
     name: Cow<'static, str>,
-    cat: &'static str,
 }
 
 #[derive(Default)]
@@ -458,12 +323,12 @@ impl ChromeInner {
     }
 }
 
-/// Records every span and event and serializes them in the [Trace Event
-/// Format] understood by `chrome://tracing` and [Perfetto].
+/// Records every span and serializes them in the [Trace Event Format]
+/// understood by `chrome://tracing` and [Perfetto].
 ///
-/// Spans become `B`/`E` pairs; events become thread-scoped instants.
-/// Timestamps are microseconds since the sink was created; worker threads
-/// get distinct `tid`s so matrix cells render as parallel tracks.
+/// Spans become `B`/`E` pairs. Timestamps are microseconds since the sink
+/// was created; worker threads get distinct `tid`s so matrix cells render
+/// as parallel tracks.
 ///
 /// [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 /// [Perfetto]: https://ui.perfetto.dev
@@ -505,7 +370,7 @@ impl ChromeTraceSink {
         self.len() == 0
     }
 
-    fn push(&self, ph: char, name: Cow<'static, str>, cat: &'static str) {
+    fn push(&self, ph: char, name: Cow<'static, str>) {
         let ts_micros = u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX);
         let mut inner = self.inner.lock().unwrap();
         let tid = inner.tid();
@@ -514,25 +379,18 @@ impl ChromeTraceSink {
             ts_micros,
             tid,
             name,
-            cat,
         });
     }
 
     fn write_record(w: &mut impl Write, r: &ChromeRecord) -> io::Result<()> {
         write!(
             w,
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":1,\"tid\":{}",
+            "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"{}\",\"ts\":{},\"pid\":1,\"tid\":{}}}",
             escape_json(&r.name),
-            r.cat,
             r.ph,
             r.ts_micros,
             r.tid
-        )?;
-        if r.ph == 'i' {
-            // Thread-scoped instant (renders as a tick on the emitting track).
-            write!(w, ",\"s\":\"t\"")?;
-        }
-        write!(w, "}}")
+        )
     }
 
     /// Writes the capture as one Chrome-trace JSON document.
@@ -606,17 +464,13 @@ impl Tracer for ChromeTraceSink {
         } else {
             Cow::Owned(format!("{}: {label}", kind.name()))
         };
-        self.push('B', name, "span");
+        self.push('B', name);
     }
 
     fn span_end(&self, _id: SpanId, kind: SpanKind) {
         // The Trace Event Format matches B/E by nesting order per tid, so
         // the end record only needs to repeat the kind.
-        self.push('E', Cow::Borrowed(kind.name()), "span");
-    }
-
-    fn event(&self, kind: EventKind) {
-        self.push('i', Cow::Borrowed(kind.name()), "event");
+        self.push('E', Cow::Borrowed(kind.name()));
     }
 }
 
@@ -635,7 +489,6 @@ pub struct SpanStats {
 struct SummaryInner {
     open: HashMap<u64, Instant>,
     spans: [SpanStats; SpanKind::ALL.len()],
-    events: [u64; EventKind::ALL.len()],
 }
 
 /// An immutable snapshot of a [`SummarySink`].
@@ -643,26 +496,19 @@ struct SummaryInner {
 /// # Examples
 ///
 /// ```
-/// use regtree_runtime::{EventKind, SpanKind, TraceSummary};
+/// use regtree_runtime::{SpanKind, TraceSummary};
 /// let summary = TraceSummary::default();
 /// assert_eq!(summary.span(SpanKind::Compile).count, 0);
-/// assert_eq!(summary.event_count(EventKind::MemoHit), 0);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceSummary {
     spans: [SpanStats; SpanKind::ALL.len()],
-    events: [u64; EventKind::ALL.len()],
 }
 
 impl TraceSummary {
     /// The aggregate for one span kind.
     pub fn span(&self, kind: SpanKind) -> SpanStats {
         self.spans[kind.index()]
-    }
-
-    /// How many events of `kind` were emitted.
-    pub fn event_count(&self, kind: EventKind) -> u64 {
-        self.events[kind.index()]
     }
 }
 
@@ -683,48 +529,34 @@ impl fmt::Display for TraceSummary {
                 s.total_nanos as f64 / 1e6
             )?;
         }
-        let mut wrote_header = false;
-        for kind in EventKind::ALL {
-            let n = self.event_count(kind);
-            if n == 0 {
-                continue;
-            }
-            if !wrote_header {
-                writeln!(f, "event                 count")?;
-                wrote_header = true;
-            }
-            writeln!(f, "{:<20} {:>6}", kind.name(), n)?;
-        }
         Ok(())
     }
 }
 
-/// Aggregating sink: per-[`SpanKind`] counts and total wall time plus
-/// per-[`EventKind`] counts, with no per-record storage.
+/// Aggregating sink: per-[`SpanKind`] counts and total wall time, with no
+/// per-record storage.
 ///
-/// Its totals are definitionally consistent with [`RunMetrics`]: every
-/// counter bump that a [`Budget`] records emits exactly one event here, so
-/// e.g. `event_count(StateInterned)` equals the summed
-/// `metrics.states_interned` of all runs traced through this sink.
+/// It times phases and counts how often each ran; the work done inside
+/// them is counted by the run's [`RunMetrics`], which the sink does not
+/// repeat.
 ///
 /// [`RunMetrics`]: crate::RunMetrics
-/// [`Budget`]: crate::Budget
 ///
 /// # Examples
 ///
 /// ```
-/// use regtree_runtime::{EventKind, SpanKind, SummarySink, TraceHandle};
+/// use regtree_runtime::{SpanKind, SummarySink, TraceHandle};
 /// use std::sync::Arc;
 ///
 /// let sink = Arc::new(SummarySink::new());
 /// let trace = TraceHandle::new(sink.clone());
 /// {
-///     let _outer = trace.span(SpanKind::MatrixCell, "fd1 × levels");
-///     trace.event(EventKind::FrontierPush);
+///     let _cell = trace.span(SpanKind::MatrixCell, "fd1 × levels");
+///     let _search = trace.span(SpanKind::IcSearch, "");
 /// }
 /// let summary = sink.summary();
 /// assert_eq!(summary.span(SpanKind::MatrixCell).count, 1);
-/// assert_eq!(summary.event_count(EventKind::FrontierPush), 1);
+/// assert_eq!(summary.span(SpanKind::IcSearch).count, 1);
 /// ```
 pub struct SummarySink {
     inner: Mutex<SummaryInner>,
@@ -742,10 +574,7 @@ impl SummarySink {
     /// included (their wall time is unknown until they end).
     pub fn summary(&self) -> TraceSummary {
         let inner = self.inner.lock().unwrap();
-        TraceSummary {
-            spans: inner.spans,
-            events: inner.events,
-        }
+        TraceSummary { spans: inner.spans }
     }
 }
 
@@ -776,10 +605,6 @@ impl Tracer for SummarySink {
             slot.total_nanos = slot.total_nanos.saturating_add(nanos);
         }
     }
-
-    fn event(&self, kind: EventKind) {
-        self.inner.lock().unwrap().events[kind.index()] += 1;
-    }
 }
 
 fn escape_json(s: &str) -> String {
@@ -806,7 +631,6 @@ mod tests {
     fn disabled_handle_is_inert() {
         let h = TraceHandle::disabled();
         assert!(!h.is_enabled());
-        h.event(EventKind::StateInterned);
         let g = h.span(SpanKind::Compile, "x");
         drop(g);
     }
@@ -818,15 +642,13 @@ mod tests {
         {
             let _outer = h.span(SpanKind::IcSearch, "outer");
             let _inner = h.span(SpanKind::EmptinessFixpoint, "");
-            h.event(EventKind::FrontierPush);
         }
-        assert_eq!(sink.len(), 5); // 2×B + 2×E + 1×i
+        assert_eq!(sink.len(), 4); // 2×B + 2×E
         let json = sink.to_chrome_json();
         assert_eq!(json.matches("\"ph\":\"B\"").count(), 2);
         assert_eq!(json.matches("\"ph\":\"E\"").count(), 2);
-        assert_eq!(json.matches("\"ph\":\"i\"").count(), 1);
         let jsonl = sink.to_jsonl();
-        assert_eq!(jsonl.lines().count(), 5);
+        assert_eq!(jsonl.lines().count(), 4);
     }
 
     #[test]
@@ -835,17 +657,13 @@ mod tests {
         let h = TraceHandle::new(sink.clone());
         for _ in 0..3 {
             let _g = h.span(SpanKind::FdCheck, "fd");
-            h.event(EventKind::MemoHit);
-            h.event(EventKind::MemoMiss);
         }
         let s = sink.summary();
         assert_eq!(s.span(SpanKind::FdCheck).count, 3);
         assert_eq!(s.span(SpanKind::Compile).count, 0);
-        assert_eq!(s.event_count(EventKind::MemoHit), 3);
-        assert_eq!(s.event_count(EventKind::MemoMiss), 3);
         let rendered = s.to_string();
         assert!(rendered.contains("fd_check"));
-        assert!(rendered.contains("memo_hit"));
+        assert!(!rendered.contains("compile"));
     }
 
     #[test]
@@ -857,14 +675,12 @@ mod tests {
                 scope.spawn(move || {
                     for _ in 0..1000 {
                         let _g = h.span(SpanKind::MatrixCell, "cell");
-                        h.event(EventKind::StateInterned);
                     }
                 });
             }
         });
         let s = sink.summary();
         assert_eq!(s.span(SpanKind::MatrixCell).count, 4000);
-        assert_eq!(s.event_count(EventKind::StateInterned), 4000);
     }
 
     #[test]

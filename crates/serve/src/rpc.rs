@@ -157,23 +157,26 @@ impl From<io::Error> for FrameError {
     }
 }
 
+/// Longest header line [`read_frame`] accepts, terminator included.
+/// `max_payload` bounds only the body; this bounds what one header line can
+/// make the server buffer.
+const MAX_HEADER_LINE: u64 = 8 * 1024;
+
 /// Reads one framed message body (at most `max_payload` bytes).
 ///
 /// Oversized frames are *drained* before returning [`FrameError::TooLarge`]
-/// so the caller can answer with a typed error and keep the connection.
+/// so the caller can answer with a typed error and keep the connection. A
+/// header line longer than 8 KiB is a [`FrameError::Protocol`], read no
+/// further than its first 8 KiB + 1 bytes.
 pub fn read_frame<R: BufRead>(reader: &mut R, max_payload: usize) -> Result<Vec<u8>, FrameError> {
     let mut content_length: Option<usize> = None;
     let mut first = true;
     loop {
-        let mut line = String::new();
-        let n = match reader.read_line(&mut line) {
-            Ok(n) => n,
-            // Header bytes that are not UTF-8 cannot be framing headers.
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                return Err(FrameError::Protocol("headers are not valid UTF-8".into()));
-            }
-            Err(e) => return Err(e.into()),
-        };
+        let mut raw = Vec::new();
+        let n = reader
+            .by_ref()
+            .take(MAX_HEADER_LINE + 1)
+            .read_until(b'\n', &mut raw)?;
         if n == 0 {
             return if first {
                 Err(FrameError::Closed)
@@ -181,7 +184,16 @@ pub fn read_frame<R: BufRead>(reader: &mut R, max_payload: usize) -> Result<Vec<
                 Err(FrameError::Truncated("stream ended mid-headers".into()))
             };
         }
+        if n as u64 > MAX_HEADER_LINE {
+            return Err(FrameError::Protocol(format!(
+                "header line longer than {MAX_HEADER_LINE} bytes"
+            )));
+        }
         first = false;
+        // Header bytes that are not UTF-8 cannot be framing headers.
+        let Ok(line) = std::str::from_utf8(&raw) else {
+            return Err(FrameError::Protocol("headers are not valid UTF-8".into()));
+        };
         let line = line.trim_end_matches(['\r', '\n']);
         if line.is_empty() {
             break; // blank line: headers done

@@ -2,7 +2,7 @@
 //! runs the real connection loop over in-memory buffers — no sockets, no
 //! subprocesses — and asserts on the exact framed responses.
 
-use std::io::{BufReader, Write};
+use std::io::{BufReader, Cursor, Write};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -184,6 +184,30 @@ fn missing_content_length_header_closes_with_parse_error() {
     let (resps, _) = run_script(&script, ServerConfig::default());
     assert_eq!(resps.len(), 1);
     assert_eq!(error_code(&resps[0]), Some(rpc::PARSE_ERROR));
+}
+
+/// A header line with no end is cut at 8 KiB: `read_frame` stops reading
+/// there instead of buffering the whole line.
+#[test]
+fn endless_header_line_is_protocol_error_read_no_further_than_8_kib() {
+    let first = b"Content-Length: 2\r\n";
+    let mut raw = first.to_vec();
+    raw.extend(b"X-Pad: ");
+    raw.resize(raw.len() + (1 << 20), b'x');
+    let mut r = Cursor::new(raw);
+    assert!(matches!(
+        read_frame(&mut r, 1 << 30),
+        Err(rpc::FrameError::Protocol(_))
+    ));
+    assert!(r.position() <= (first.len() + 8 * 1024 + 1) as u64);
+}
+
+#[test]
+fn long_unknown_header_before_content_length_still_frames() {
+    let mut raw = format!("X-Pad: {}\r\n", "x".repeat(4 * 1024)).into_bytes();
+    raw.extend(frame("{}"));
+    let mut r = Cursor::new(raw);
+    assert_eq!(read_frame(&mut r, 1024).unwrap(), b"{}");
 }
 
 #[test]

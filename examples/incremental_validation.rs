@@ -49,7 +49,7 @@ fn main() {
             "unknown"
         },
         ic_time,
-        analysis.automaton_size,
+        analysis.total_states,
     );
     assert!(analysis.verdict.is_independent());
 

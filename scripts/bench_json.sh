@@ -3,7 +3,8 @@
 # ic_vs_revalidation incl. the independence_matrix group) and emits
 # BENCH_ic.json mapping each benchmark id to its median nanoseconds, plus
 # flat `counters/<axis>/<point>/<metric>` work counters (states interned,
-# transitions fired, DFA steps, …) and `phases/<axis>/<point>/<phase>_*`
+# transitions fired, guard intersections, frontier pushes, explored and
+# total product states) and `phases/<axis>/<point>/<phase>_*`
 # per-phase wall-time breakdowns (from a SummarySink-traced run) for the E9
 # sweep points, so the *work done* — and where the time went — is versioned
 # next to the time it took.

@@ -66,8 +66,8 @@ pub mod prelude {
     pub use regtree_core::{
         build_reduction, check_fd, expressible_in_path_formalism, parse_fd, parse_update_class,
         revalidate_full, revalidate_full_many, satisfies, Analyzer, AnalyzerBuilder, Budget,
-        CancelToken, CellProvenance, ChromeTraceSink, DroppedFd, EqualityType, Error, EventKind,
-        Fd, FdBatchReport, FdOutcome, FdSet, Implication, IncrementalChecker, IndependenceMatrix,
+        CancelToken, CellProvenance, ChromeTraceSink, DroppedFd, EqualityType, Error, Fd,
+        FdBatchReport, FdOutcome, FdSet, Implication, IncrementalChecker, IndependenceMatrix,
         Minimization, RecheckReport, RecheckScope, Resource, RunLimits, RunMetrics, SpanId,
         SpanKind, SummarySink, TraceFormat, TraceHandle, TraceSummary, Tracer, Update, UpdateClass,
         UpdateOp, Verdict,

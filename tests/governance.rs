@@ -5,6 +5,7 @@
 use std::time::Duration;
 
 use regtree::prelude::*;
+use regtree_core::RunOverrides;
 use regtree_gen as gen;
 
 /// A starved run (1-state budget) must either agree with the unlimited run
@@ -68,14 +69,15 @@ fn cancelled_matrix_returns_partial_cells_without_panic() {
 
     let token = CancelToken::new();
     token.cancel();
-    let analyzer = Analyzer::builder().cancel_token(token).build();
-    let matrix = analyzer.matrix(
+    let analyzer = Analyzer::builder().build();
+    let matrix = analyzer.matrix_with(
         &[("fd1", &fd1), ("fd3", &fd3), ("fd5", &fd5)],
         &[
             ("u", &class_u),
             ("level", &class_level),
             ("rank", &class_rank),
         ],
+        &RunOverrides::new().cancel_token(token),
     );
 
     assert_eq!(
@@ -123,14 +125,11 @@ fn cancellation_midway_leaves_no_wrong_verdicts() {
             token.cancel();
         })
     };
-    let governed = Analyzer::builder()
-        .schema(schema)
-        .cancel_token(token)
-        .build()
-        .matrix(
-            &[("fd1", &fd1), ("fd3", &fd3)],
-            &[("u", &class_u), ("level", &class_level)],
-        );
+    let governed = Analyzer::builder().schema(schema).build().matrix_with(
+        &[("fd1", &fd1), ("fd3", &fd3)],
+        &[("u", &class_u), ("level", &class_level)],
+        &RunOverrides::new().cancel_token(token),
+    );
     canceller.join().expect("canceller thread");
 
     assert_eq!(governed.cells.len(), clean.cells.len());

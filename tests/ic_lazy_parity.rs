@@ -117,8 +117,8 @@ proptest! {
         );
         // An unlimited run never reports an exhausted resource.
         prop_assert!(lazy.verdict.exhausted().is_none());
-        // Tracing parity: attaching a sink that receives every span and
-        // event must change nothing — the identical verdict and the
+        // Tracing parity: attaching a sink that receives every span must
+        // change nothing — the identical verdict and the
         // identical work counters (wall times are excluded: they vary run to
         // run, the counters must not).
         let mut traced_builder = Analyzer::builder().tracer(Arc::new(SummarySink::new()));

@@ -1,15 +1,17 @@
 //! Integration tests for the structured tracing layer.
 //!
-//! Three properties hold the subsystem together:
+//! Traces carry time and [`RunMetrics`] carries counts. Four properties
+//! hold the subsystem together:
 //!
-//! 1. a [`ChromeTraceSink`] capture of a real analysis is valid JSON with
-//!    every span's begin/end records present and properly nested per
-//!    thread (a trace with dangling `B` records renders as garbage in
-//!    `chrome://tracing`);
-//! 2. a [`SummarySink`] capture agrees with the engine's own
-//!    [`RunMetrics`] counters — each counter bump emits exactly one trace
-//!    event, so the two tallies must be byte-identical;
-//! 3. tracing is observation only: the traced run's verdict and counters
+//! 1. a [`ChromeTraceSink`] capture of a real analysis is valid JSON made
+//!    only of span begin/end records, properly nested per thread (a trace
+//!    with dangling `B` records renders as garbage in `chrome://tracing`);
+//! 2. a capture holds one `B`/`E` pair per phase, so its size does not
+//!    grow with the number of states a search interns;
+//! 3. a [`SummarySink`] counts exactly the phases the run went through:
+//!    one `ic_search` per engine run, one `matrix_cell` per computed cell,
+//!    one `fd_check` per full FD check;
+//! 4. tracing is observation only: the traced run's verdict and counters
 //!    match an untraced run (the per-case proptest lives in
 //!    `ic_lazy_parity.rs`; here the paper's running example is checked
 //!    end to end, matrix and FD batch included).
@@ -18,13 +20,14 @@ use std::sync::Arc;
 
 use regtree_core::api::Json;
 use regtree_core::{
-    update_class_from_edges, Analyzer, ChromeTraceSink, EventKind, RunMetrics, SpanKind,
-    SummarySink, TraceHandle, Update, UpdateOp,
+    update_class_from_edges, Analyzer, ChromeTraceSink, RunMetrics, SpanKind, SummarySink,
+    TraceHandle, Update, UpdateOp,
 };
 use regtree_xml::VersionedDocument;
 
-/// Per-tid stack simulation over the JSONL rendering: every `E` must close
-/// the innermost open `B` on its thread, and nothing may stay open.
+/// Per-tid stack simulation over the JSONL rendering: every record is a
+/// `B` or an `E`, every `E` must close the innermost open `B` on its
+/// thread, and nothing may stay open.
 fn assert_balanced(jsonl: &str) {
     use std::collections::HashMap;
     let mut stacks: HashMap<u64, u64> = HashMap::new();
@@ -39,7 +42,7 @@ fn assert_balanced(jsonl: &str) {
             assert!(*depth > 0, "E with no open span on tid {tid}: {line}");
             *depth -= 1;
         } else {
-            assert!(line.contains("\"ph\":\"i\""), "unexpected record: {line}");
+            panic!("not a span record: {line}");
         }
     }
     for (tid, depth) in stacks {
@@ -56,11 +59,26 @@ fn field_u64(line: &str, key: &str) -> u64 {
         .expect("numeric field")
 }
 
+/// What [`drive_example`] ran, read off its results.
+struct Ran {
+    /// fd5 vs U under the schema: the paper's yes-case.
+    independent: bool,
+    /// Merged counters of every run.
+    totals: RunMetrics,
+    /// Engine runs: the single check plus every computed matrix cell.
+    ic_searches: u64,
+    /// Matrix cells that ran the engine.
+    matrix_cells: u64,
+    /// Full FD checks: the batch, the checker's seed and its global
+    /// rechecks.
+    fd_checks: u64,
+}
+
 /// Runs the paper's running example (FD1/FD3/FD5 of the exam document
 /// against update class U, schema included) through an analyzer wired to
 /// `tracer`, exercising the batch analysis entry points plus the
 /// incremental pipeline (ingest, one delta recheck).
-fn drive_example(analyzer: &Analyzer) -> (bool, RunMetrics) {
+fn drive_example(analyzer: &Analyzer) -> Ran {
     let alphabet = regtree_gen::exam_alphabet();
     let doc = regtree_gen::figure1_document(&alphabet);
     let fd1 = regtree_gen::fd1(&alphabet);
@@ -70,13 +88,14 @@ fn drive_example(analyzer: &Analyzer) -> (bool, RunMetrics) {
 
     let mut totals = RunMetrics::default();
     let analysis = analyzer.independence(&fd5, &class);
-    let verdict = analysis.verdict.is_independent();
+    let independent = analysis.verdict.is_independent();
     totals.merge(&analysis.metrics);
 
     let matrix = analyzer.matrix(&[("fd3", &fd3), ("fd5", &fd5)], &[("U", &class)]);
     for cell in &matrix.cells {
         totals.merge(&cell.metrics);
     }
+    let matrix_cells = matrix.computed_count() as u64;
 
     let batch = analyzer.check_fds(std::slice::from_ref(&fd1), &doc);
     totals.merge(&batch.metrics);
@@ -98,7 +117,13 @@ fn drive_example(analyzer: &Analyzer) -> (bool, RunMetrics) {
         .expect("level edit applies");
     totals.merge(&report.metrics);
 
-    (verdict, totals)
+    Ran {
+        independent,
+        totals,
+        ic_searches: 1 + matrix_cells,
+        matrix_cells,
+        fd_checks: batch.outcomes.len() as u64 + 1 + report.metrics.rechecks_full,
+    }
 }
 
 fn traced_analyzer(tracer: Arc<dyn regtree_core::Tracer>) -> Analyzer {
@@ -120,9 +145,8 @@ fn plain_analyzer() -> Analyzer {
 fn chrome_trace_is_valid_json_with_balanced_spans() {
     let sink = Arc::new(ChromeTraceSink::new());
     let analyzer = traced_analyzer(sink.clone());
-    let (independent, _) = drive_example(&analyzer);
     assert!(
-        independent,
+        drive_example(&analyzer).independent,
         "fd5 vs U under the schema is the paper's yes-case"
     );
 
@@ -169,42 +193,51 @@ fn chrome_sink_escapes_labels() {
 }
 
 #[test]
+fn trace_size_does_not_grow_with_the_search() {
+    let alphabet = regtree_gen::exam_alphabet();
+    let class = regtree_gen::update_class_u(&alphabet);
+    let mut states = Vec::new();
+    let mut captures = Vec::new();
+    for fd in [
+        regtree_gen::fd1(&alphabet),
+        regtree_gen::fd3(&alphabet),
+        regtree_gen::fd5(&alphabet),
+    ] {
+        let sink = Arc::new(ChromeTraceSink::new());
+        let analysis = traced_analyzer(sink.clone()).independence(&fd, &class);
+        states.push(analysis.metrics.states_interned);
+        captures.push(sink);
+    }
+    assert!(
+        states[0] != states[1] && states[1] != states[2] && states[0] != states[2],
+        "the three searches should differ in size: {states:?}"
+    );
+    let records: Vec<usize> = captures.iter().map(|sink| sink.len()).collect();
+    assert!(
+        records.iter().all(|&n| n == records[0]),
+        "records per capture {records:?} for states {states:?}"
+    );
+    for sink in &captures {
+        assert_balanced(&sink.to_jsonl());
+    }
+}
+
+#[test]
 fn summary_sink_totals_match_run_metrics() {
     let sink = Arc::new(SummarySink::new());
     let analyzer = traced_analyzer(sink.clone());
-    let (_, totals) = drive_example(&analyzer);
+    let ran = drive_example(&analyzer);
     let summary = sink.summary();
 
-    // Each Budget counter bump emits exactly one event, so the sink's
-    // tallies and the engine's own metrics must agree exactly.
+    // The sink counts phases, one per unit of work the results report.
+    assert_eq!(summary.span(SpanKind::IcSearch).count, ran.ic_searches);
+    assert_eq!(summary.span(SpanKind::MatrixCell).count, ran.matrix_cells);
+    assert_eq!(summary.span(SpanKind::FdCheck).count, ran.fd_checks);
     assert_eq!(
-        summary.event_count(EventKind::StateInterned),
-        totals.states_interned,
-        "states_interned"
+        summary.span(SpanKind::DeltaApply).count,
+        ran.totals.deltas_applied
     );
-    assert_eq!(
-        summary.event_count(EventKind::FrontierPush),
-        totals.frontier_pushes,
-        "frontier_pushes"
-    );
-    assert_eq!(
-        summary.event_count(EventKind::MemoMiss),
-        totals.memo_entries,
-        "memo_entries"
-    );
-    assert_eq!(
-        summary.event_count(EventKind::MemoHit),
-        totals.memo_hits,
-        "memo_hits"
-    );
-    assert_eq!(
-        summary.event_count(EventKind::GuardIntersection),
-        totals.guard_intersections,
-        "guard_intersections"
-    );
-    // No budget ran out in an unlimited run.
-    assert_eq!(summary.event_count(EventKind::Exhausted), 0);
-    // Spans closed: every kind that ran has wall time attributed.
+    // The sink counts a span when it ends: every kind that ran closed.
     for kind in [SpanKind::Compile, SpanKind::IcSearch, SpanKind::MatrixCell] {
         assert!(summary.span(kind).count > 0, "{} never ran", kind.name());
     }
@@ -213,9 +246,10 @@ fn summary_sink_totals_match_run_metrics() {
 #[test]
 fn tracing_is_observation_only() {
     let sink = Arc::new(ChromeTraceSink::new());
-    let (traced_verdict, traced_totals) = drive_example(&traced_analyzer(sink));
-    let (plain_verdict, plain_totals) = drive_example(&plain_analyzer());
-    assert_eq!(traced_verdict, plain_verdict);
+    let traced = drive_example(&traced_analyzer(sink));
+    let plain = drive_example(&plain_analyzer());
+    assert_eq!(traced.independent, plain.independent);
+    let (traced_totals, plain_totals) = (traced.totals, plain.totals);
     assert_eq!(traced_totals.states_interned, plain_totals.states_interned);
     assert_eq!(traced_totals.frontier_pushes, plain_totals.frontier_pushes);
     assert_eq!(traced_totals.memo_entries, plain_totals.memo_entries);

@@ -6,13 +6,18 @@
 //! the pattern automata on every call. An `Analyzer` is built once per
 //! (schema, limits) configuration and amortizes:
 //!
-//! * the compiled schema automaton (`A_S` of Proposition 3), compiled at
-//!   build time;
+//! * the compiled schema automaton (`A_S` of Proposition 3), taken from
+//!   [`Schema::compiled`] on each call: it is cached there and compiled
+//!   again only when the alphabet has grown, so it covers the labels the
+//!   call's FDs and classes interned after the analyzer was built;
 //! * pattern automata, cached by structural template sketch + selected
 //!   tuple + marking flag, so repeated queries over the same FD or update
 //!   class hit the cache — including across matrix calls;
 //! * the [`RunLimits`] every run is governed by; each call may override
 //!   them and bring its own [`CancelToken`] through [`RunOverrides`].
+//!
+//! Every IC call, one pair or a matrix, prepares the engine's inputs in one
+//! step (`IcInputs`) inside its `Compile` span.
 //!
 //! ```
 //! use regtree_core::{parse_fd, update_class_from_edges, Analyzer};
@@ -31,7 +36,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use regtree_hedge::{HedgeAutomaton, Schema};
+use regtree_hedge::Schema;
 use regtree_pattern::{compile_pattern, PatternAutomaton, RegularTreePattern};
 use regtree_runtime::{Budget, CancelToken, RunLimits, SpanKind, Stopwatch, TraceHandle, Tracer};
 use regtree_xml::{Document, VersionedDocument};
@@ -40,7 +45,7 @@ use crate::error::Error;
 use crate::fd::Fd;
 use crate::fdset::{FdSet, Minimization};
 use crate::incremental::IncrementalChecker;
-use crate::independence::{check_independence_governed, IndependenceAnalysis};
+use crate::independence::{check_independence_governed, IcInputs, IndependenceAnalysis};
 use crate::matrix::{analyze_matrix_governed, IndependenceMatrix};
 use crate::satisfy::{check_fds_governed, FdBatchReport};
 use crate::update::UpdateClass;
@@ -64,7 +69,7 @@ impl AnalyzerBuilder {
         AnalyzerBuilder::default()
     }
 
-    /// Analyses run relative to `schema` (compiled once, at build time).
+    /// Analyses run relative to `schema`.
     pub fn schema(mut self, schema: Schema) -> AnalyzerBuilder {
         self.schema = Some(schema);
         self
@@ -121,10 +126,9 @@ impl AnalyzerBuilder {
         self
     }
 
-    /// Builds the analyzer, compiling the schema automaton if one was set.
+    /// Builds the analyzer.
     pub fn build(self) -> Analyzer {
         Analyzer {
-            schema_auto: self.schema.as_ref().map(|s| s.compiled()),
             schema: self.schema,
             limits: self.limits,
             trace: self.tracer.map(TraceHandle::new).unwrap_or_default(),
@@ -201,7 +205,6 @@ impl RunOverrides {
 /// error.
 pub struct Analyzer {
     schema: Option<Schema>,
-    schema_auto: Option<std::sync::Arc<HedgeAutomaton>>,
     limits: RunLimits,
     trace: TraceHandle,
     /// Compiled pattern automata, keyed by structural identity so distinct
@@ -326,33 +329,26 @@ impl Analyzer {
         class: &UpdateClass,
         run: &RunOverrides,
     ) -> IndependenceAnalysis {
-        let alphabet = fd.template().alphabet().clone();
         let compile = Stopwatch::start();
-        let (pa_fd, pa_u) = {
+        let inputs = {
             let _span = self.trace.span(SpanKind::Compile, "independence patterns");
-            (
-                self.compiled(fd.pattern(), true),
-                self.compiled(class.pattern(), false),
+            IcInputs::new(
+                vec![self.compiled(fd.pattern(), true)],
+                vec![self.compiled(class.pattern(), false)],
+                self.schema.as_ref(),
+                &[0],
             )
         };
-        let compile_nanos = compile.elapsed_nanos();
-        check_independence_governed(
-            &alphabet,
-            &pa_fd,
-            &pa_u,
-            class,
-            self.schema_auto.as_deref(),
-            None,
-            None,
-            self.budget(run),
-            compile_nanos,
-        )
+        let budget = self.budget(run);
+        check_independence_governed(&inputs, (0, 0), class, budget, compile.elapsed_nanos())
     }
 
     /// Runs the criterion for every (FD, class) pair in parallel, sharing
     /// the schema automaton, cached pattern compilations, one guard-minterm
     /// partition, and — when a deadline is set — one wall-clock budget for
-    /// the whole matrix (count caps apply per cell).
+    /// the whole matrix (count caps apply per cell). Identical rows or
+    /// columns run once; their twins report
+    /// [`crate::CellProvenance::ReusedFrom`].
     ///
     /// Cancellation (via [`RunOverrides::cancel_token`] on
     /// [`Analyzer::matrix_with`]) aborts remaining cells; the returned
@@ -460,9 +456,9 @@ impl Analyzer {
         self.run_matrix(fds, classes, run, Some(&minimization))
     }
 
-    /// Compiles every row and column (through the pattern cache) and runs
-    /// the one matrix driver; with a `minimization`, only its kept rows
-    /// reach the engine.
+    /// Compiles every row and column (through the pattern cache), prepares
+    /// the IC inputs and runs the one matrix driver; with a `minimization`,
+    /// only its kept rows reach the engine.
     fn run_matrix(
         &self,
         fds: &[(&str, &Fd)],
@@ -470,28 +466,32 @@ impl Analyzer {
         run: &RunOverrides,
         minimization: Option<&Minimization>,
     ) -> IndependenceMatrix {
+        let kept: Vec<usize> = match minimization {
+            Some(m) => m.kept.clone(),
+            None => (0..fds.len()).collect(),
+        };
         let compile = Stopwatch::start();
-        let (pa_fds, pa_us) = {
+        let inputs = {
             let _span = self.trace.span(SpanKind::Compile, "matrix rows/columns");
-            let pa_fds: Vec<_> = fds
-                .iter()
-                .map(|(_, fd)| self.compiled(fd.pattern(), true))
-                .collect();
-            let pa_us: Vec<_> = classes
-                .iter()
-                .map(|(_, class)| self.compiled(class.pattern(), false))
-                .collect();
-            (pa_fds, pa_us)
+            IcInputs::new(
+                fds.iter()
+                    .map(|(_, fd)| self.compiled(fd.pattern(), true))
+                    .collect(),
+                classes
+                    .iter()
+                    .map(|(_, class)| self.compiled(class.pattern(), false))
+                    .collect(),
+                self.schema.as_ref(),
+                &kept,
+            )
         };
         let compile_nanos = compile.elapsed_nanos();
         let (limits, cancel) = self.effective(run);
         analyze_matrix_governed(
             fds,
             classes,
-            self.schema_auto.as_deref(),
             minimization,
-            &pa_fds,
-            &pa_us,
+            &inputs,
             limits,
             cancel,
             &self.trace,
@@ -605,11 +605,12 @@ mod tests {
 
     #[test]
     fn matrix_interner_matches_per_cell_results() {
+        use crate::api::MatrixResponse;
         use crate::matrix::CellProvenance;
         let a = Alphabet::new();
         // Row 2 duplicates row 0: the pattern cache maps both to the same
-        // compiled Arc, so the shared interner runs each of their cells
-        // once and copies the verdict to the twin.
+        // compiled Arc, so the matrix runs each of their cells once, on the
+        // first row, and copies the verdict to the twin.
         let fd0 = fd_price(&a);
         let fd1 = parse_fd(&a, "/catalog : item/sku -> item/stock").unwrap();
         let fd2 = fd_price(&a);
@@ -617,20 +618,21 @@ mod tests {
         let c1 = update_class_from_edges(&a, &["catalog/item/price"]).unwrap();
         let c2 = update_class_from_edges(&a, &["catalog/item/sku"]).unwrap();
         let an = Analyzer::builder().build();
-        let m = an.matrix(
-            &[("f0", &fd0), ("f1", &fd1), ("f2", &fd2)],
-            &[("c0", &c0), ("c1", &c1), ("c2", &c2)],
-        );
+        let fds = [("f0", &fd0), ("f1", &fd1), ("f2", &fd2)];
+        let classes = [("c0", &c0), ("c1", &c1), ("c2", &c2)];
+        let m = an.matrix(&fds, &classes);
         assert_eq!(m.computed_count(), 6, "{m}");
         assert_eq!(m.reused_count(), 3, "{m}");
-        // Whichever twin row wins the interner race computes; the other
-        // reuses. Each column must show exactly that pairing.
         for j in 0..3 {
-            match (&m.cell(0, j).provenance, &m.cell(2, j).provenance) {
-                (CellProvenance::Computed, CellProvenance::ReusedFrom { fd: 0 })
-                | (CellProvenance::ReusedFrom { fd: 2 }, CellProvenance::Computed) => {}
-                other => panic!("unexpected provenances in column {j}: {other:?}"),
-            }
+            assert_eq!(
+                (&m.cell(0, j).provenance, &m.cell(2, j).provenance),
+                (
+                    &CellProvenance::Computed,
+                    &CellProvenance::ReusedFrom { fd: 0 }
+                ),
+                "column {j}"
+            );
+            assert_eq!(m.cell(2, j).metrics.verdicts_reused, 1);
         }
         // Every cell agrees with a fresh per-cell engine run (no sharing).
         for (i, fd) in [&fd0, &fd1, &fd2].into_iter().enumerate() {
@@ -642,6 +644,30 @@ mod tests {
                     "cell ({i}, {j}) disagrees with the per-cell engine"
                 );
             }
+        }
+
+        // Twin columns: column 1 repeats column 0, so every cell of column 1
+        // reuses the cell of its own row in column 0.
+        let twin = update_class_from_edges(&a, &["catalog/item/price"]).unwrap();
+        let m = an.matrix(&fds[..2], &[("c1", &c1), ("twin", &twin)]);
+        for i in 0..2 {
+            assert_eq!(m.cell(i, 0).provenance, CellProvenance::Computed);
+            assert_eq!(
+                m.cell(i, 1).provenance,
+                CellProvenance::ReusedFrom { fd: i }
+            );
+            assert_eq!(m.independent(i, 1), m.independent(i, 0));
+        }
+
+        // Provenance does not depend on which worker finishes first.
+        let render = || {
+            MatrixResponse::from_matrix(&an.matrix(&fds, &classes))
+                .to_json()
+                .to_compact()
+        };
+        let first = render();
+        for _ in 0..20 {
+            assert_eq!(render(), first);
         }
     }
 

@@ -785,7 +785,7 @@ pub struct MatrixResponse {
     /// Cells the emptiness engine actually ran for.
     pub computed_cells: usize,
     /// Cells whose verdict was shared with an identical `(fd, update)`
-    /// pair of another row.
+    /// pair of another row or column.
     pub reused_cells: usize,
     /// Rows dropped as implied by the rest of the FD set.
     pub implied_rows: usize,
@@ -1011,7 +1011,7 @@ impl FdCheckResponse {
 /// * `xml` — the replacement/child subtree, for the first three ops;
 /// * `value` — the new string value, for `set_text`;
 /// * `first_only` — apply to the first selected node only (optional,
-///   default `false`).
+///   default `false`; any value but a JSON boolean is an error).
 pub fn parse_update_json(alphabet: &Alphabet, json: &Json) -> Result<Update, String> {
     let select = json
         .get("select")
@@ -1057,9 +1057,10 @@ pub fn parse_update_json(alphabet: &Alphabet, json: &Json) -> Result<Update, Str
             ))
         }
     };
-    let op = match json.get("first_only").and_then(Json::as_bool) {
-        Some(true) => UpdateOp::FirstOnly(Box::new(op)),
-        _ => op,
+    let op = match json.get("first_only").map(Json::as_bool) {
+        None | Some(Some(false)) => op,
+        Some(Some(true)) => UpdateOp::FirstOnly(Box::new(op)),
+        Some(None) => return Err("'first_only' must be a boolean".into()),
     };
     Ok(Update::new(class, op))
 }
@@ -1341,6 +1342,14 @@ mod tests {
                 "one top-level",
             ),
             (r#"{"select": "a", "op": "delete"}"#, "select"),
+            (
+                r#"{"select": "/a", "op": "delete", "first_only": "true"}"#,
+                "'first_only' must be a boolean",
+            ),
+            (
+                r#"{"select": "/a", "op": "delete", "first_only": 1}"#,
+                "'first_only' must be a boolean",
+            ),
         ] {
             let err = parse_update_json(&a, &Json::parse(line).unwrap()).unwrap_err();
             assert!(err.contains(needle), "line={line} err={err}");

@@ -17,12 +17,21 @@
 //! (`lazy_ic`), which stops at the first accepting root firing and rebuilds
 //! a witness document from it. [`crate::Analyzer::independence`] is the
 //! public way in.
+//!
+//! Proposition 2 is only as sound as the `A_S` the product runs on, so the
+//! engine's inputs have one owner, `IcInputs`, for a single pair and a
+//! matrix alike. It takes `A_S` from [`Schema::compiled`] on every call: a
+//! copy compiled before the FD's labels were interned lacks their leaf
+//! transitions and can answer `Independent` for a dependent pair.
 
-use regtree_hedge::{GuardPartition, HedgeAutomaton};
+use std::sync::Arc;
+
+use regtree_hedge::{CompiledAutomaton, GuardPartition, HedgeAutomaton, Schema};
 use regtree_pattern::PatternAutomaton;
 use regtree_runtime::{Budget, Resource, RunMetrics, SpanKind, Stopwatch};
 use regtree_xml::Document;
 
+use crate::lazy_ic::CompiledTriple;
 use crate::update::UpdateClass;
 
 /// Result of the independence analysis.
@@ -80,23 +89,100 @@ pub struct IndependenceAnalysis {
     pub metrics: RunMetrics,
 }
 
-/// The lazy engine on precompiled inputs under an explicit budget. This is
-/// the single shared entry point of [`crate::analyzer::Analyzer`] and the
-/// batch matrix. `compiled` optionally carries the arena/CSR forms of the
-/// three automata (compiled against `partition`) so a matrix pays the
-/// compilation once per automaton, not per cell.
-#[allow(clippy::too_many_arguments)]
+/// The prepared inputs of the IC checks of one call, a single pair or a
+/// whole matrix, built in one step inside the caller's `Compile` span: one
+/// [`GuardPartition`] over every row, every column and the schema
+/// automaton, and the arena/CSR form ([`CompiledAutomaton`]) of each
+/// automaton a check runs on, compiled against it once.
+///
+/// Rows (FD pattern automata, compiled with marking) and columns (update
+/// pattern automata) come from the analyzer's pattern cache, which maps
+/// identical FDs or classes to one `Arc`. A row or column whose `Arc`
+/// occurred earlier is a *twin*: it is not compiled, and its cells take
+/// the outcome of its representative's (`fd_rep`, `class_rep`).
+pub(crate) struct IcInputs {
+    fds: Vec<Arc<PatternAutomaton>>,
+    classes: Vec<Arc<PatternAutomaton>>,
+    /// Per row: the first run row over the same automaton.
+    pub(crate) fd_rep: Vec<usize>,
+    /// Per column: the first column over the same automaton.
+    pub(crate) class_rep: Vec<usize>,
+    partition: GuardPartition,
+    /// Compiled forms of the representatives; `None` for twins and for
+    /// rows that do not run.
+    compiled_fds: Vec<Option<CompiledAutomaton>>,
+    compiled_classes: Vec<Option<CompiledAutomaton>>,
+    /// `A_S`, or the universal automaton when there is no schema.
+    schema: CompiledAutomaton,
+}
+
+impl IcInputs {
+    /// Prepares the checks of the rows in `run` (in row order) against every
+    /// column. `A_S` comes from [`Schema::compiled`], which compiles it again
+    /// once the alphabet has grown. The partition covers every row, run or
+    /// not, so a row's cells do not depend on which other rows run.
+    pub(crate) fn new(
+        fds: Vec<Arc<PatternAutomaton>>,
+        classes: Vec<Arc<PatternAutomaton>>,
+        schema: Option<&Schema>,
+        run: &[usize],
+    ) -> IcInputs {
+        let columns: Vec<usize> = (0..classes.len()).collect();
+        let fd_rep = first_twins(&fds, run);
+        let class_rep = first_twins(&classes, &columns);
+        let a_s = schema.map_or_else(|| Arc::new(HedgeAutomaton::universal()), Schema::compiled);
+        let partition = GuardPartition::from_automata(
+            fds.iter()
+                .chain(&classes)
+                .map(|pa| &pa.automaton)
+                .chain([&*a_s]),
+        );
+        let compile = |pas: &[Arc<PatternAutomaton>], rep: &[usize], run: &[usize]| {
+            (0..pas.len())
+                .map(|i| {
+                    (rep[i] == i && run.contains(&i))
+                        .then(|| CompiledAutomaton::compile(&pas[i].automaton, &partition))
+                })
+                .collect()
+        };
+        IcInputs {
+            compiled_fds: compile(&fds, &fd_rep, run),
+            compiled_classes: compile(&classes, &class_rep, &columns),
+            schema: CompiledAutomaton::compile(&a_s, &partition),
+            partition,
+            fds,
+            classes,
+            fd_rep,
+            class_rep,
+        }
+    }
+}
+
+/// Per automaton of `pas`: the first index in `among` over the same `Arc`,
+/// or its own index when there is none.
+fn first_twins(pas: &[Arc<PatternAutomaton>], among: &[usize]) -> Vec<usize> {
+    (0..pas.len())
+        .map(|i| {
+            among
+                .iter()
+                .copied()
+                .find(|&k| Arc::ptr_eq(&pas[k], &pas[i]))
+                .unwrap_or(i)
+        })
+        .collect()
+}
+
+/// The lazy engine on the cell `(fd, class)` of representatives of
+/// `inputs`, under an explicit budget: it runs on the shared partition and
+/// the [`CompiledTriple`] of the row, the column and the schema.
 pub(crate) fn check_independence_governed(
-    alphabet: &regtree_alphabet::Alphabet,
-    pa_fd: &PatternAutomaton,
-    pa_u: &PatternAutomaton,
-    class: &UpdateClass,
-    schema_auto: Option<&HedgeAutomaton>,
-    partition: Option<&GuardPartition>,
-    compiled: Option<crate::lazy_ic::CompiledTriple<'_>>,
+    inputs: &IcInputs,
+    (fd, class): (usize, usize),
+    update_class: &UpdateClass,
     mut budget: Budget,
     compile_nanos: u64,
 ) -> IndependenceAnalysis {
+    let (pa_fd, pa_u) = (&inputs.fds[fd], &inputs.classes[class]);
     let ic_states = pa_fd.automaton.num_states() * pa_u.automaton.num_states() * 2;
     // One unconditional poll before any work: a pre-cancelled token or an
     // already-elapsed deadline aborts the run even on instances so small
@@ -115,16 +201,23 @@ pub(crate) fn check_independence_governed(
             metrics,
         };
     }
+    let compiled = CompiledTriple {
+        f: inputs.compiled_fds[fd]
+            .as_ref()
+            .expect("a run representative"),
+        u: inputs.compiled_classes[class]
+            .as_ref()
+            .expect("a representative"),
+        s: &inputs.schema,
+    };
     let search = Stopwatch::start();
     let trace = budget.trace().clone();
     let span = trace.span(SpanKind::IcSearch, "");
     let out = crate::lazy_ic::lazy_independence(
-        alphabet,
         pa_fd,
         pa_u,
-        class,
-        schema_auto,
-        partition,
+        update_class,
+        &inputs.partition,
         compiled,
         &mut budget,
     );

@@ -7,7 +7,9 @@
 //! and every horizontal product transition whether or not it is reachable.
 //! This module, the only IC engine of the product, explores the same product
 //! *bottom-up from realizable firings only*, over the arena/CSR compiled
-//! form of the three automata ([`CompiledAutomaton`]):
+//! form of the three automata ([`CompiledAutomaton`]). It compiles nothing
+//! itself: the guard partition and the compiled triple come from the one
+//! preparation step, [`crate::independence::IcInputs`].
 //!
 //! * product states `(f, u, bit, s)` are interned the first time they are
 //!   realized — in a dense index table when the full product fits, a hash
@@ -42,9 +44,7 @@ use std::collections::HashMap;
 
 use regtree_alphabet::{Alphabet, LabelKind, Symbol};
 use regtree_automata::StateId;
-use regtree_hedge::{
-    iter_classes, CompiledAutomaton, GuardPartition, HedgeAutomaton, TreeState, ANY_LETTER,
-};
+use regtree_hedge::{iter_classes, CompiledAutomaton, GuardPartition, TreeState, ANY_LETTER};
 use regtree_pattern::PatternAutomaton;
 use regtree_runtime::{Budget, Resource, SpanKind};
 use regtree_xml::{Document, TreeSpec};
@@ -62,10 +62,12 @@ pub(crate) struct LazyOutcome {
     pub total_states: usize,
 }
 
-/// The compiled forms of the three automata of one IC check, borrowed so
-/// matrix drivers can compile once per automaton and share across cells.
-/// All three must be compiled against the *same* [`GuardPartition`] that is
-/// passed to [`lazy_independence`].
+/// The compiled forms of the three automata of one IC check, borrowed from
+/// [`crate::independence::IcInputs`] and threaded through the hot functions
+/// so sims stay plain data. All three are compiled against the *same*
+/// [`GuardPartition`] that is passed to [`lazy_independence`]; frontier NFA
+/// states ([`FState`]) are *global* horizontal ids into their arenas.
+#[derive(Clone, Copy)]
 pub(crate) struct CompiledTriple<'a> {
     /// The FD pattern automaton (compiled with marking).
     pub f: &'a CompiledAutomaton,
@@ -169,16 +171,6 @@ impl StateTable {
             self.sparse.clear();
         }
     }
-}
-
-/// The three compiled automata of the running check, threaded through the
-/// hot functions so sims stay plain data. Frontier NFA states ([`FState`])
-/// are *global* horizontal ids into these arenas.
-#[derive(Clone, Copy)]
-struct Autos<'a> {
-    cf: &'a CompiledAutomaton,
-    cu: &'a CompiledAutomaton,
-    cs: &'a CompiledAutomaton,
 }
 
 /// Incremental frontier of one guard-compatible transition triple.
@@ -319,9 +311,6 @@ struct Workspace {
     generation: u32,
     fu: Vec<u64>,
     cand: Vec<u32>,
-    /// Compiled universal automaton from the last no-schema run, keyed by
-    /// the partition class count it was compiled against.
-    uni_compiled: Option<(usize, CompiledAutomaton)>,
 }
 
 thread_local! {
@@ -411,7 +400,7 @@ impl Shared<'_> {
 /// Interns a frontier state, checking acceptance of all three components.
 fn add_fstate(
     si: u32,
-    autos: Autos<'_>,
+    autos: CompiledTriple<'_>,
     sim: &mut Sim,
     shared: &mut Shared,
     st: FState,
@@ -429,7 +418,7 @@ fn add_fstate(
     // Register the letters this state's `f` component has symbol edges on.
     // Letters naming states the FD automaton does not have (sentinel
     // fillers) can never realize and are not registered.
-    let steps = autos.cf.h_step_from(st.sf);
+    let steps = autos.f.h_step_from(st.sf);
     let has_any = steps.last().is_some_and(|&(a, _)| a == ANY_LETTER);
     if has_any && shared.any_flags[si as usize] & F_ANY == 0 {
         shared.any_flags[si as usize] |= F_ANY;
@@ -450,7 +439,7 @@ fn add_fstate(
     }
     // The `u` and `s` sides get wants bits but no watcher lists: waking is
     // driven by `f` alone, the extra bitsets veto wakes and offers.
-    let urow = autos.cu.h_step_from(st.su);
+    let urow = autos.u.h_step_from(st.su);
     if urow.last().is_some_and(|&(a, _)| a == ANY_LETTER) {
         shared.any_flags[si as usize] |= U_ANY;
     }
@@ -461,7 +450,7 @@ fn add_fstate(
             shared.wants[u_off + ai / 64] |= 1u64 << (ai % 64);
         }
     }
-    let srow = autos.cs.h_step_from(st.ss);
+    let srow = autos.s.h_step_from(st.ss);
     if srow.last().is_some_and(|&(a, _)| a == ANY_LETTER) {
         shared.any_flags[si as usize] |= S_ANY;
     }
@@ -472,7 +461,7 @@ fn add_fstate(
             shared.wants[s_off + ai / 64] |= 1u64 << (ai % 64);
         }
     }
-    if autos.cf.h_is_accept(st.sf) && autos.cu.h_is_accept(st.su) && autos.cs.h_is_accept(st.ss) {
+    if autos.f.h_is_accept(st.sf) && autos.u.h_is_accept(st.su) && autos.s.h_is_accept(st.ss) {
         let bit = u8::from(sim.local) | st.seen;
         shared.realize(
             Key {
@@ -495,7 +484,7 @@ fn add_fstate(
 /// entries, which carry [`ANY_LETTER`] and match everything).
 fn try_letter(
     si: u32,
-    autos: Autos<'_>,
+    autos: CompiledTriple<'_>,
     sim: &mut Sim,
     shared: &mut Shared,
     xi: u32,
@@ -505,9 +494,9 @@ fn try_letter(
     let key = shared.letters[li as usize];
     shared.budget.on_transition();
     let seen2 = x.seen | key.bit;
-    let frow = autos.cf.h_step_from(x.sf);
-    let urow = autos.cu.h_step_from(x.su);
-    let srow = autos.cs.h_step_from(x.ss);
+    let frow = autos.f.h_step_from(x.sf);
+    let urow = autos.u.h_step_from(x.su);
+    let srow = autos.s.h_step_from(x.ss);
     for &(af, tf2) in frow {
         if af != key.f && af != ANY_LETTER {
             continue;
@@ -542,9 +531,9 @@ fn try_letter(
 /// already-realized letter this state can consume (letters still queued in
 /// the sim's pending list are skipped — the drain will offer them to the
 /// whole frontier, this state included).
-fn expand(si: u32, autos: Autos<'_>, sim: &mut Sim, shared: &mut Shared, xi: u32) {
+fn expand(si: u32, autos: CompiledTriple<'_>, sim: &mut Sim, shared: &mut Shared, xi: u32) {
     let x = sim.states[xi as usize].0;
-    for &t in autos.cf.h_eps_from(x.sf) {
+    for &t in autos.f.h_eps_from(x.sf) {
         add_fstate(
             si,
             autos,
@@ -554,7 +543,7 @@ fn expand(si: u32, autos: Autos<'_>, sim: &mut Sim, shared: &mut Shared, xi: u32
             Some((None, xi)),
         );
     }
-    for &t in autos.cu.h_eps_from(x.su) {
+    for &t in autos.u.h_eps_from(x.su) {
         add_fstate(
             si,
             autos,
@@ -564,7 +553,7 @@ fn expand(si: u32, autos: Autos<'_>, sim: &mut Sim, shared: &mut Shared, xi: u32
             Some((None, xi)),
         );
     }
-    for &t in autos.cs.h_eps_from(x.ss) {
+    for &t in autos.s.h_eps_from(x.ss) {
         add_fstate(
             si,
             autos,
@@ -581,11 +570,11 @@ fn expand(si: u32, autos: Autos<'_>, sim: &mut Sim, shared: &mut Shared, xi: u32
         // non-wildcard component (full scan only when all three are
         // wildcards); letters realized during the replay arrive via
         // pending instead — the snapshots below exclude them.
-        let frow = autos.cf.h_step_from(x.sf);
+        let frow = autos.f.h_step_from(x.sf);
         let f_any = frow.last().is_some_and(|&(a, _)| a == ANY_LETTER);
-        let urow = autos.cu.h_step_from(x.su);
+        let urow = autos.u.h_step_from(x.su);
         let u_any = urow.last().is_some_and(|&(a, _)| a == ANY_LETTER);
-        let srow = autos.cs.h_step_from(x.ss);
+        let srow = autos.s.h_step_from(x.ss);
         let s_any = srow.last().is_some_and(|&(a, _)| a == ANY_LETTER);
         let mut buf = std::mem::take(&mut shared.replay_buf);
         buf.clear();
@@ -632,7 +621,7 @@ fn expand(si: u32, autos: Autos<'_>, sim: &mut Sim, shared: &mut Shared, xi: u32
 /// Drains a sim's pending work: fresh frontier states, then realized letters
 /// not yet offered to the settled frontier. On exit (absent an early stop)
 /// the sim is quiescent; it runs again only when the dirty queue wakes it.
-fn pump(si: u32, autos: Autos<'_>, sim: &mut Sim, shared: &mut Shared) {
+fn pump(si: u32, autos: CompiledTriple<'_>, sim: &mut Sim, shared: &mut Shared) {
     if sim.dead {
         return;
     }
@@ -750,70 +739,24 @@ fn build_witness(env: &WitnessEnv, sims: &[Sim], shared: &Shared, root: (u32, u3
 
 /// Runs the lazy on-the-fly IC emptiness check.
 ///
-/// `pa_fd` must be compiled with marking, `pa_u` without; `schema` is the
-/// compiled schema automaton (`None` falls back to the universal automaton,
-/// which is language-preserving). `partition` lets callers share the guard
-/// minterms across many cells; it must cover the three automata (as
-/// [`GuardPartition::from_automata`] over a superset of them guarantees),
-/// and when absent it is derived from them. `compiled` lets matrix drivers
-/// share the arena/CSR compiled forms across cells; it must have been
-/// compiled against `partition`.
-#[allow(clippy::too_many_arguments)]
+/// `pa_fd` must be compiled with marking, `pa_u` without; `autos` holds
+/// their arena/CSR forms and that of the schema automaton (the universal
+/// automaton when there is no schema, which is language-preserving), all
+/// compiled against `part`, which must cover the three automata (as
+/// [`GuardPartition::from_automata`] over a superset of them guarantees).
 pub(crate) fn lazy_independence(
-    alphabet: &Alphabet,
     pa_fd: &PatternAutomaton,
     pa_u: &PatternAutomaton,
     class: &UpdateClass,
-    schema: Option<&HedgeAutomaton>,
-    partition: Option<&GuardPartition>,
-    compiled: Option<CompiledTriple<'_>>,
+    part: &GuardPartition,
+    autos: CompiledTriple<'_>,
     budget: &mut Budget,
 ) -> LazyOutcome {
-    // The universal automaton is input-independent; build it once per
-    // process instead of per call (no-schema calls are the common case in
-    // matrix sweeps).
-    static UNIVERSAL: std::sync::OnceLock<HedgeAutomaton> = std::sync::OnceLock::new();
-    let a_s = match schema {
-        Some(s) => s,
-        None => UNIVERSAL.get_or_init(HedgeAutomaton::universal),
-    };
-    let af = &pa_fd.automaton;
-    let au = &pa_u.automaton;
-    let owned_partition;
-    let part = match partition {
-        Some(p) => p,
-        None => {
-            owned_partition = GuardPartition::from_automata([af, au, a_s]);
-            &owned_partition
-        }
-    };
+    let alphabet = class.pattern().template().alphabet();
+    let (cf, cu, cs) = (autos.f, autos.u, autos.s);
     // Borrow the per-thread scratch: every container below starts empty but
     // retains the capacity (and dense-table state) of previous runs.
     let mut ws = WORKSPACE.with(|w| std::mem::take(&mut *w.borrow_mut()));
-    let mut uni_cache = ws.uni_compiled.take();
-    let owned_pair;
-    let mut owned_cs: Option<CompiledAutomaton> = None;
-    let (cf, cu, cs) = match compiled {
-        Some(t) => (t.f, t.u, t.s),
-        None => {
-            owned_pair = (
-                CompiledAutomaton::compile(af, part),
-                CompiledAutomaton::compile(au, part),
-            );
-            // The universal automaton's compiled form depends only on the
-            // partition's class count, so no-schema calls can reuse the copy
-            // stashed in the workspace by the previous run.
-            owned_cs = Some(match (schema, uni_cache.take()) {
-                (None, Some((n, c))) if n == part.num_classes() => c,
-                _ => CompiledAutomaton::compile(a_s, part),
-            });
-            (
-                &owned_pair.0,
-                &owned_pair.1,
-                owned_cs.as_ref().expect("just set"),
-            )
-        }
-    };
     let nf = cf.num_states();
     let nu = cu.num_states();
     let ns = cs.num_states();
@@ -871,7 +814,6 @@ pub(crate) fn lazy_independence(
         dirty: std::mem::take(&mut ws.dirty),
         in_dirty: std::mem::take(&mut ws.in_dirty),
     };
-    let autos = Autos { cf, cu, cs };
     // Dedup stamp over schema-transition candidates per (tf, tu) pair. The
     // stamps persist across runs because the generation counter only grows;
     // both reset together long before it can wrap.
@@ -1071,12 +1013,6 @@ pub(crate) fn lazy_independence(
             generation,
             fu,
             cand,
-            // Stash the compiled universal automaton for the next no-schema
-            // call (a schema run's `owned_cs` is the schema, not cacheable).
-            uni_compiled: match (schema, owned_cs) {
-                (None, Some(c)) => Some((part.num_classes(), c)),
-                _ => uni_cache,
-            },
         };
     });
 

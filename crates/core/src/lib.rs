@@ -38,7 +38,6 @@ pub mod fd;
 pub mod fdset;
 pub mod incremental;
 pub mod independence;
-mod intern;
 mod lazy_ic;
 pub mod matrix;
 mod pathfd;

@@ -6,20 +6,21 @@
 //! pair and summarizes which FDs need re-verification after which update
 //! classes — the static complement of a validator's scheduling table.
 //!
-//! The matrix amortizes everything shareable across cells: the schema
-//! automaton is compiled once, each FD row and update-class column is
-//! compiled to its pattern automaton once and then flattened once into its
-//! arena/CSR form ([`regtree_hedge::CompiledAutomaton`]) against a single
-//! [`GuardPartition`] of label minterms that serves every cell's
-//! word-parallel guard intersections. Cells then run the lazy on-the-fly
-//! emptiness engine (`crate::lazy_ic`) on scoped worker threads
-//! ([`regtree_pattern::parallel_map`]). Workers additionally share realized
-//! cell outcomes through a sharded interner keyed by the `(row, column)`
-//! automaton identities (`crate::intern`): when the FD/class dedup of
-//! [`crate::Analyzer`] maps two cells to the same compiled pair, only the
-//! first runs the engine and the rest reuse its verdict
+//! The matrix amortizes everything shareable across cells. The one
+//! preparation step of the IC (`IcInputs`) compiles each FD row and
+//! update-class column to its pattern automaton once (through the
+//! [`crate::Analyzer`] cache), builds a single
+//! [`regtree_hedge::GuardPartition`] of label minterms over all of them and
+//! the schema automaton, and flattens each automaton once into its
+//! arena/CSR form ([`regtree_hedge::CompiledAutomaton`]) against it. It also
+//! finds twins up front: the pattern cache maps identical FDs or classes to
+//! one `Arc`, so each distinct `(row, column)` pair runs once, on its first
+//! row and first column, and the twins' cells copy its outcome
 //! ([`CellProvenance::ReusedFrom`], counted in
-//! `RunMetrics::verdicts_reused`).
+//! `RunMetrics::verdicts_reused`). The distinct pairs run the lazy
+//! on-the-fly emptiness engine (`crate::lazy_ic`) on scoped worker threads
+//! ([`regtree_pattern::parallel_map`]); which cell computes and which
+//! reuses depends only on the input order.
 //!
 //! One driver serves both entry points. The *pruned* one
 //! ([`crate::Analyzer::matrix_pruned`]) first reasons about the FD **set**:
@@ -29,18 +30,15 @@
 //! same budgets — so its cells equal the unpruned ones. Every cell records
 //! how it got its verdict in [`CellProvenance`].
 
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
-use regtree_hedge::{CompiledAutomaton, GuardPartition, HedgeAutomaton};
-use regtree_pattern::{parallel_map, PatternAutomaton};
+use regtree_pattern::parallel_map;
 use regtree_runtime::{Budget, CancelToken, RunLimits, RunMetrics, SpanKind, TraceHandle};
 
 use crate::fd::Fd;
 use crate::fdset::Minimization;
-use crate::independence::{check_independence_governed, Verdict};
-use crate::intern::{CellEntry, CellInterner};
-use crate::lazy_ic::CompiledTriple;
+use crate::independence::{check_independence_governed, IcInputs, IndependenceAnalysis, Verdict};
 use crate::update::UpdateClass;
 
 /// How a matrix cell got its verdict.
@@ -59,9 +57,9 @@ pub enum CellProvenance {
         /// Kept FD indices implying this row.
         by: Vec<usize>,
     },
-    /// The verdict was copied from row `fd` of the same column: both cells
-    /// resolve to the identical compiled `(row, column)` automaton pair, and
-    /// the shared interner realized the outcome once.
+    /// The verdict was copied from the cell that ran for the identical
+    /// compiled `(row, column)` automaton pair: row `fd`, the first row over
+    /// this row's automaton, in the first column over this column's.
     ReusedFrom {
         /// The FD index whose engine-computed verdict was reused.
         fd: usize,
@@ -233,162 +231,103 @@ impl fmt::Display for IndependenceMatrix {
 }
 
 /// The one matrix driver, behind both [`crate::Analyzer::matrix_with`] and
-/// [`crate::Analyzer::matrix_pruned_with`], on precompiled rows/columns
-/// under a shared budget. The wall-clock deadline is global to the whole
-/// matrix (a deadline bounds the *call*, not each cell); the count caps
-/// apply per cell. A cancelled run still returns every cell: cells that
+/// [`crate::Analyzer::matrix_pruned_with`], on inputs prepared by
+/// [`IcInputs`] under a shared budget. The wall-clock deadline is global to
+/// the whole matrix (a deadline bounds the *call*, not each cell); the count
+/// caps apply per cell. A cancelled run still returns every cell: cells that
 /// never ran report `Unknown { exhausted: Some(Cancelled) }`.
 ///
-/// With a `minimization`, only its kept rows run the engine; the dropped
-/// rows come back as engine-free [`CellProvenance::ImpliedRow`] cells.
-/// `pa_fds` is parallel to `fds` either way, so the guard partition — and
-/// with it every kept cell's result — is the same as without pruning.
+/// Each distinct `(row, column)` automaton pair runs once, on its first row
+/// and first column; the cells of twin rows and columns copy that outcome as
+/// [`CellProvenance::ReusedFrom`]. With a `minimization`, only its kept rows
+/// run; the dropped rows come back as engine-free
+/// [`CellProvenance::ImpliedRow`] cells, and since `inputs` covers every row
+/// either way, each kept cell equals its unpruned result.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn analyze_matrix_governed(
     fds: &[(&str, &Fd)],
     classes: &[(&str, &UpdateClass)],
-    schema_auto: Option<&HedgeAutomaton>,
     minimization: Option<&Minimization>,
-    pa_fds: &[Arc<PatternAutomaton>],
-    pa_us: &[Arc<PatternAutomaton>],
+    inputs: &IcInputs,
     limits: &RunLimits,
     cancel: Option<&CancelToken>,
     trace: &TraceHandle,
     compile_nanos: u64,
 ) -> IndependenceMatrix {
     let ncols = classes.len();
-    let kept: Vec<usize> = match minimization {
-        Some(m) => m.kept.clone(),
-        None => (0..fds.len()).collect(),
-    };
-    let partition = GuardPartition::from_automata(
-        pa_fds
-            .iter()
-            .chain(pa_us.iter())
-            .map(|pa| &pa.automaton)
-            .chain(schema_auto),
-    );
-    // Flatten every kept row, column, and the schema into their arena/CSR
-    // forms once; cells borrow the compiled triple pieces instead of
-    // recompiling.
-    let universal;
-    let schema_sym = match schema_auto {
-        Some(s) => s,
-        None => {
-            universal = HedgeAutomaton::universal();
-            &universal
-        }
-    };
-    let compiled = (!fds.is_empty()).then(|| {
-        let compile = |pa: &PatternAutomaton| CompiledAutomaton::compile(&pa.automaton, &partition);
-        (
-            kept.iter()
-                .map(|&i| compile(&pa_fds[i]))
-                .collect::<Vec<_>>(),
-            pa_us.iter().map(|pa| compile(pa)).collect::<Vec<_>>(),
-            CompiledAutomaton::compile(schema_sym, &partition),
-        )
-    });
-    let interner = CellInterner::new();
+    let implied = |i: usize| minimization.and_then(|m| m.provenance(i));
     // One deadline for the whole matrix, captured before the first cell.
     let deadline_at = Budget::new(limits).deadline_at();
-    // `(position in kept, column)`, row-major.
-    let pairs: Vec<(usize, usize)> = (0..kept.len())
-        .flat_map(|r| (0..ncols).map(move |j| (r, j)))
+    // The distinct pairs, row-major: kept rows and columns that are their
+    // own representatives.
+    let pairs: Vec<(usize, usize)> = (0..fds.len())
+        .filter(|&i| implied(i).is_none() && inputs.fd_rep[i] == i)
+        .flat_map(|i| {
+            (0..ncols)
+                .filter(|&j| inputs.class_rep[j] == j)
+                .map(move |j| (i, j))
+        })
         .collect();
-    let computed = parallel_map(&pairs, |&(r, j)| {
-        let i = kept[r];
-        // Cells over the identical compiled pair (the Analyzer dedups
-        // repeated FDs/classes to the same Arc) share one engine run.
-        let slot = interner.slot((
-            Arc::as_ptr(&pa_fds[i]) as usize,
-            Arc::as_ptr(&pa_us[j]) as usize,
-        ));
-        let mut ran = false;
-        let entry = slot.get_or_init(|| {
-            ran = true;
-            let alphabet = fds[i].1.template().alphabet().clone();
-            let _span = if trace.is_enabled() {
-                Some(trace.span(
-                    SpanKind::MatrixCell,
-                    &format!("{} × {}", fds[i].0, classes[j].0),
-                ))
-            } else {
-                None
-            };
-            let mut budget = Budget::new(limits)
-                .with_deadline_at(deadline_at)
-                .with_trace(trace.clone());
-            if let Some(c) = cancel {
-                budget = budget.with_cancel(c.clone());
-            }
-            let analysis = check_independence_governed(
-                &alphabet,
-                &pa_fds[i],
-                &pa_us[j],
-                classes[j].1,
-                schema_auto,
-                Some(&partition),
-                compiled.as_ref().map(|(cf, cu, cs)| CompiledTriple {
-                    f: &cf[r],
-                    u: &cu[j],
-                    s: cs,
-                }),
-                budget,
-                0,
-            );
-            CellEntry { fd: i, analysis }
-        });
-        let (metrics, provenance) = if ran {
-            (entry.analysis.metrics, CellProvenance::Computed)
-        } else {
-            (
-                RunMetrics {
-                    verdicts_reused: 1,
-                    ..RunMetrics::default()
-                },
-                CellProvenance::ReusedFrom { fd: entry.fd },
+    let ran = parallel_map(&pairs, |&(i, j)| {
+        let _span = trace.is_enabled().then(|| {
+            trace.span(
+                SpanKind::MatrixCell,
+                &format!("{} × {}", fds[i].0, classes[j].0),
             )
-        };
-        MatrixCell {
-            fd: i,
-            class: j,
-            verdict: entry.analysis.verdict.clone(),
-            automaton_size: entry.analysis.total_states,
-            explored_states: entry.analysis.explored_states,
-            metrics,
-            provenance,
+        });
+        let mut budget = Budget::new(limits)
+            .with_deadline_at(deadline_at)
+            .with_trace(trace.clone());
+        if let Some(c) = cancel {
+            budget = budget.with_cancel(c.clone());
         }
+        check_independence_governed(inputs, (i, j), classes[j].1, budget, 0)
     });
-    let mut cells = match minimization {
-        None => computed,
-        Some(m) => {
-            // Splice the dropped rows back in, in row order, as engine-free
-            // cells carrying their provenance.
-            let mut computed = computed.into_iter();
-            let mut cells = Vec::with_capacity(fds.len() * ncols);
-            for i in 0..fds.len() {
-                match m.provenance(i) {
-                    None => cells.extend(computed.by_ref().take(ncols)),
-                    Some(by) => cells.extend((0..ncols).map(|j| MatrixCell {
-                        fd: i,
-                        class: j,
-                        // Placeholder, not a criterion verdict: see
-                        // `CellProvenance::ImpliedRow`.
-                        verdict: Verdict::Unknown {
-                            witness: None,
-                            exhausted: None,
-                        },
-                        automaton_size: 0,
-                        explored_states: 0,
-                        metrics: RunMetrics::default(),
-                        provenance: CellProvenance::ImpliedRow { by: by.to_vec() },
-                    })),
-                }
+    let outcomes: HashMap<(usize, usize), IndependenceAnalysis> =
+        pairs.into_iter().zip(ran).collect();
+    let mut cells: Vec<MatrixCell> = (0..fds.len())
+        .flat_map(|i| (0..ncols).map(move |j| (i, j)))
+        .map(|(i, j)| {
+            if let Some(by) = implied(i) {
+                return MatrixCell {
+                    fd: i,
+                    class: j,
+                    // Placeholder, not a criterion verdict: see
+                    // `CellProvenance::ImpliedRow`.
+                    verdict: Verdict::Unknown {
+                        witness: None,
+                        exhausted: None,
+                    },
+                    automaton_size: 0,
+                    explored_states: 0,
+                    metrics: RunMetrics::default(),
+                    provenance: CellProvenance::ImpliedRow { by: by.to_vec() },
+                };
             }
-            cells
-        }
-    };
+            let rep = (inputs.fd_rep[i], inputs.class_rep[j]);
+            let analysis = &outcomes[&rep];
+            let (metrics, provenance) = if rep == (i, j) {
+                (analysis.metrics, CellProvenance::Computed)
+            } else {
+                (
+                    RunMetrics {
+                        verdicts_reused: 1,
+                        ..RunMetrics::default()
+                    },
+                    CellProvenance::ReusedFrom { fd: rep.0 },
+                )
+            };
+            MatrixCell {
+                fd: i,
+                class: j,
+                verdict: analysis.verdict.clone(),
+                automaton_size: analysis.total_states,
+                explored_states: analysis.explored_states,
+                metrics,
+                provenance,
+            }
+        })
+        .collect();
     // Attribute the shared compile time to the first cell so the matrix
     // totals stay faithful without double counting.
     if let Some(first) = cells.first_mut() {
@@ -401,44 +340,11 @@ pub(crate) fn analyze_matrix_governed(
     }
 }
 
-/// The matrix on freshly compiled inputs under an unlimited budget
-/// (in-crate test form; external callers go through
-/// [`crate::Analyzer::matrix`]).
-#[cfg(test)]
-pub(crate) fn analyze_matrix_internal(
-    fds: &[(&str, &Fd)],
-    classes: &[(&str, &UpdateClass)],
-    schema: Option<&regtree_hedge::Schema>,
-) -> IndependenceMatrix {
-    let compile = regtree_runtime::Stopwatch::start();
-    let schema_auto = schema.map(|s| s.compiled());
-    let pa_fds: Vec<_> = fds
-        .iter()
-        .map(|(_, fd)| Arc::new(regtree_pattern::compile_pattern(fd.pattern(), true)))
-        .collect();
-    let pa_us: Vec<_> = classes
-        .iter()
-        .map(|(_, class)| Arc::new(regtree_pattern::compile_pattern(class.pattern(), false)))
-        .collect();
-    let compile_nanos = compile.elapsed_nanos();
-    analyze_matrix_governed(
-        fds,
-        classes,
-        schema_auto.as_deref(),
-        None,
-        &pa_fds,
-        &pa_us,
-        &RunLimits::UNLIMITED,
-        None,
-        &TraceHandle::disabled(),
-        compile_nanos,
-    )
-}
-
 #[cfg(test)]
 mod tests {
 
     use super::*;
+    use crate::analyzer::Analyzer;
     use crate::textfd::parse_fd;
     use crate::update::update_class_from_edges;
     use regtree_alphabet::Alphabet;
@@ -455,10 +361,9 @@ mod tests {
     #[test]
     fn matrix_verdicts() {
         let (fds, classes) = setup();
-        let m = analyze_matrix_internal(
+        let m = Analyzer::builder().build().matrix(
             &[("price", &fds[0]), ("name", &fds[1])],
             &[("restock", &classes[0]), ("reprice", &classes[1])],
-            None,
         );
         // stock updates never touch either FD.
         assert!(m.independent(0, 0));
@@ -475,10 +380,9 @@ mod tests {
     #[test]
     fn matrix_display_table() {
         let (fds, classes) = setup();
-        let m = analyze_matrix_internal(
+        let m = Analyzer::builder().build().matrix(
             &[("price", &fds[0])],
             &[("restock", &classes[0]), ("reprice", &classes[1])],
-            None,
         );
         let rendered = m.to_string();
         assert!(rendered.contains("indep"), "{rendered}");
@@ -489,7 +393,9 @@ mod tests {
     #[test]
     fn cells_carry_sizes() {
         let (fds, classes) = setup();
-        let m = analyze_matrix_internal(&[("p", &fds[0])], &[("r", &classes[0])], None);
+        let m = Analyzer::builder()
+            .build()
+            .matrix(&[("p", &fds[0])], &[("r", &classes[0])]);
         assert!(m.cell(0, 0).automaton_size > 0);
         assert!(m.cell(0, 0).explored_states > 0);
         assert!(m.cell(0, 0).explored_states <= m.cell(0, 0).automaton_size);
@@ -500,10 +406,9 @@ mod tests {
     #[test]
     fn cell_indexing_is_row_major() {
         let (fds, classes) = setup();
-        let m = analyze_matrix_internal(
+        let m = Analyzer::builder().build().matrix(
             &[("price", &fds[0]), ("name", &fds[1])],
             &[("restock", &classes[0]), ("reprice", &classes[1])],
-            None,
         );
         assert_eq!(m.cells.len(), 4);
         for i in 0..2 {
@@ -518,7 +423,7 @@ mod tests {
 
     #[test]
     fn empty_matrix() {
-        let m = analyze_matrix_internal(&[], &[], None);
+        let m = Analyzer::builder().build().matrix(&[], &[]);
         assert!(m.cells.is_empty());
         assert!(m.fd_names.is_empty());
         assert_eq!(m.independent_count(), 0);
@@ -531,7 +436,6 @@ mod tests {
 
     #[test]
     fn pruned_matrix_agrees_with_unpruned_on_computed_cells() {
-        use crate::analyzer::Analyzer;
         let (fds, classes) = setup();
         let named_fds = [("price", &fds[0]), ("name", &fds[1])];
         let named_classes = [("restock", &classes[0]), ("reprice", &classes[1])];
@@ -555,7 +459,6 @@ mod tests {
 
     #[test]
     fn implied_rows_are_not_reported_for_recheck() {
-        use crate::analyzer::Analyzer;
         let a = Alphabet::new();
         // fd 1 is fd 0 weakened with an extra condition: implied, dropped.
         // A reprice update hits both FDs' region; only the implier (which
@@ -588,7 +491,6 @@ mod tests {
 
     #[test]
     fn exhausted_verdicts_never_propagate() {
-        use crate::analyzer::Analyzer;
         use regtree_runtime::RunLimits;
         let a = Alphabet::new();
         let wide = parse_fd(&a, "/s : c/e/d -> c/e").unwrap();
@@ -616,7 +518,9 @@ mod tests {
     #[test]
     fn empty_rows_with_columns() {
         let (_, classes) = setup();
-        let m = analyze_matrix_internal(&[], &[("restock", &classes[0])], None);
+        let m = Analyzer::builder()
+            .build()
+            .matrix(&[], &[("restock", &classes[0])]);
         assert!(m.cells.is_empty());
         assert_eq!(m.class_names.len(), 1);
         assert!(m.fds_to_recheck(0).is_empty());

@@ -124,6 +124,15 @@ fn invalid_params(msg: impl Into<String>) -> RpcError {
     RpcError::new(rpc::INVALID_PARAMS, msg)
 }
 
+/// An optional boolean flag of `params`: absent is `false`, and any value
+/// but a JSON boolean is an error.
+fn flag(params: &Json, key: &str) -> Result<bool, RpcError> {
+    params.get(key).map_or(Ok(false), |v| {
+        v.as_bool()
+            .ok_or_else(|| invalid_params(format!("'{key}' must be a boolean")))
+    })
+}
+
 /// `{deadlineMs?, maxStates?, maxMemo?, maxFrontier?}` → [`RunLimits`].
 fn parse_limits(value: &Json) -> Result<RunLimits, RpcError> {
     if value.is_null() {
@@ -461,10 +470,11 @@ impl Service {
             .get("xml")
             .and_then(Json::as_str)
             .ok_or_else(|| invalid_params("missing 'xml'"))?;
+        let validate = flag(params, "validate")?;
         let doc = parse_document(&session.alphabet, xml)
             .map_err(|e| invalid_params(format!("document '{name}': {e}")))?;
         let mut valid = Json::Null;
-        if params.get("validate").and_then(Json::as_bool) == Some(true) {
+        if validate {
             valid = match session.analyzer.validate(&doc) {
                 Ok(()) => Json::Bool(true),
                 Err(regtree_core::Error::NoSchema) => {
@@ -659,7 +669,7 @@ impl Service {
             "update",
             parse_update_class,
         )?;
-        let prune = params.get("prune").and_then(Json::as_bool).unwrap_or(false);
+        let prune = flag(params, "prune")?;
         let run = self.overrides(&session, params, cancel)?;
         let fd_refs: Vec<(&str, &Fd)> = fds.iter().map(|(n, f)| (n.as_str(), f)).collect();
         let class_refs: Vec<(&str, &UpdateClass)> =
@@ -1218,6 +1228,128 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.code, rpc::INVALID_PARAMS);
         assert!(err.message.contains("unknown op"), "{}", err.message);
+    }
+
+    #[test]
+    fn document_update_under_a_leaf_is_invalid_params() {
+        let service = Service::new(ServerConfig::default());
+        let cancel = CancelToken::new();
+        let open = service
+            .dispatch("session/open", &Json::Obj(vec![]), &cancel)
+            .expect("session opens");
+        let sid = open.get("sessionId").and_then(Json::as_u64).expect("id");
+        service
+            .dispatch(
+                "document/load",
+                &obj(vec![
+                    ("sessionId", Json::u64(sid)),
+                    ("name", Json::str("d")),
+                    (
+                        "xml",
+                        Json::str(r#"<s><i k="1" v="1"/><i k="1" v="1"/></s>"#),
+                    ),
+                ]),
+                &cancel,
+            )
+            .expect("document loads");
+        let update = |update: Json| {
+            service.dispatch(
+                "document/update",
+                &obj(vec![
+                    ("sessionId", Json::u64(sid)),
+                    ("name", Json::str("d")),
+                    (
+                        "fds",
+                        Json::Arr(vec![Json::Arr(vec![
+                            Json::str("kv"),
+                            Json::str("/s : i/@k -> i/@v"),
+                        ])]),
+                    ),
+                    ("update", update),
+                ]),
+                &cancel,
+            )
+        };
+        // An attribute takes no children: nothing is edited.
+        let err = update(obj(vec![
+            ("select", Json::str("/s/i/@k")),
+            ("op", Json::str("append_child")),
+            ("xml", Json::str("<x/>")),
+        ]))
+        .unwrap_err();
+        assert_eq!(err.code, rpc::INVALID_PARAMS);
+        assert!(err.message.contains("element"), "{}", err.message);
+        // The next edit is the document's first.
+        let resp = update(obj(vec![
+            ("select", Json::str("/s/i/@v")),
+            ("op", Json::str("set_text")),
+            ("value", Json::str("2")),
+            ("first_only", Json::Bool(true)),
+        ]))
+        .expect("a leaf edit applies");
+        assert_eq!(resp.get("version").and_then(Json::as_u64), Some(1));
+        assert_eq!(resp.get("touched").and_then(Json::as_u64), Some(1));
+    }
+
+    #[test]
+    fn boolean_flags_must_be_booleans() {
+        let service = Service::new(ServerConfig::default());
+        let cancel = CancelToken::new();
+        let open = service
+            .dispatch(
+                "session/open",
+                &obj(vec![("schema", Json::str("root: a\na: EMPTY\n"))]),
+                &cancel,
+            )
+            .expect("session opens");
+        let sid = open.get("sessionId").and_then(Json::as_u64).expect("id");
+        let load = |validate: Json| {
+            service.dispatch(
+                "document/load",
+                &obj(vec![
+                    ("sessionId", Json::u64(sid)),
+                    ("name", Json::str("d")),
+                    ("xml", Json::str("<a/>")),
+                    ("validate", validate),
+                ]),
+                &cancel,
+            )
+        };
+        let matrix = |prune: Json| {
+            service.dispatch(
+                "independence/matrix",
+                &obj(vec![
+                    ("sessionId", Json::u64(sid)),
+                    (
+                        "fds",
+                        Json::Arr(vec![Json::Arr(vec![
+                            Json::str("f"),
+                            Json::str("/a : b/c -> b/d"),
+                        ])]),
+                    ),
+                    (
+                        "updates",
+                        Json::Arr(vec![Json::Arr(vec![Json::str("u"), Json::str("/a/b/d")])]),
+                    ),
+                    ("prune", prune),
+                ]),
+                &cancel,
+            )
+        };
+        for bad in [Json::str("yes"), Json::u64(1), Json::Null] {
+            let err = load(bad.clone()).unwrap_err();
+            assert_eq!(err.code, rpc::INVALID_PARAMS);
+            assert!(err.message.contains("'validate'"), "{}", err.message);
+            let err = matrix(bad).unwrap_err();
+            assert_eq!(err.code, rpc::INVALID_PARAMS);
+            assert!(err.message.contains("'prune'"), "{}", err.message);
+        }
+        let valid = load(Json::Bool(true)).expect("a boolean validates");
+        assert_eq!(valid.get("valid").and_then(Json::as_bool), Some(true));
+        let skipped = load(Json::Bool(false)).expect("false skips validation");
+        assert!(skipped.get("valid").is_some_and(Json::is_null));
+        let pruned = matrix(Json::Bool(true)).expect("a boolean prunes");
+        assert_eq!(pruned.get("pairs").and_then(Json::as_u64), Some(1));
     }
 
     #[test]

@@ -333,3 +333,48 @@ fn session_flow_no_schema_and_budget_exhaustion() {
     assert_eq!(data.get("exhausted").and_then(Json::as_str), Some("states"));
     assert_eq!(data.get("independent").and_then(Json::as_bool), Some(false));
 }
+
+#[test]
+fn session_schema_covers_labels_interned_after_open() {
+    // `i: _*` admits every attribute, including `@k` and `@v`, which the
+    // session's alphabet only learns from the FD after `session/open`
+    // built the analyzer. The criterion must not answer from a schema
+    // automaton compiled before they existed: the document below is a
+    // counterexample to independence.
+    let fd = r#"["kv", "/s : i/@k -> i/@v"]"#;
+    let update = r#"{"select": "/s/i/@v", "op": "set_text", "value": "2", "first_only": true}"#;
+    let xml = r#"<s><i k=\"1\" v=\"1\"/><i k=\"1\" v=\"1\"/></s>"#;
+    let batch = format!(
+        r#"[{{"jsonrpc":"2.0","id":1,"method":"session/open","params":{{"schema":"root: s\ns: i*\ni: _*\n"}}}},
+            {{"jsonrpc":"2.0","id":2,"method":"independence/check","params":{{"sessionId":1,"fd":"/s : i/@k -> i/@v","update":"/s/i/@v"}}}},
+            {{"jsonrpc":"2.0","id":3,"method":"independence/matrix","params":{{"sessionId":1,"fds":[{fd}],"updates":[["v","/s/i/@v"]]}}}},
+            {{"jsonrpc":"2.0","id":4,"method":"document/load","params":{{"sessionId":1,"name":"d","xml":"{xml}","validate":true}}}},
+            {{"jsonrpc":"2.0","id":5,"method":"document/update","params":{{"sessionId":1,"name":"d","fds":[{fd}],"update":{update}}}}},
+            {{"jsonrpc":"2.0","id":6,"method":"document/validate","params":{{"sessionId":1,"name":"d"}}}}]"#
+    );
+    let (resps, _) = run_script(&frame(&batch), ServerConfig::default());
+    let items = resps[0].as_array().expect("batch answer is an array");
+    let result = |id: u64| {
+        items
+            .iter()
+            .find(|r| r.get("id").and_then(Json::as_u64) == Some(id))
+            .and_then(|r| r.get("result"))
+            .unwrap_or_else(|| panic!("request {id} failed: {items:?}"))
+    };
+    assert_eq!(
+        result(2).get("independent").and_then(Json::as_bool),
+        Some(false)
+    );
+    let cell = &result(3).get("cells").and_then(Json::as_array).unwrap()[0];
+    assert_eq!(cell.get("verdict").and_then(Json::as_str), Some("recheck"));
+    assert_eq!(result(4).get("valid").and_then(Json::as_bool), Some(true));
+    let check = &result(5).get("checks").and_then(Json::as_array).unwrap()[0];
+    assert_eq!(
+        check
+            .get("check")
+            .and_then(|c| c.get("outcome"))
+            .and_then(Json::as_str),
+        Some("violated")
+    );
+    assert_eq!(result(6).get("valid").and_then(Json::as_bool), Some(true));
+}

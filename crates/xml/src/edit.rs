@@ -32,6 +32,9 @@ pub enum EditError {
     },
     /// `set_value` on a node that carries no value (an element node).
     NotALeafValue,
+    /// An insertion under an attribute or text node: only elements (and
+    /// the reserved root) take children.
+    NotAnElement,
     /// The replacement spec is malformed for the document's alphabet.
     BadSpec(String),
 }
@@ -45,6 +48,7 @@ impl std::fmt::Display for EditError {
                 write!(f, "insert index {index} out of bounds (len {len})")
             }
             EditError::NotALeafValue => write!(f, "node carries no string value"),
+            EditError::NotAnElement => write!(f, "only element nodes take children"),
             EditError::BadSpec(msg) => write!(f, "malformed replacement subtree: {msg}"),
         }
     }
@@ -101,7 +105,8 @@ pub fn delete_subtree(doc: &mut Document, n: NodeId) -> Result<(), EditError> {
 }
 
 /// Inserts `spec` as the `index`-th child of `parent`, returning the new
-/// subtree root.
+/// subtree root. `parent` must be an element: attribute and text nodes are
+/// leaves ([`EditError::NotAnElement`]).
 pub fn insert_child(
     doc: &mut Document,
     parent: NodeId,
@@ -110,6 +115,9 @@ pub fn insert_child(
 ) -> Result<NodeId, EditError> {
     if !doc.is_alive(parent) {
         return Err(EditError::Detached);
+    }
+    if doc.kind(parent) != LabelKind::Element {
+        return Err(EditError::NotAnElement);
     }
     spec.check(doc.alphabet()).map_err(EditError::BadSpec)?;
     let len = doc.children(parent).len();
@@ -250,6 +258,25 @@ mod tests {
         set_value(&mut doc, idn, "42").unwrap();
         assert_eq!(doc.value(idn), Some("42"));
         assert_eq!(set_value(&mut doc, c1, "x"), Err(EditError::NotALeafValue));
+    }
+
+    #[test]
+    fn only_elements_take_children() {
+        let (a, mut doc) = setup();
+        let session = doc.children(doc.root())[0];
+        let c1 = doc.children(session)[0];
+        let idn = doc.children(c1)[0];
+        let text = append_child(&mut doc, c1, &TreeSpec::text("t")).unwrap();
+        let (len, xml) = (doc.len(), crate::to_xml(&doc));
+        for parent in [idn, text] {
+            assert_eq!(
+                append_child(&mut doc, parent, &TreeSpec::elem_named(&a, "x", vec![])),
+                Err(EditError::NotAnElement)
+            );
+            assert!(doc.children(parent).is_empty());
+        }
+        assert_eq!((doc.len(), crate::to_xml(&doc)), (len, xml));
+        assert!(doc.check_well_formed().is_ok());
     }
 
     #[test]

@@ -337,4 +337,23 @@ mod tests {
         assert!(v.take_delta().is_empty());
         assert_index_sound(&v);
     }
+
+    #[test]
+    fn insertion_under_a_leaf_leaves_state_unchanged() {
+        let (a, mut v) = setup();
+        let before = to_xml(v.doc());
+        let session = v.doc().children(v.doc().root())[0];
+        let c1 = v.doc().children(session)[0];
+        let idn = v.doc().children(c1)[0];
+        let text = v.doc().children(v.doc().children(c1)[1])[0];
+        let x = TreeSpec::elem_named(&a, "x", vec![]);
+        for parent in [idn, text] {
+            assert_eq!(v.append_child(parent, &x), Err(EditError::NotAnElement));
+        }
+        assert_eq!(to_xml(v.doc()), before);
+        assert_eq!(v.version(), 0);
+        assert!(v.take_delta().is_empty());
+        assert!(v.index().nodes_with_label(a.intern("x")).is_empty());
+        assert_index_sound(&v);
+    }
 }

@@ -7,6 +7,12 @@
 # doing more work per instance and fails the check. Decreases (improvements)
 # and new counter keys only print.
 #
+# It then re-runs the FD-set matrix counters (`fdset_matrix --counters`) and
+# requires every `cells_checked`, `rows_implied` and `parity_mismatches` row
+# to equal BENCH_fdset.json exactly: they count the cells the matrix ran and
+# the rows it dropped, so any change is a change in work. The `*_nanos` rows
+# are wall times and stay unchecked.
+#
 # Usage: scripts/counter_smoke.sh [tolerance-percent] (default 10)
 set -euo pipefail
 
@@ -14,7 +20,8 @@ cd "$(dirname "$0")/.."
 tol="${1:-10}"
 
 raw=$(mktemp)
-trap 'rm -f "$raw"' EXIT
+fdset=$(mktemp)
+trap 'rm -f "$raw" "$fdset"' EXIT
 
 cargo run --release -p regtree-bench --example ic_state_counts -- --counters >"$raw"
 
@@ -57,4 +64,36 @@ print(
     f"{new} new, {len(regressions)} regressions (tolerance {tol}%)"
 )
 sys.exit(1 if regressions else 0)
+EOF
+
+cargo run --release -p regtree-bench --example fdset_matrix -- --counters >"$fdset"
+
+python3 - "$fdset" BENCH_fdset.json <<'EOF'
+import json, re, sys
+
+raw, committed = sys.argv[1], sys.argv[2]
+exact = ("/cells_checked", "/rows_implied", "/parity_mismatches")
+with open(committed, encoding="utf-8") as fh:
+    baseline = {k: v for k, v in json.load(fh).items() if k.endswith(exact)}
+
+current = {}
+line_re = re.compile(r"^(counters/fdset/\S+) (\d+)$")
+with open(raw, encoding="utf-8") as fh:
+    for line in fh:
+        m = line_re.match(line.strip())
+        if m and m.group(1).endswith(exact):
+            current[m.group(1)] = int(m.group(2))
+
+mismatches = [
+    (key, baseline.get(key), current.get(key))
+    for key in sorted(baseline.keys() | current.keys())
+    if baseline.get(key) != current.get(key)
+]
+for key, was, now in mismatches:
+    print(f"MISMATCH {key}: committed {was}, now {now}")
+print(
+    f"counter_smoke: {len(current)} fdset counters checked exactly, "
+    f"{len(mismatches)} mismatches"
+)
+sys.exit(1 if mismatches or not current else 0)
 EOF

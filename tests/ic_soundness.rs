@@ -238,3 +238,34 @@ fn e8_schema_product_respects_validity() {
     }
     assert!(found >= 3, "only {found} schema-constrained witnesses");
 }
+
+#[test]
+fn analyzer_built_before_the_fd_sees_its_labels() {
+    // The analyzer exists before `@k` and `@v` are interned. `i: _*`
+    // admits every attribute label, including ones interned later, so the
+    // schema automaton the criterion runs on must cover them too.
+    let a = Alphabet::new();
+    let schema = Schema::parse(&a, "root: s\ns: i*\ni: _*\n").unwrap();
+    let analyzer = Analyzer::builder().schema(schema.clone()).build();
+    let fd = parse_fd(&a, "/s : i/@k -> i/@v").unwrap();
+    let class = parse_update_class(&a, "/s/i/@v").unwrap();
+
+    let analysis = analyzer.independence(&fd, &class);
+    assert!(!analysis.verdict.is_independent(), "{analysis:?}");
+    let matrix = analyzer.matrix(&[("kv", &fd)], &[("v", &class)]);
+    assert!(!matrix.independent(0, 0), "{matrix}");
+
+    // The witness by construction: a valid document that satisfies the FD,
+    // and a first-only rewrite of the class that keeps it valid and breaks
+    // the FD.
+    let doc = parse_document(&a, r#"<s><i k="1" v="1"/><i k="1" v="1"/></s>"#).unwrap();
+    schema.validate(&doc).unwrap();
+    check_fd(&fd, &doc).unwrap();
+    let update = Update::new(
+        class,
+        UpdateOp::FirstOnly(Box::new(UpdateOp::SetText("2".into()))),
+    );
+    let after = update.apply_cloned(&doc).unwrap();
+    schema.validate(&after).unwrap();
+    assert!(check_fd(&fd, &after).is_err(), "{}", to_xml(&after));
+}

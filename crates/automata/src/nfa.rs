@@ -158,27 +158,6 @@ impl Nfa {
         self.eps_closure(&next)
     }
 
-    /// One step where the consumed letter may be *any* of `letters`
-    /// (used to run horizontal languages over sets of tree states).
-    pub fn step_multi(&self, closed: &[StateId], letters: &[Letter]) -> Vec<StateId> {
-        let mut next: Vec<StateId> = Vec::new();
-        for &s in closed {
-            for &(l, t) in &self.trans[s as usize] {
-                let fires = match l {
-                    NfaLabel::Eps => false,
-                    NfaLabel::Sym(x) => letters.contains(&x),
-                    NfaLabel::Any => !letters.is_empty(),
-                };
-                if fires {
-                    next.push(t);
-                }
-            }
-        }
-        next.sort_unstable();
-        next.dedup();
-        self.eps_closure(&next)
-    }
-
     /// The closed initial state set.
     pub fn initial_set(&self) -> Vec<StateId> {
         self.eps_closure(&[self.start])
@@ -464,24 +443,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn step_multi_unions_alternative_letters() {
-        let a = Alphabet::new();
-        let m = nfa(&a, "(x|y)/z");
-        let init = m.initial_set();
-        let x = a.intern("x").0;
-        let y = a.intern("y").0;
-        let z = a.intern("z").0;
-        // Either x or y advances; both at once advance too.
-        let after = m.step_multi(&init, &[x, y]);
-        assert!(!after.is_empty());
-        let done = m.step_multi(&after, &[z]);
-        assert!(m.set_accepts(&done));
-        // A letter set with no applicable letter yields the empty set.
-        assert!(m.step_multi(&init, &[z]).is_empty());
-        assert!(m.step_multi(&init, &[]).is_empty());
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! Substrate bench: bottom-up tree-automaton runs (`A_S` validation) on
-//! growing documents — the workhorse inside every IC emptiness test.
+//! Substrate bench: schema validation on growing documents, two ways —
+//! `hedge_run` runs the compiled `A_S` bottom-up (the oracle's membership
+//! test), `validate_diagnostics` is `Schema::validate`, which reads the
+//! content models directly and names the failing node.
 
 use std::time::Duration;
 
@@ -19,7 +21,7 @@ fn bench_validation(c: &mut Criterion) {
         let doc = session(&a, n);
         group.throughput(Throughput::Elements(doc.len() as u64));
         group.bench_with_input(BenchmarkId::new("hedge_run", n), &doc, |b, d| {
-            b.iter(|| assert!(automaton.accepts(d)))
+            b.iter(|| assert!(regtree_oracle::accepts(&automaton, d)))
         });
         group.bench_with_input(BenchmarkId::new("validate_diagnostics", n), &doc, |b, d| {
             b.iter(|| schema.validate(d).is_ok())

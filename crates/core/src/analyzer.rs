@@ -6,10 +6,11 @@
 //! the pattern automata on every call. An `Analyzer` is built once per
 //! (schema, limits) configuration and amortizes:
 //!
-//! * the compiled schema automaton (`A_S` of Proposition 3), taken from
-//!   [`Schema::compiled`] on each call: it is cached there and compiled
-//!   again only when the alphabet has grown, so it covers the labels the
-//!   call's FDs and classes interned after the analyzer was built;
+//! * the schema, whose content-model NFAs are built once when it is
+//!   parsed: validation reads them directly, and each IC call compiles
+//!   `A_S` of Proposition 3 from them with [`Schema::compile`], so it
+//!   covers the labels the call's FDs and classes interned after the
+//!   analyzer was built;
 //! * pattern automata, cached by structural template sketch + selected
 //!   tuple + marking flag, so repeated queries over the same FD or update
 //!   class hit the cache — including across matrix calls;
@@ -139,7 +140,7 @@ impl AnalyzerBuilder {
 
 /// Per-call overrides of an [`Analyzer`]'s run governance: tighter (or
 /// different) [`RunLimits`] and a dedicated [`CancelToken`] for one call,
-/// while the compiled schema and pattern caches stay shared.
+/// while the parsed schema and the pattern cache stay shared.
 ///
 /// This is what lets a long-lived service hold one `Analyzer` per session
 /// and still give every request its own budget and cancellation scope.
@@ -230,7 +231,11 @@ impl Analyzer {
     }
 
     /// Compiles (or recalls) the automaton of `pattern`.
-    fn compiled(&self, pattern: &RegularTreePattern, marked: bool) -> Arc<PatternAutomaton> {
+    fn pattern_automaton(
+        &self,
+        pattern: &RegularTreePattern,
+        marked: bool,
+    ) -> Arc<PatternAutomaton> {
         let key: PatternKey = (
             pattern.template().sketch(),
             pattern.selected().iter().map(|w| w.0).collect(),
@@ -333,8 +338,8 @@ impl Analyzer {
         let inputs = {
             let _span = self.trace.span(SpanKind::Compile, "independence patterns");
             IcInputs::new(
-                vec![self.compiled(fd.pattern(), true)],
-                vec![self.compiled(class.pattern(), false)],
+                vec![self.pattern_automaton(fd.pattern(), true)],
+                vec![self.pattern_automaton(class.pattern(), false)],
                 self.schema.as_ref(),
                 &[0],
             )
@@ -344,10 +349,10 @@ impl Analyzer {
     }
 
     /// Runs the criterion for every (FD, class) pair in parallel, sharing
-    /// the schema automaton, cached pattern compilations, one guard-minterm
-    /// partition, and — when a deadline is set — one wall-clock budget for
-    /// the whole matrix (count caps apply per cell). Identical rows or
-    /// columns run once; their twins report
+    /// one `A_S` compiled for the call, cached pattern compilations, one
+    /// guard-minterm partition, and — when a deadline is set — one
+    /// wall-clock budget for the whole matrix (count caps apply per cell).
+    /// Identical rows or columns run once; their twins report
     /// [`crate::CellProvenance::ReusedFrom`].
     ///
     /// Cancellation (via [`RunOverrides::cancel_token`] on
@@ -475,11 +480,11 @@ impl Analyzer {
             let _span = self.trace.span(SpanKind::Compile, "matrix rows/columns");
             IcInputs::new(
                 fds.iter()
-                    .map(|(_, fd)| self.compiled(fd.pattern(), true))
+                    .map(|(_, fd)| self.pattern_automaton(fd.pattern(), true))
                     .collect(),
                 classes
                     .iter()
-                    .map(|(_, class)| self.compiled(class.pattern(), false))
+                    .map(|(_, class)| self.pattern_automaton(class.pattern(), false))
                     .collect(),
                 self.schema.as_ref(),
                 &kept,

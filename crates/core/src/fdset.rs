@@ -43,6 +43,7 @@
 use std::collections::{HashMap, HashSet};
 
 use regtree_alphabet::Symbol;
+use regtree_pattern::TemplateNodeId;
 use regtree_runtime::{Budget, Resource, RunLimits};
 
 use crate::fd::{EqualityType, Fd};
@@ -103,15 +104,29 @@ fn fd_paths(fd: &Fd) -> Option<FdPaths> {
     Some(FdPaths { context, selected })
 }
 
-/// Exact structural equality of two FDs: same template sketch, selected
-/// tuple, context, and equality vector. The pattern-level fallback of the
-/// implication closure — it needs no path skeleton, so it also catches
-/// duplicated FDs outside the path formalism.
-fn structurally_equal(a: &Fd, b: &Fd) -> bool {
-    a.context() == b.context()
-        && a.equality() == b.equality()
-        && a.pattern().selected() == b.pattern().selected()
-        && a.template().sketch() == b.template().sketch()
+/// The structural identity of an FD: context, equality vector, selected
+/// tuple and template sketch, rendered once per FD. Equal keys mean exact
+/// duplicates — the pattern-level fallback of the implication closure,
+/// which needs no path skeleton, so it also catches duplicated FDs outside
+/// the path formalism. Fields compare in order, so the sketch strings are
+/// compared last.
+#[derive(PartialEq, Eq)]
+struct FdKey {
+    context: TemplateNodeId,
+    equality: Vec<EqualityType>,
+    selected: Vec<TemplateNodeId>,
+    sketch: String,
+}
+
+impl FdKey {
+    fn of(fd: &Fd) -> FdKey {
+        FdKey {
+            context: fd.context(),
+            equality: fd.equality().to_vec(),
+            selected: fd.pattern().selected().to_vec(),
+            sketch: fd.template().sketch(),
+        }
+    }
 }
 
 /// The outcome of an implication query.
@@ -198,6 +213,7 @@ impl Minimization {
 pub struct FdSet {
     names: Vec<String>,
     fds: Vec<Fd>,
+    keys: Vec<FdKey>,
     paths: Vec<Option<FdPaths>>,
 }
 
@@ -241,6 +257,7 @@ impl FdSet {
     /// Appends a named FD.
     pub fn push(&mut self, name: impl Into<String>, fd: Fd) {
         self.paths.push(fd_paths(&fd));
+        self.keys.push(FdKey::of(&fd));
         self.names.push(name.into());
         self.fds.push(fd);
     }
@@ -273,7 +290,12 @@ impl FdSet {
     pub(crate) fn implies(&self, goal: &Fd, limits: &RunLimits) -> Implication {
         let mut budget = Budget::new(limits);
         let active = vec![true; self.len()];
-        self.implies_active(&active, goal, fd_paths(goal).as_ref(), &mut budget)
+        self.implies_active(
+            &active,
+            &FdKey::of(goal),
+            fd_paths(goal).as_ref(),
+            &mut budget,
+        )
     }
 
     /// Implication of `goal` from the members with `active[i]`, under an
@@ -281,7 +303,7 @@ impl FdSet {
     fn implies_active(
         &self,
         active: &[bool],
-        goal: &Fd,
+        goal: &FdKey,
         goal_paths: Option<&FdPaths>,
         budget: &mut Budget,
     ) -> Implication {
@@ -291,7 +313,7 @@ impl FdSet {
         // Pattern-level fallback: an exact structural duplicate implies the
         // goal — also for FDs outside the path formalism.
         for i in (0..self.len()).filter(|&i| active[i]) {
-            if structurally_equal(&self.fds[i], goal) {
+            if self.keys[i] == *goal {
                 return Implication::Implied { by: vec![i] };
             }
         }
@@ -489,7 +511,7 @@ impl FdSet {
         let mut exhausted = None;
         for i in 0..n {
             active[i] = false;
-            match self.implies_active(&active, &self.fds[i], self.paths[i].as_ref(), &mut budget) {
+            match self.implies_active(&active, &self.keys[i], self.paths[i].as_ref(), &mut budget) {
                 Implication::Implied { by } => dropped.push(DroppedFd { index: i, by }),
                 Implication::NotImplied => active[i] = true,
                 Implication::Unknown(r) => {

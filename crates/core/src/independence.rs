@@ -20,9 +20,9 @@
 //!
 //! Proposition 2 is only as sound as the `A_S` the product runs on, so the
 //! engine's inputs have one owner, `IcInputs`, for a single pair and a
-//! matrix alike. It takes `A_S` from [`Schema::compiled`] on every call: a
-//! copy compiled before the FD's labels were interned lacks their leaf
-//! transitions and can answer `Independent` for a dependent pair.
+//! matrix alike. It compiles `A_S` with [`Schema::compile`] once per call:
+//! a copy compiled before the FD's labels were interned would lack their
+//! leaf transitions and could answer `Independent` for a dependent pair.
 
 use std::sync::Arc;
 
@@ -118,9 +118,9 @@ pub(crate) struct IcInputs {
 
 impl IcInputs {
     /// Prepares the checks of the rows in `run` (in row order) against every
-    /// column. `A_S` comes from [`Schema::compiled`], which compiles it again
-    /// once the alphabet has grown. The partition covers every row, run or
-    /// not, so a row's cells do not depend on which other rows run.
+    /// column. `A_S` is compiled here, against the alphabet as it stands
+    /// now. The partition covers every row, run or not, so a row's cells do
+    /// not depend on which other rows run.
     pub(crate) fn new(
         fds: Vec<Arc<PatternAutomaton>>,
         classes: Vec<Arc<PatternAutomaton>>,
@@ -130,12 +130,12 @@ impl IcInputs {
         let columns: Vec<usize> = (0..classes.len()).collect();
         let fd_rep = first_twins(&fds, run);
         let class_rep = first_twins(&classes, &columns);
-        let a_s = schema.map_or_else(|| Arc::new(HedgeAutomaton::universal()), Schema::compiled);
+        let a_s = schema.map_or_else(HedgeAutomaton::universal, Schema::compile);
         let partition = GuardPartition::from_automata(
             fds.iter()
                 .chain(&classes)
                 .map(|pa| &pa.automaton)
-                .chain([&*a_s]),
+                .chain([&a_s]),
         );
         let compile = |pas: &[Arc<PatternAutomaton>], rep: &[usize], run: &[usize]| {
             (0..pas.len())

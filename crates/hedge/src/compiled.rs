@@ -379,7 +379,7 @@ mod tests {
     }
 
     #[test]
-    fn compiled_flags_and_groupings_match_symbolic_form() {
+    fn csr_flags_and_groupings_match_symbolic_form() {
         let alpha = Alphabet::new();
         let m = sample(&alpha);
         let part = GuardPartition::from_automata([&m]);

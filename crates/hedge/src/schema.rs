@@ -1,10 +1,10 @@
-//! DTD-like schemas compiled to bottom-up tree automata.
+//! DTD-like schemas: content-model rules checked directly, and compiled to
+//! the bottom-up tree automaton `A_S` for the independence criterion.
 //!
 //! The paper assumes schemas are supplied as regular bottom-up tree automata
 //! `A_S`. For ergonomics we provide a small declarative schema language —
 //! one content-model rule per element label, with the content model an
-//! arbitrary regular expression over child labels — compiled to a
-//! [`HedgeAutomaton`] with one state per label:
+//! arbitrary regular expression over child labels:
 //!
 //! ```text
 //! # The exam-session schema of the paper's running example
@@ -22,41 +22,39 @@
 //!
 //! Attribute labels and `#text` are implicit leaves; element labels used in
 //! a content model must have their own rule.
+//!
+//! [`Schema::parse`] builds each content model's word NFA once.
+//! [`Schema::validate`] is the DTD reading of one document: every element's
+//! child-label word must lie in its rule's content model, and the root's in
+//! the root model. [`Schema::compile`] turns the same NFAs into `A_S` over
+//! the alphabet as it stands at the call, for Proposition 3's product.
 
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard};
 
 use regtree_alphabet::{Alphabet, LabelKind, Symbol};
 use regtree_automata::{parse_regex, Nfa, Regex};
-use regtree_xml::Document;
+use regtree_xml::{Document, NodeId};
 
 use crate::automaton::{
     horizontal_epsilon, HedgeAutomaton, HedgeTransition, LabelGuard, TreeState,
 };
 
-/// A declarative schema: content-model rules per element label.
-#[derive(Debug)]
+/// A declarative schema: content-model rules per element label, each with
+/// its word NFA over child labels.
+#[derive(Clone, Debug)]
 pub struct Schema {
     alphabet: Alphabet,
     /// Content model of the document root (over top-level element labels).
     root: Regex,
     /// `(element label, content model over child labels)`.
     rules: Vec<(Symbol, Regex)>,
-    /// Cache for [`Schema::compiled`], keyed by the alphabet length the
-    /// automaton was compiled against (the implicit leaf transitions cover
-    /// every interned attribute/text label, so alphabet growth invalidates).
-    compiled: Mutex<Option<(usize, Arc<HedgeAutomaton>)>>,
-}
-
-impl Clone for Schema {
-    fn clone(&self) -> Schema {
-        Schema {
-            alphabet: self.alphabet.clone(),
-            root: self.root.clone(),
-            rules: self.rules.clone(),
-            compiled: Mutex::new(self.lock_compiled().clone()),
-        }
-    }
+    /// Word NFA of `root`.
+    root_nfa: Nfa,
+    /// Word NFA of each rule's content model, in `rules` order.
+    rule_nfas: Vec<Nfa>,
+    /// Position in `rules` by symbol index; labels interned after parsing
+    /// lie beyond its end and have no rule.
+    rule_of: Vec<Option<usize>>,
 }
 
 /// Error raised when loading or compiling a schema.
@@ -80,11 +78,32 @@ fn err(message: impl Into<String>) -> SchemaError {
     }
 }
 
-impl Schema {
-    fn lock_compiled(&self) -> MutexGuard<'_, Option<(usize, Arc<HedgeAutomaton>)>> {
-        self.compiled.lock().unwrap_or_else(|e| e.into_inner())
-    }
+/// Validation failure with location diagnostics.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ValidationError {
+    /// Offending node.
+    pub node: NodeId,
+    /// Its Dewey position.
+    pub position: String,
+    /// Its label text.
+    pub label: String,
+    /// What went wrong.
+    pub reason: String,
+}
 
+impl fmt::Display for ValidationError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "validation failed at {} (<{}>): {}",
+            self.position, self.label, self.reason
+        )
+    }
+}
+
+impl std::error::Error for ValidationError {}
+
+impl Schema {
     /// The schema's alphabet.
     pub fn alphabet(&self) -> &Alphabet {
         &self.alphabet
@@ -127,7 +146,9 @@ impl Schema {
                 root = Some(model);
             } else {
                 let label = alphabet.intern(head);
-                if alphabet.kind(label) != LabelKind::Element {
+                // The reserved `/` label is the document root's, whose
+                // content model is the `root:` rule.
+                if label == Alphabet::ROOT || alphabet.kind(label) != LabelKind::Element {
                     return Err(err(format!(
                         "line {}: rules only apply to element labels, got '{head}'",
                         lineno + 1
@@ -143,21 +164,34 @@ impl Schema {
             }
         }
         let root = root.ok_or_else(|| err("missing 'root:' rule"))?;
+        let mut rule_of = vec![None; rules.iter().map(|(l, _)| l.index() + 1).max().unwrap_or(0)];
+        for (i, (label, _)) in rules.iter().enumerate() {
+            rule_of[label.index()] = Some(i);
+        }
         Ok(Schema {
             alphabet: alphabet.clone(),
+            root_nfa: Nfa::from_regex(&root),
+            rule_nfas: rules
+                .iter()
+                .map(|(_, model)| Nfa::from_regex(model))
+                .collect(),
             root,
             rules,
-            compiled: Mutex::new(None),
+            rule_of,
         })
     }
 
-    /// Compiles to a bottom-up tree automaton `A_S`.
+    /// Compiles to a bottom-up tree automaton `A_S` over the alphabet as it
+    /// stands now.
     ///
     /// States: one per alphabet symbol (`state = symbol index`) plus a final
     /// accept state for the `/` root. Content models become horizontal
     /// languages directly (a child in state *q* is exactly a child labeled
-    /// with symbol *q*). Undeclared element labels simply have no transition:
-    /// documents using them are rejected.
+    /// with symbol *q*), and every attribute and text label interned so far
+    /// gets a leaf transition. Undeclared element labels simply have no
+    /// transition: documents using them are rejected. A copy compiled before
+    /// new labels were interned does not cover them, so callers compile
+    /// once per analysis instead of keeping one.
     pub fn compile(&self) -> HedgeAutomaton {
         let n_sym = self.alphabet.len();
         let accept: TreeState = n_sym as TreeState;
@@ -178,42 +212,76 @@ impl Schema {
             }
         }
         drop(kinds);
-        for (label, model) in &self.rules {
+        for ((label, _), nfa) in self.rules.iter().zip(&self.rule_nfas) {
             transitions.push(HedgeTransition {
                 guard: LabelGuard::Is(*label),
-                horizontal: Nfa::from_regex(model),
+                horizontal: nfa.clone(),
                 target: label.0,
             });
         }
         transitions.push(HedgeTransition {
             guard: LabelGuard::Is(Alphabet::ROOT),
-            horizontal: Nfa::from_regex(&self.root),
+            horizontal: self.root_nfa.clone(),
             target: accept,
         });
         HedgeAutomaton::new(n_sym + 1, transitions, vec![accept])
     }
 
-    /// The compiled automaton, built on first use and shared from then on:
-    /// repeated analyses or validations against one schema reuse a single
-    /// automaton instead of recompiling per call. The cache is invalidated
-    /// by alphabet growth (newly interned attribute/text labels gain
-    /// implicit leaf transitions on recompile).
-    pub fn compiled(&self) -> Arc<HedgeAutomaton> {
-        let len = self.alphabet.len();
-        let mut slot = self.lock_compiled();
-        match &*slot {
-            Some((n, c)) if *n == len => c.clone(),
-            _ => {
-                let c = Arc::new(self.compile());
-                *slot = Some((len, c.clone()));
-                c
+    /// Validates `doc`: attribute and text nodes are leaves, every element
+    /// needs a rule whose content model accepts its children's label word,
+    /// and the root's children must match the root model.
+    ///
+    /// The error names the first node, in document order, that fails while
+    /// all its children pass: its ancestors fail too, but only as a
+    /// consequence.
+    pub fn validate(&self, doc: &Document) -> Result<(), ValidationError> {
+        let order = doc.all_nodes();
+        let mut ok = vec![false; doc.arena_len()];
+        let mut word = Vec::new();
+        let mut origin = None;
+        // Reverse document order visits children before their parent; the
+        // last origin found is the first in document order.
+        for &n in order.iter().rev() {
+            if !doc.children(n).iter().all(|c| ok[c.index()]) {
+                continue;
             }
+            if self.content_fits(doc, n, &mut word) {
+                ok[n.index()] = true;
+            } else {
+                origin = Some(n);
+            }
+        }
+        match origin {
+            None => Ok(()),
+            Some(n) => Err(ValidationError {
+                node: n,
+                position: doc.dewey_string(n),
+                label: doc.label_name(n).to_string(),
+                reason: "no automaton state assignable".into(),
+            }),
         }
     }
 
-    /// Convenience: validate a document against the compiled schema.
-    pub fn validate(&self, doc: &Document) -> Result<(), crate::automaton::ValidationError> {
-        self.compiled().validate(doc)
+    /// Does `n`'s child-label word fit its own content model? `word` is
+    /// scratch space.
+    fn content_fits(&self, doc: &Document, n: NodeId, word: &mut Vec<u32>) -> bool {
+        let children = doc.children(n);
+        let nfa = if n == doc.root() {
+            &self.root_nfa
+        } else {
+            match doc.kind(n) {
+                LabelKind::Attribute | LabelKind::Text => return children.is_empty(),
+                LabelKind::Element => {
+                    match self.rule_of.get(doc.label(n).index()).copied().flatten() {
+                        Some(i) => &self.rule_nfas[i],
+                        None => return false,
+                    }
+                }
+            }
+        };
+        word.clear();
+        word.extend(children.iter().map(|&c| doc.label(c).0));
+        nfa.accepts(word)
     }
 }
 
@@ -270,6 +338,44 @@ firstJob-Year: #text\n";
         assert!(schema.validate(&doc).is_err());
     }
 
+    /// Position, label and reason of the reported node, for the four ways
+    /// a document can fail: an undeclared element, a content-model
+    /// mismatch, the root model, and an attribute the model does not name.
+    #[test]
+    fn validation_errors_name_the_failing_node() {
+        let a = Alphabet::new();
+        let schema = Schema::parse(&a, EXAM_SCHEMA).unwrap();
+        let exam = "<exam date=\"d\"><discipline>m</discipline><mark>1</mark><rank>1</rank></exam>";
+        let cases = [
+            ("<session><intruder/></session>".to_string(), "0.0", "intruder"),
+            (
+                format!("<session><candidate IDN=\"78\">{exam}<firstJob-Year>2010</firstJob-Year></candidate></session>"),
+                "0.0",
+                "candidate",
+            ),
+            (candidate("7", "<firstJob-Year>x</firstJob-Year>"), "ε", "/"),
+            (
+                format!(
+                    "<session>{}</session>",
+                    candidate("78", "<firstJob-Year>2010</firstJob-Year>")
+                        .replace("date=\"d1\"", "date=\"d1\" room=\"r1\"")
+                ),
+                "0.0.1",
+                "exam",
+            ),
+        ];
+        for (src, position, label) in cases {
+            let doc = parse_document(&a, &src).unwrap();
+            let e = schema.validate(&doc).unwrap_err();
+            assert_eq!(
+                (e.position.as_str(), e.label.as_str(), e.reason.as_str()),
+                (position, label, "no automaton state assignable"),
+                "{src}"
+            );
+            assert_eq!(e.position, doc.dewey_string(e.node));
+        }
+    }
+
     #[test]
     fn rejects_undeclared_elements() {
         let a = Alphabet::new();
@@ -323,6 +429,7 @@ firstJob-Year: #text\n";
         assert!(Schema::parse(&a, "root: x\nroot: y\n").is_err());
         assert!(Schema::parse(&a, "root: x\nx: (((\n").is_err());
         assert!(Schema::parse(&a, "root: x\n@attr: y\n").is_err());
+        assert!(Schema::parse(&a, "root: x\n/: x\nx: EMPTY\n").is_err());
         assert!(Schema::parse(&a, "root: x\nx: a\nx: b\n").is_err());
         assert!(Schema::parse(&a, "just a line\n").is_err());
     }
@@ -344,7 +451,7 @@ firstJob-Year: #text\n";
             .spawn(move || {
                 let a = Alphabet::new();
                 let s = Schema::parse(&a, &schema(256)).expect("at the limit");
-                s.compiled();
+                s.compile();
                 let doc = parse_document(&a, "<r><x/><x/></r>").unwrap();
                 assert!(s.validate(&doc).is_ok());
                 let err = Schema::parse(&a, &schema(5_000)).unwrap_err();
@@ -356,7 +463,7 @@ firstJob-Year: #text\n";
     }
 
     #[test]
-    fn compiled_size_reflects_rules() {
+    fn compile_size_reflects_rules() {
         let a = Alphabet::new();
         let schema = Schema::parse(&a, EXAM_SCHEMA).unwrap();
         let m = schema.compile();

@@ -18,7 +18,8 @@
 //! endpoint of a selected node of `T_U` and the FD-side state is in-region,
 //! and ORed upward by the horizontal languages. Acceptance: both patterns
 //! complete at the root *and* the bit is set. Finally the product with the
-//! schema automaton `A_S` is taken ([`crate::intersect`]) and tested for
+//! schema automaton `A_S`, compiled once per call so that it covers every
+//! label interned so far, is taken ([`crate::intersect`]) and tested for
 //! emptiness ([`crate::witness_document`]), extracting a witness document
 //! when nonempty.
 
@@ -260,7 +261,7 @@ pub fn check_independence_eager(
     let ic = build_ic_automaton(fd, class);
     let ic_states = ic.num_states();
     let full = match schema {
-        Some(s) => intersect(&ic, &s.compiled()),
+        Some(s) => intersect(&ic, &s.compile()),
         None => ic,
     };
     EagerAnalysis {

@@ -25,7 +25,7 @@
 
 use regtree_alphabet::{Alphabet, LabelKind, Symbol};
 use regtree_automata::{NfaLabel, StateId};
-use regtree_hedge::{generic_element_label, HedgeAutomaton, LabelGuard, TreeState};
+use regtree_hedge::{HedgeAutomaton, LabelGuard, TreeState};
 use regtree_runtime::{Budget, Resource, SpanKind};
 use regtree_xml::{Document, TreeSpec};
 
@@ -140,9 +140,10 @@ impl<'a> Engine<'a> {
                 dead: false,
                 root_final,
             });
-            if t.guard.forces_leaf(alphabet) {
+            if matches!(t.guard, LabelGuard::Is(s) if alphabet.kind(s) != LabelKind::Element) {
                 // Attribute/text nodes are leaves: ε is the only candidate
                 // child word, checked once; the frontier never advances.
+                // (`Any`/`AnyExcept` can always take a fresh element label.)
                 if t.horizontal.accepts(&[]) {
                     self.on_accept(ti, Vec::new(), budget)?;
                 }
@@ -342,6 +343,17 @@ pub fn realizability_governed(
     Ok(eng.finish().0)
 }
 
+/// The first element label of `alphabet` distinct from the reserved root,
+/// interning `"elem"` when none exists: the label witnesses and impact
+/// searches give to `Any` guards.
+pub(crate) fn generic_element_label(alphabet: &Alphabet) -> Symbol {
+    alphabet
+        .symbols_of_kind(LabelKind::Element)
+        .into_iter()
+        .find(|&s| s != Alphabet::ROOT)
+        .unwrap_or_else(|| alphabet.intern("elem"))
+}
+
 /// Chooses a concrete label satisfying `guard` for witness construction,
 /// always preferring an element label so the witness node may carry children.
 pub fn witness_label(guard: &LabelGuard, alphabet: &Alphabet) -> Symbol {
@@ -488,14 +500,17 @@ mod tests {
         let alpha = Alphabet::new();
         let m = sample(&alpha);
         let doc = witness_document(&m, &alpha).expect("nonempty language");
-        assert!(m.accepts(&doc));
+        assert!(crate::accepts(&m, &doc));
         assert!(doc.check_well_formed().is_ok());
     }
 
     #[test]
     fn empty_automaton_has_no_witness() {
         let alpha = Alphabet::new();
-        assert!(is_empty_language(&HedgeAutomaton::empty(), &alpha));
+        assert!(is_empty_language(
+            &HedgeAutomaton::new(1, Vec::new(), vec![0]),
+            &alpha
+        ));
         assert!(!is_empty_language(&HedgeAutomaton::universal(), &alpha));
     }
 
@@ -620,7 +635,7 @@ mod tests {
         let doc = witness_document(&m, &alpha).unwrap();
         let child = doc.children(doc.root())[0];
         assert_ne!(doc.label(child), x);
-        assert!(m.accepts(&doc));
+        assert!(crate::accepts(&m, &doc));
     }
 
     #[test]
@@ -664,7 +679,7 @@ mod tests {
         assert!(real.is_realizable(1));
         assert!(!real.is_realizable(7));
         let doc = witness_document(&m, &alpha).unwrap();
-        assert!(m.accepts(&doc));
+        assert!(crate::accepts(&m, &doc));
     }
 
     #[test]
@@ -698,6 +713,6 @@ mod tests {
             assert!(real.is_realizable(q), "state {q} should be realizable");
         }
         let doc = witness_document(&m, &alpha).unwrap();
-        assert!(m.accepts(&doc));
+        assert!(crate::accepts(&m, &doc));
     }
 }

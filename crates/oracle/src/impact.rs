@@ -51,7 +51,7 @@ pub enum PairClassification {
 /// sites often cannot produce. Asymmetric ops carry per-application state,
 /// so the battery must be rebuilt for every attempt.
 fn op_battery(alphabet: &Alphabet) -> Vec<UpdateOp> {
-    let elem = regtree_hedge::generic_element_label(alphabet);
+    let elem = crate::emptiness::generic_element_label(alphabet);
     // Forces the site's subtree *value* to a constant — rewriting text
     // children when present and grafting one when absent. Applied uniformly
     // it merges the values of every site (the classic way a key update

@@ -12,7 +12,9 @@
 //! * [`eager_ic`] — the eager IC pipeline (materialized FD×U×bit product,
 //!   schema product, emptiness) and the direct Definition 6 membership test;
 //! * [`impact`] — a bounded search that confirms actual impacts, measuring
-//!   the criterion's precision.
+//!   the criterion's precision;
+//! * [`membership`] — the bottom-up run of a hedge automaton on a document,
+//!   the reference membership test for every compiled automaton.
 //!
 //! It is never published, and no product crate may take a normal
 //! dependency on it: the root package and `regtree-bench` take it as a
@@ -24,6 +26,7 @@
 pub mod eager_ic;
 pub mod emptiness;
 pub mod impact;
+pub mod membership;
 pub mod product;
 
 pub use eager_ic::{
@@ -34,15 +37,17 @@ pub use emptiness::{
     witness_document_governed, witness_label, witness_spec,
 };
 pub use impact::{classify_pair, search_impact, ImpactWitness, PairClassification};
+pub use membership::{accepts, run};
 pub use product::intersect;
 
 #[cfg(test)]
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use regtree_alphabet::Alphabet;
+    use regtree_alphabet::{Alphabet, LabelKind, Symbol};
     use regtree_hedge::Schema;
-    use regtree_xml::{document_from_specs, Document, TreeSpec};
+    use regtree_pattern::{compile_pattern, RegularTreePattern, Template};
+    use regtree_xml::{document_from_specs, Document, NodeId, TreeSpec};
 
     /// A fixed alphabet: a, b, c elements (symbols 2, 3, 4).
     fn alpha() -> Alphabet {
@@ -77,14 +82,158 @@ mod proptests {
     /// Random document over {a, b, c} elements and text.
     fn arb_doc() -> impl Strategy<Value = Document> {
         let leaf = prop_oneof![
-            (0u32..3).prop_map(|i| TreeSpec::elem(regtree_alphabet::Symbol(i + 2), vec![])),
+            (0u32..3).prop_map(|i| TreeSpec::elem(Symbol(i + 2), vec![])),
             Just(TreeSpec::text("t")),
         ];
         let spec = leaf.prop_recursive(3, 24, 3, |inner| {
             ((0u32..3), prop::collection::vec(inner, 0..4))
-                .prop_map(|(i, children)| TreeSpec::elem(regtree_alphabet::Symbol(i + 2), children))
+                .prop_map(|(i, children)| TreeSpec::elem(Symbol(i + 2), children))
         });
         prop::collection::vec(spec, 0..3).prop_map(|tops| document_from_specs(alpha(), &tops))
+    }
+
+    /// The validation alphabet: elements a, b, c (declared) and d (never
+    /// declared), attributes @k, @v (named by some models) and @u (never
+    /// named) — symbols 2 to 8.
+    fn validation_alpha() -> Alphabet {
+        Alphabet::with_labels(["a", "b", "c", "d", "@k", "@v", "@u"])
+    }
+
+    /// Random schemas whose models mention attributes, `#text` and `_`.
+    fn arb_validation_schema() -> impl Strategy<Value = Schema> {
+        let models = [
+            "EMPTY",
+            "a*",
+            "b?",
+            "(a|b)*",
+            "a b",
+            "c+",
+            "#text",
+            "@k a*",
+            "@k? @v? (a|b)*",
+            "_*",
+            "_ b",
+            "#text | c",
+            "@k #text*",
+        ];
+        let roots = ["a", "b", "a*", "(a|b)+", "_", "_*"];
+        (
+            0..models.len(),
+            0..models.len(),
+            0..models.len(),
+            0..roots.len(),
+        )
+            .prop_map(move |(ma, mb, mc, root)| {
+                let text = format!(
+                    "root: {}\na: {}\nb: {}\nc: {}\n",
+                    roots[root], models[ma], models[mb], models[mc]
+                );
+                Schema::parse(&validation_alpha(), &text).expect("generated schema parses")
+            })
+    }
+
+    /// Random documents carrying undeclared elements (`d`) and attributes
+    /// (`@u`) among declared ones.
+    fn arb_validation_doc() -> impl Strategy<Value = Document> {
+        let leaf = prop_oneof![
+            (0u32..4).prop_map(|i| TreeSpec::elem(Symbol(i + 2), vec![])),
+            (0u32..3).prop_map(|i| TreeSpec::attr(Symbol(i + 6), "v")),
+            Just(TreeSpec::text("t")),
+        ];
+        let spec = leaf.prop_recursive(3, 24, 3, |inner| {
+            ((0u32..4), prop::collection::vec(inner, 0..4))
+                .prop_map(|(i, children)| TreeSpec::elem(Symbol(i + 2), children))
+        });
+        prop::collection::vec(spec, 0..3)
+            .prop_map(|tops| document_from_specs(validation_alpha(), &tops))
+    }
+
+    /// DTD reading by direct recursion over the schema's regexes.
+    fn schema_accepts_ref(schema: &Schema, doc: &Document) -> bool {
+        fn node_ok(schema: &Schema, doc: &Document, n: NodeId) -> bool {
+            match doc.kind(n) {
+                LabelKind::Attribute | LabelKind::Text => doc.children(n).is_empty(),
+                LabelKind::Element => {
+                    let Some((_, model)) = schema.rules().iter().find(|(l, _)| *l == doc.label(n))
+                    else {
+                        return false;
+                    };
+                    let word: Vec<_> = doc.children(n).iter().map(|&c| doc.label(c)).collect();
+                    model.matches(&word) && doc.children(n).iter().all(|&c| node_ok(schema, doc, c))
+                }
+            }
+        }
+        let top = doc.children(doc.root());
+        let word: Vec<_> = top.iter().map(|&c| doc.label(c)).collect();
+        schema.root_model().matches(&word) && top.iter().all(|&c| node_ok(schema, doc, c))
+    }
+
+    /// Random templates over {a, b, c}: a root plus up to 4 nodes attached
+    /// to random earlier nodes.
+    fn arb_pattern() -> impl Strategy<Value = RegularTreePattern> {
+        let edge = prop_oneof![
+            Just("a"),
+            Just("b"),
+            Just("c"),
+            Just("a/b"),
+            Just("(a|b)"),
+            Just("_"),
+            Just("_*/a"),
+            Just("a+"),
+            Just("(a|b)/c?"),
+        ];
+        (
+            prop::collection::vec((edge, any::<prop::sample::Index>()), 1..5),
+            any::<prop::sample::Index>(),
+        )
+            .prop_map(|(edges, sel)| {
+                let mut t = Template::new(alpha());
+                let mut nodes = vec![t.root()];
+                for (regex, parent) in edges {
+                    let p = nodes[parent.index(nodes.len())];
+                    nodes.push(t.add_child_str(p, regex).expect("edges are proper"));
+                }
+                let selected = nodes[1 + sel.index(nodes.len() - 1)];
+                RegularTreePattern::monadic(t, selected).expect("valid")
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `A_S` accepts exactly the documents `Schema::validate` admits,
+        /// which are exactly those of the DTD reading; a rejected
+        /// document's error names the first node, in document order, that
+        /// the `A_S` run leaves stateless while all its children have a
+        /// state.
+        #[test]
+        fn validation_agrees_with_the_schema_automaton(
+            schema in arb_validation_schema(),
+            doc in arb_validation_doc(),
+        ) {
+            let states = run(&schema.compile(), &doc);
+            let verdict = schema.validate(&doc);
+            prop_assert_eq!(accepts(&schema.compile(), &doc), verdict.is_ok());
+            prop_assert_eq!(schema_accepts_ref(&schema, &doc), verdict.is_ok());
+            let origin = doc.all_nodes().into_iter().find(|&n| {
+                states[n.index()].is_empty()
+                    && doc.children(n).iter().all(|c| !states[c.index()].is_empty())
+            });
+            prop_assert_eq!(verdict.err().map(|e| e.node), origin);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The compiled pattern automaton, marked or not, accepts exactly
+        /// the documents with at least one mapping.
+        #[test]
+        fn automaton_matches_evaluator(p in arb_pattern(), doc in arb_doc()) {
+            let has_mapping = !p.mappings(&doc).is_empty();
+            prop_assert_eq!(accepts(&compile_pattern(&p, false).automaton, &doc), has_mapping);
+            prop_assert_eq!(accepts(&compile_pattern(&p, true).automaton, &doc), has_mapping);
+        }
     }
 
     proptest! {
@@ -96,7 +245,7 @@ mod proptests {
             let m1 = s1.compile();
             let m2 = s2.compile();
             let prod = intersect(&m1, &m2);
-            prop_assert_eq!(prod.accepts(&doc), m1.accepts(&doc) && m2.accepts(&doc));
+            prop_assert_eq!(accepts(&prod, &doc), accepts(&m1, &doc) && accepts(&m2, &doc));
         }
 
         /// Emptiness witnesses are genuine members; emptiness of the product
@@ -106,8 +255,8 @@ mod proptests {
             let a = alpha();
             let prod = intersect(&s1.compile(), &s2.compile());
             match witness_document(&prod, &a) {
-                Some(w) => prop_assert!(prod.accepts(&w), "witness rejected"),
-                None => prop_assert!(!prod.accepts(&doc), "empty language accepted a doc"),
+                Some(w) => prop_assert!(accepts(&prod, &w), "witness rejected"),
+                None => prop_assert!(!accepts(&prod, &doc), "empty language accepted a doc"),
             }
         }
 

@@ -234,10 +234,10 @@ mod tests {
         ];
         for (src, expect) in cases {
             let doc = parse_document(&alpha, src).unwrap();
-            assert_eq!(prod.accepts(&doc), expect, "{src}");
+            assert_eq!(crate::accepts(&prod, &doc), expect, "{src}");
             assert_eq!(
-                prod.accepts(&doc),
-                a.accepts(&doc) && b.accepts(&doc),
+                crate::accepts(&prod, &doc),
+                crate::accepts(&a, &doc) && crate::accepts(&b, &doc),
                 "product law on {src}"
             );
         }
@@ -251,7 +251,7 @@ mod tests {
         let prod = intersect(&a, &b);
         let mut doc = regtree_xml::Document::new(alpha);
         let _ = &mut doc;
-        assert!(prod.accepts(&doc));
+        assert!(crate::accepts(&prod, &doc));
     }
 
     #[test]
@@ -262,7 +262,11 @@ mod tests {
         let prod = intersect(&a, &uni);
         for src in ["<x/>", "<x/><y/>", "<y/>"] {
             let doc = parse_document(&alpha, src).unwrap();
-            assert_eq!(prod.accepts(&doc), a.accepts(&doc), "{src}");
+            assert_eq!(
+                crate::accepts(&prod, &doc),
+                crate::accepts(&a, &doc),
+                "{src}"
+            );
         }
     }
 }

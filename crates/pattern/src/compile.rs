@@ -77,11 +77,6 @@ impl PatternAutomaton {
             _ => None,
         }
     }
-
-    /// Does `doc` contain a trace of the compiled pattern?
-    pub fn accepts(&self, doc: &regtree_xml::Document) -> bool {
-        self.automaton.accepts(doc)
-    }
 }
 
 /// Compiles `pattern` to an automaton recognizing documents containing a
@@ -327,8 +322,6 @@ fn interleaved_alt(filler: TreeState, required: &[&[TreeState]]) -> Nfa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::enumerate_mappings;
-    use regtree_xml::parse_document;
 
     fn pat(a: &Alphabet, edges: &[(&str, usize)]) -> RegularTreePattern {
         // edges: (regex, parent index into created nodes; 0 = root)
@@ -340,85 +333,6 @@ mod tests {
         }
         let last = *nodes.last().unwrap();
         RegularTreePattern::monadic(t, last).unwrap()
-    }
-
-    fn agree(a: &Alphabet, p: &RegularTreePattern, doc_src: &str) {
-        let doc = parse_document(a, doc_src).unwrap();
-        let by_eval = !enumerate_mappings(p.template(), &doc).is_empty();
-        let by_auto = compile_pattern(p, false).accepts(&doc);
-        assert_eq!(by_auto, by_eval, "disagreement on {doc_src}");
-    }
-
-    #[test]
-    fn automaton_agrees_with_matcher_simple() {
-        let a = Alphabet::new();
-        let p = pat(&a, &[("session", 0), ("candidate/exam", 1)]);
-        agree(&a, &p, "<session><candidate><exam/></candidate></session>");
-        agree(&a, &p, "<session><candidate/></session>");
-        agree(&a, &p, "<other/>");
-        agree(&a, &p, "<session><exam/></session>");
-    }
-
-    #[test]
-    fn automaton_agrees_on_sibling_disjointness() {
-        let a = Alphabet::new();
-        // Two exams of the same candidate.
-        let mut t = Template::new(a.clone());
-        let cand = t.add_child_str(t.root(), "session/candidate").unwrap();
-        let e1 = t.add_child_str(cand, "exam").unwrap();
-        let _e2 = t.add_child_str(cand, "exam").unwrap();
-        let p = RegularTreePattern::monadic(t, e1).unwrap();
-        agree(
-            &a,
-            &p,
-            "<session><candidate><exam/><exam/></candidate></session>",
-        );
-        agree(&a, &p, "<session><candidate><exam/></candidate></session>");
-        agree(
-            &a,
-            &p,
-            "<session><candidate><exam/></candidate><candidate><exam/></candidate></session>",
-        );
-    }
-
-    #[test]
-    fn automaton_handles_star_edges() {
-        let a = Alphabet::new();
-        let p = pat(&a, &[("(a|b)+/leaf", 0)]);
-        agree(&a, &p, "<a><leaf/></a>");
-        agree(&a, &p, "<a><b><leaf/></b></a>");
-        agree(&a, &p, "<leaf/>");
-        agree(&a, &p, "<c><leaf/></c>");
-    }
-
-    #[test]
-    fn automaton_handles_wildcards() {
-        let a = Alphabet::new();
-        let p = pat(&a, &[("_*/m", 0)]);
-        agree(&a, &p, "<x><y><m/></y></x>");
-        agree(&a, &p, "<m/>");
-        agree(&a, &p, "<x><y/></x>");
-    }
-
-    #[test]
-    fn marked_compilation_still_accepts_same_language() {
-        let a = Alphabet::new();
-        let mut t = Template::new(a.clone());
-        let cand = t.add_child_str(t.root(), "session/candidate").unwrap();
-        let exam = t.add_child_str(cand, "exam").unwrap();
-        let _lvl = t.add_child_str(cand, "level").unwrap();
-        let p = RegularTreePattern::monadic(t, exam).unwrap();
-        let plain = compile_pattern(&p, false);
-        let marked = compile_pattern(&p, true);
-        for src in [
-            "<session><candidate><exam/><level/></candidate></session>",
-            "<session><candidate><exam><deep><er/></deep></exam><level/></candidate></session>",
-            "<session><candidate><level/><exam/></candidate></session>",
-            "<session><candidate><exam/></candidate></session>",
-        ] {
-            let doc = parse_document(&a, src).unwrap();
-            assert_eq!(plain.accepts(&doc), marked.accepts(&doc), "{src}");
-        }
     }
 
     #[test]

@@ -154,17 +154,6 @@ mod proptests {
             }
         }
 
-        /// The compiled automaton accepts exactly the documents with ≥1
-        /// mapping.
-        #[test]
-        fn automaton_matches_evaluator(p in arb_pattern(), doc in arb_doc()) {
-            let has_mapping = !p.mappings(&doc).is_empty();
-            let plain = compile_pattern(&p, false);
-            prop_assert_eq!(plain.accepts(&doc), has_mapping);
-            let marked = compile_pattern(&p, true);
-            prop_assert_eq!(marked.accepts(&doc), has_mapping);
-        }
-
         /// Mappings are pairwise distinct and evaluation deduplicates.
         #[test]
         fn evaluation_deduplicates(p in arb_pattern(), doc in arb_doc()) {

@@ -3,8 +3,8 @@
 //!
 //! The CLI (`rtpcheck`) pays schema + pattern compilation on every
 //! invocation. The daemon amortizes it: a *session* pins an
-//! [`regtree_core::Analyzer`] — compiled schema automaton, pattern-automaton
-//! cache — and the parsed documents, so the thousandth independence check
+//! [`regtree_core::Analyzer`] — parsed schema with its content-model NFAs,
+//! pattern-automaton cache — and the parsed documents, so the thousandth independence check
 //! over the same schema answers from warm caches. The protocol is
 //! LSP-style framing (`Content-Length: N\r\n\r\n<json>`) over stdio or
 //! TCP; the payloads are exactly the versioned

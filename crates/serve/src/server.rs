@@ -209,6 +209,9 @@ fn handle_one(
     if may_spawn {
         let service = Arc::clone(service);
         let writer = Arc::clone(writer);
+        // A finished thread keeps its stack until it is joined or its
+        // handle is dropped: free them now, not when the connection closes.
+        workers.retain(|h| !h.is_finished());
         workers.push(std::thread::spawn(move || {
             let result = service.dispatch(&method, &params, &cancel);
             drop(guard);

@@ -1,7 +1,7 @@
 //! The transport-agnostic method dispatcher and its session store.
 //!
 //! A [`Service`] is shared by every connection of a server. Each open
-//! session pins an [`Analyzer`] — with its compiled schema automaton and
+//! session pins an [`Analyzer`] — with its parsed schema and
 //! pattern-automaton cache — plus the documents loaded into it, so a warm
 //! session answers repeat analysis requests without recompiling anything.
 //! Per-request [`regtree_core::RunOverrides`] carry the merged budget and

@@ -11,7 +11,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use regtree::prelude::*;
-use regtree_oracle::{build_ic_automaton, in_language_naive, witness_document};
+use regtree_oracle::{accepts, build_ic_automaton, in_language_naive, witness_document};
 
 const LABELS: [&str; 3] = ["a", "b", "c"];
 
@@ -118,7 +118,7 @@ fn e8_automaton_recognizes_exactly_l() {
         }
         for doc in docs {
             let direct = in_language_naive(&fd, &class, &doc);
-            let by_automaton = automaton.accepts(&doc);
+            let by_automaton = accepts(&automaton, &doc);
             assert_eq!(
                 by_automaton,
                 direct,
@@ -268,4 +268,25 @@ fn analyzer_built_before_the_fd_sees_its_labels() {
     let after = update.apply_cloned(&doc).unwrap();
     schema.validate(&after).unwrap();
     assert!(check_fd(&fd, &after).is_err(), "{}", to_xml(&after));
+}
+
+#[test]
+fn validation_covers_labels_interned_after_the_schema() {
+    // Every label below is interned after the schema is parsed: `i: _*`
+    // admits attributes the schema never names, and an undeclared element
+    // under `i` is still caught where it occurs.
+    let a = Alphabet::new();
+    let schema = Schema::parse(&a, "root: s\ns: i*\ni: _*\n").unwrap();
+    let unrelated: String = (0..2_000).map(|n| format!(r#" x{n}="1""#)).collect();
+    let crowded = parse_document(&a, &format!("<s><i{unrelated}/></s>")).unwrap();
+    schema.validate(&crowded).unwrap();
+
+    let kv = parse_document(&a, r#"<s><i k="1" v="1"/></s>"#).unwrap();
+    schema.validate(&kv).unwrap();
+    let ghost = parse_document(&a, "<s><i><ghost/></i></s>").unwrap();
+    let err = schema.validate(&ghost).unwrap_err();
+    assert_eq!(
+        (err.position.as_str(), err.label.as_str()),
+        ("0.0.0", "ghost")
+    );
 }

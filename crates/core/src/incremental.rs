@@ -3,9 +3,9 @@
 //! The naive loop after every update is: clone the tree, apply, rebuild
 //! the label index, re-enumerate every FD's traces from scratch. The
 //! [`IncrementalChecker`] replaces all four steps. Updates are applied as
-//! deltas through [`VersionedDocument`] (in place, index patched as it
-//! goes), and each FD's recheck is scoped by what the [`Delta`] can have
-//! touched:
+//! deltas through [`VersionedDocument`] (in place; the edits patch the
+//! document's own label index, which every recheck reads), and each FD's
+//! recheck is scoped by what the [`Delta`] can have touched:
 //!
 //! * **Unaffected** — the delta provably cannot change any context's
 //!   verdict-relevant surroundings (see below): the previous verdict is
@@ -54,6 +54,7 @@
 //! paths outside the FD's selected languages.
 
 use std::collections::HashSet;
+use std::time::Instant;
 
 use regtree_automata::{EdgeDfa, Nfa, Regex, StateId, EDGE_DEAD};
 use regtree_pattern::{project_mappings_anchored_governed, Template, TemplateNodeId};
@@ -185,8 +186,9 @@ impl IncrementalChecker {
 
     /// [`IncrementalChecker::new`] with explicit limits, tracing, and an
     /// optional cancellation token; the initial verification and every
-    /// later recheck run under the same governance (the deadline is
-    /// re-armed per recheck round, shared across its FDs) until
+    /// later recheck run under the same governance (one deadline covers
+    /// the initial verification of all FDs, and each recheck round arms a
+    /// fresh one shared across its FDs) until
     /// [`IncrementalChecker::set_limits`] /
     /// [`IncrementalChecker::set_cancel`] replace it.
     pub fn with_governance(
@@ -197,12 +199,13 @@ impl IncrementalChecker {
         cancel: Option<CancelToken>,
     ) -> IncrementalChecker {
         let mut initial_metrics = RunMetrics::default();
+        // One deadline for the whole seeding batch, as for a recheck round.
+        let deadline_at = Budget::new(&limits).deadline_at();
         let states = fds
             .iter()
             .map(|fd| {
-                let mut budget = round_budget(&limits, cancel.as_ref(), &trace);
-                let (outcome, buckets) =
-                    check_fd_governed_retaining(fd, vdoc.doc(), vdoc.index(), &mut budget);
+                let mut budget = round_budget(&limits, deadline_at, cancel.as_ref(), &trace);
+                let (outcome, buckets) = check_fd_governed_retaining(fd, vdoc.doc(), &mut budget);
                 initial_metrics.merge(budget.metrics());
                 FdState::from_check(outcome, buckets)
             })
@@ -285,7 +288,6 @@ impl IncrementalChecker {
         let search = Stopwatch::start();
         let _span = self.trace.span(SpanKind::ScopeClassify, "");
         let doc = vdoc.doc();
-        let index = vdoc.index();
         let deadline_at = Budget::new(&self.limits).deadline_at();
         let mut metrics = RunMetrics::default();
         let mut scopes = Vec::with_capacity(self.fds.len());
@@ -305,17 +307,14 @@ impl IncrementalChecker {
             match scope {
                 RecheckScope::Unaffected => metrics.verdicts_reused += 1,
                 RecheckScope::Localized => {
-                    let mut budget =
-                        round_budget(limits, cancel.as_ref(), trace).with_deadline_at(deadline_at);
-                    recheck_localized(fd, state, doc, index, &affected, &mut budget);
+                    let mut budget = round_budget(limits, deadline_at, cancel.as_ref(), trace);
+                    recheck_localized(fd, state, doc, &affected, &mut budget);
                     metrics.merge(&budget.into_metrics());
                     metrics.rechecks_localized += 1;
                 }
                 RecheckScope::Global => {
-                    let mut budget =
-                        round_budget(limits, cancel.as_ref(), trace).with_deadline_at(deadline_at);
-                    let (outcome, buckets) =
-                        check_fd_governed_retaining(fd, doc, index, &mut budget);
+                    let mut budget = round_budget(limits, deadline_at, cancel.as_ref(), trace);
+                    let (outcome, buckets) = check_fd_governed_retaining(fd, doc, &mut budget);
                     *state = FdState::from_check(outcome, buckets);
                     metrics.merge(&budget.into_metrics());
                     metrics.rechecks_full += 1;
@@ -334,10 +333,17 @@ impl IncrementalChecker {
     }
 }
 
-/// A budget under the checker's governance: limits, optional cancellation
-/// token, and tracing (callers layer a shared deadline on top).
-fn round_budget(limits: &RunLimits, cancel: Option<&CancelToken>, trace: &TraceHandle) -> Budget {
-    let mut budget = Budget::new(limits).with_trace(trace.clone());
+/// A budget under the checker's governance: limits, the deadline shared by
+/// one round's FDs, optional cancellation token, and tracing.
+fn round_budget(
+    limits: &RunLimits,
+    deadline_at: Option<Instant>,
+    cancel: Option<&CancelToken>,
+    trace: &TraceHandle,
+) -> Budget {
+    let mut budget = Budget::new(limits)
+        .with_deadline_at(deadline_at)
+        .with_trace(trace.clone());
     if let Some(token) = cancel {
         budget = budget.with_cancel(token.clone());
     }
@@ -400,7 +406,6 @@ fn recheck_localized(
     fd: &Fd,
     state: &mut FdState,
     doc: &Document,
-    index: &regtree_xml::LabelIndex,
     affected: &[NodeId],
     budget: &mut Budget,
 ) {
@@ -414,7 +419,6 @@ fn recheck_localized(
         match project_mappings_anchored_governed(
             fd.template(),
             doc,
-            index,
             fd.context(),
             affected,
             &keep,

@@ -11,13 +11,17 @@
 //! ([`regtree_xml::value_hash`]) and candidate collisions are confirmed with
 //! the full structural comparison — hash collisions cannot produce false
 //! verdicts.
+//!
+//! Trace enumeration reads the document's own label index
+//! ([`Document::index`]): every FD checked on one document shares a single
+//! build, and an edited document's index is patched, not rebuilt.
 
 use std::collections::HashMap;
 
 use regtree_runtime::{
     Budget, CancelToken, Resource, RunLimits, RunMetrics, SpanKind, Stopwatch, TraceHandle,
 };
-use regtree_xml::{value_eq_in, value_hash, Document, LabelIndex, NodeId};
+use regtree_xml::{value_eq_in, value_hash, Document, NodeId};
 
 use crate::fd::{EqualityType, Fd};
 
@@ -170,8 +174,7 @@ fn nodes_equal(doc: &Document, a: NodeId, b: NodeId, eq: EqualityType) -> bool {
 
 /// Checks `fd` on `doc`; `Err` carries a concrete violation witness.
 pub fn check_fd(fd: &Fd, doc: &Document) -> Result<(), FdViolation> {
-    let index = LabelIndex::build(doc);
-    check_fd_governed(fd, doc, &index, &mut Budget::unlimited()).into_unlimited()
+    check_fd_governed(fd, doc, &mut Budget::unlimited()).into_unlimited()
 }
 
 /// Outcome of one governed FD check: the budget can run out before the
@@ -208,17 +211,11 @@ impl FdOutcome {
     }
 }
 
-/// [`check_fd`] against a prebuilt label index for `doc`, under a resource
-/// [`Budget`]: pattern-evaluation work (DFA steps, candidate-memo entries)
-/// is metered and the check aborts with [`FdOutcome::Unknown`] once a cap
-/// or the deadline is crossed.
-pub(crate) fn check_fd_governed(
-    fd: &Fd,
-    doc: &Document,
-    index: &LabelIndex,
-    budget: &mut Budget,
-) -> FdOutcome {
-    check_fd_governed_retaining(fd, doc, index, budget).0
+/// [`check_fd`] under a resource [`Budget`]: pattern-evaluation work (DFA
+/// steps, candidate-memo entries) is metered and the check aborts with
+/// [`FdOutcome::Unknown`] once a cap or the deadline is crossed.
+pub(crate) fn check_fd_governed(fd: &Fd, doc: &Document, budget: &mut Budget) -> FdOutcome {
+    check_fd_governed_retaining(fd, doc, budget).0
 }
 
 /// [`check_fd_governed`] that additionally hands back the per-context
@@ -228,7 +225,6 @@ pub(crate) fn check_fd_governed(
 pub(crate) fn check_fd_governed_retaining(
     fd: &Fd,
     doc: &Document,
-    index: &LabelIndex,
     budget: &mut Budget,
 ) -> (FdOutcome, Option<BucketState>) {
     let trace = budget.trace().clone();
@@ -240,16 +236,11 @@ pub(crate) fn check_fd_governed_retaining(
         return (FdOutcome::Unknown { exhausted: r }, None);
     }
     let keep = fd_keep(fd);
-    let projections = match regtree_pattern::project_mappings_governed(
-        fd.template(),
-        doc,
-        index,
-        &keep,
-        budget,
-    ) {
-        Ok(p) => p,
-        Err(r) => return (FdOutcome::Unknown { exhausted: r }, None),
-    };
+    let projections =
+        match regtree_pattern::project_mappings_governed(fd.template(), doc, &keep, budget) {
+            Ok(p) => p,
+            Err(r) => return (FdOutcome::Unknown { exhausted: r }, None),
+        };
 
     let mut buckets = BucketState::default();
     for proj in projections {
@@ -316,7 +307,6 @@ pub(crate) fn check_fds_governed(
     trace: &TraceHandle,
 ) -> FdBatchReport {
     let search = Stopwatch::start();
-    let index = LabelIndex::build(doc);
     let deadline_at = Budget::new(limits).deadline_at();
     let results = regtree_pattern::parallel_map(fds, |fd| {
         let mut budget = Budget::new(limits)
@@ -325,7 +315,7 @@ pub(crate) fn check_fds_governed(
         if let Some(c) = cancel {
             budget = budget.with_cancel(c.clone());
         }
-        let outcome = check_fd_governed(fd, doc, &index, &mut budget);
+        let outcome = check_fd_governed(fd, doc, &mut budget);
         (outcome, budget.into_metrics())
     });
     let mut metrics = RunMetrics::default();

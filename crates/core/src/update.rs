@@ -9,6 +9,10 @@
 //! For executing updates (examples, benchmarks, randomized soundness tests)
 //! a small vocabulary of concrete `u`s is provided, including the paper's
 //! `q1` (“decrease the level to the level just below”) via [`UpdateOp::MapText`].
+//!
+//! Every update runs through the delta methods of a [`VersionedDocument`]:
+//! [`Update::apply`] wraps a plain document for the call. Selection reads
+//! the document's own label index, which those edits keep in step.
 
 use std::fmt;
 use std::sync::Arc;
@@ -195,9 +199,14 @@ impl Update {
     ///
     /// Selected nodes are processed in document order; nodes detached by an
     /// earlier replacement (nested selections) are skipped — the outermost
-    /// replacement wins, matching the subtree-replacement semantics.
+    /// replacement wins, matching the subtree-replacement semantics. Runs
+    /// [`Update::apply_versioned`] on the document and drops the delta.
     pub fn apply(&self, doc: &mut Document) -> Result<Vec<NodeId>, ApplyError> {
-        self.apply_to(doc)
+        let empty = Document::new(doc.alphabet().clone());
+        let mut v = VersionedDocument::new(std::mem::replace(doc, empty));
+        let result = self.apply_versioned(&mut v);
+        *doc = v.into_doc();
+        result
     }
 
     /// Applies on a clone, leaving `doc` untouched.
@@ -208,29 +217,22 @@ impl Update {
     }
 
     /// [`Update::apply`] against a [`VersionedDocument`]: every edit goes
-    /// through the delta methods, so the label index is patched in place
-    /// and the accumulated [`regtree_xml::Delta`] records exactly what
-    /// changed. [`UpdateOp::Custom`] ops run under
-    /// [`VersionedDocument::apply_opaque`] (index rebuild, opaque delta).
-    ///
-    /// Selection and skip semantics are identical to [`Update::apply`].
+    /// through the delta methods, so the accumulated
+    /// [`regtree_xml::Delta`] records exactly what changed.
+    /// [`UpdateOp::Custom`] ops run under
+    /// [`VersionedDocument::apply_opaque`] (opaque delta).
     pub fn apply_versioned(&self, v: &mut VersionedDocument) -> Result<Vec<NodeId>, ApplyError> {
-        self.apply_to(v)
-    }
-
-    /// The one selection loop behind every apply method.
-    fn apply_to(&self, target: &mut impl EditTarget) -> Result<Vec<NodeId>, ApplyError> {
-        let targets = self.class.selected_nodes(target.doc());
+        let targets = self.class.selected_nodes(v.doc());
         let mut touched = Vec::new();
         let (op, only_first) = match &self.op {
             UpdateOp::FirstOnly(inner) => (inner.as_ref(), true),
             other => (other, false),
         };
         for n in targets {
-            if !target.doc().is_alive(n) {
+            if !v.doc().is_alive(n) {
                 continue;
             }
-            apply_at(op, target, n)?;
+            apply_at(op, v, n)?;
             touched.push(n);
             if only_first {
                 break;
@@ -240,86 +242,7 @@ impl Update {
     }
 }
 
-/// What an update edits: a plain [`Document`] through the
-/// [`regtree_xml::edit`] functions, or a [`VersionedDocument`] through its
-/// delta methods, which also patch the label index and record the delta.
-trait EditTarget {
-    fn doc(&self) -> &Document;
-    fn replace_subtree(&mut self, n: NodeId, spec: &TreeSpec) -> Result<NodeId, EditError>;
-    fn insert_child(
-        &mut self,
-        parent: NodeId,
-        index: usize,
-        spec: &TreeSpec,
-    ) -> Result<NodeId, EditError>;
-    fn delete_subtree(&mut self, n: NodeId) -> Result<(), EditError>;
-    fn set_value(&mut self, n: NodeId, value: &str) -> Result<(), EditError>;
-    fn custom(&mut self, f: &CustomOp, n: NodeId);
-}
-
-impl EditTarget for Document {
-    fn doc(&self) -> &Document {
-        self
-    }
-
-    fn replace_subtree(&mut self, n: NodeId, spec: &TreeSpec) -> Result<NodeId, EditError> {
-        edit::replace_subtree(self, n, spec)
-    }
-
-    fn insert_child(
-        &mut self,
-        parent: NodeId,
-        index: usize,
-        spec: &TreeSpec,
-    ) -> Result<NodeId, EditError> {
-        edit::insert_child(self, parent, index, spec)
-    }
-
-    fn delete_subtree(&mut self, n: NodeId) -> Result<(), EditError> {
-        edit::delete_subtree(self, n)
-    }
-
-    fn set_value(&mut self, n: NodeId, value: &str) -> Result<(), EditError> {
-        edit::set_value(self, n, value)
-    }
-
-    fn custom(&mut self, f: &CustomOp, n: NodeId) {
-        f(self, n);
-    }
-}
-
-impl EditTarget for VersionedDocument {
-    fn doc(&self) -> &Document {
-        VersionedDocument::doc(self)
-    }
-
-    fn replace_subtree(&mut self, n: NodeId, spec: &TreeSpec) -> Result<NodeId, EditError> {
-        VersionedDocument::replace_subtree(self, n, spec)
-    }
-
-    fn insert_child(
-        &mut self,
-        parent: NodeId,
-        index: usize,
-        spec: &TreeSpec,
-    ) -> Result<NodeId, EditError> {
-        VersionedDocument::insert_child(self, parent, index, spec)
-    }
-
-    fn delete_subtree(&mut self, n: NodeId) -> Result<(), EditError> {
-        VersionedDocument::delete_subtree(self, n)
-    }
-
-    fn set_value(&mut self, n: NodeId, value: &str) -> Result<(), EditError> {
-        VersionedDocument::set_value(self, n, value)
-    }
-
-    fn custom(&mut self, f: &CustomOp, n: NodeId) {
-        self.apply_opaque(|doc| f(doc, n));
-    }
-}
-
-fn apply_at(op: &UpdateOp, target: &mut impl EditTarget, n: NodeId) -> Result<(), ApplyError> {
+fn apply_at(op: &UpdateOp, target: &mut VersionedDocument, n: NodeId) -> Result<(), ApplyError> {
     match op {
         UpdateOp::Replace(spec) => {
             let doc = target.doc();
@@ -348,7 +271,7 @@ fn apply_at(op: &UpdateOp, target: &mut impl EditTarget, n: NodeId) -> Result<()
             set_text(target, n, |old| f(old))?;
         }
         UpdateOp::Custom(f) => {
-            target.custom(f, n);
+            target.apply_opaque(|doc| f(doc, n));
         }
         // Nested FirstOnly degenerates to its inner op per node.
         UpdateOp::FirstOnly(inner) => {
@@ -359,7 +282,7 @@ fn apply_at(op: &UpdateOp, target: &mut impl EditTarget, n: NodeId) -> Result<()
 }
 
 fn set_text(
-    target: &mut impl EditTarget,
+    target: &mut VersionedDocument,
     n: NodeId,
     f: impl Fn(&str) -> String,
 ) -> Result<(), EditError> {

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
-use regtree_xml::{Document, LabelIndex, NodeId};
+use regtree_xml::{Document, NodeId};
 
 use crate::eval::evaluate_unlimited;
 use crate::pattern::RegularTreePattern;
@@ -57,18 +57,16 @@ where
 /// Evaluates every pattern on every document, in parallel over documents.
 ///
 /// Returns `result[d][p]` = rows selected by `patterns[p]` on `docs[d]`.
-/// Each worker builds the document's [`LabelIndex`] once and amortizes it
-/// across all patterns, so the per-document cost is one index pass plus the
-/// pattern evaluations themselves.
+/// Every pattern on a document reads that document's own label index
+/// ([`Document::index`]), built at most once.
 pub fn evaluate_many(
     patterns: &[RegularTreePattern],
     docs: &[Document],
 ) -> Vec<Vec<Vec<Vec<NodeId>>>> {
     parallel_map(docs, |doc| {
-        let index = LabelIndex::build(doc);
         patterns
             .iter()
-            .map(|p| evaluate_unlimited(p, doc, &index))
+            .map(|p| evaluate_unlimited(p, doc))
             .collect()
     })
 }

@@ -28,7 +28,7 @@ use std::rc::Rc;
 use regtree_alphabet::Symbol;
 use regtree_automata::EDGE_DEAD;
 use regtree_runtime::{Budget, Resource};
-use regtree_xml::{label_mask, Document, LabelIndex, NodeId};
+use regtree_xml::{label_mask, Document, NodeId};
 
 use crate::pattern::RegularTreePattern;
 use crate::template::{Template, TemplateNodeId};
@@ -80,14 +80,12 @@ impl Mapping {
 ///
 /// This is the production engine: each edge automaton is stepped as its
 /// cached [`EdgeDfa`](regtree_automata::EdgeDfa) (a single `u32` state per
-/// document node instead of an NFA state set), and a freshly built
-/// [`LabelIndex`] prunes document subtrees that cannot end a match. To
-/// amortize the index over several patterns on the same document, or to
-/// bound the search, build the index once and call
+/// document node instead of an NFA state set), and the document's
+/// [`LabelIndex`](regtree_xml::LabelIndex) ([`Document::index`]) prunes
+/// subtrees that cannot end a match. To bound the search, call
 /// [`project_mappings_governed`].
 pub fn enumerate_mappings(template: &Template, doc: &Document) -> Vec<Mapping> {
-    let index = LabelIndex::build(doc);
-    enumerate_impl(template, doc, &index, &mut Budget::unlimited()).expect(UNLIMITED_CANNOT_EXHAUST)
+    enumerate_impl(template, doc, &mut Budget::unlimited()).expect(UNLIMITED_CANNOT_EXHAUST)
 }
 
 /// Why an unlimited [`Budget`] cannot come back exhausted: no caps, no
@@ -98,7 +96,8 @@ const UNLIMITED_CANNOT_EXHAUST: &str = "an unlimited budget cannot be exhausted"
 /// accepted word, and whether unmentioned letters can (wildcard endings).
 /// `None` signals global infeasibility — an edge whose final letters are all
 /// absent from the document can never be witnessed, so there are no mappings.
-fn edge_final_masks(template: &Template, index: &LabelIndex) -> Option<Vec<(u64, bool)>> {
+fn edge_final_masks(template: &Template, doc: &Document) -> Option<Vec<(u64, bool)>> {
+    let index = doc.index();
     let mut final_masks: Vec<(u64, bool)> = vec![(0, false); template.len()];
     for e in template.edges() {
         match template.edge_dfa(e) {
@@ -127,10 +126,9 @@ fn edge_final_masks(template: &Template, index: &LabelIndex) -> Option<Vec<(u64,
 fn enumerate_impl(
     template: &Template,
     doc: &Document,
-    index: &LabelIndex,
     budget: &mut Budget,
 ) -> Result<Vec<Mapping>, Resource> {
-    let Some(final_masks) = edge_final_masks(template, index) else {
+    let Some(final_masks) = edge_final_masks(template, doc) else {
         return Ok(Vec::new());
     };
     let mut memo: CandidateMemo = HashMap::new();
@@ -138,7 +136,7 @@ fn enumerate_impl(
         template,
         doc,
         &mut |w, source, memo, budget| {
-            candidates_dfa(template, doc, index, &final_masks, w, source, memo, budget)
+            candidates_dfa(template, doc, &final_masks, w, source, memo, budget)
         },
         &mut memo,
         budget,
@@ -259,7 +257,6 @@ fn anchor_edge_accepts(
 pub fn project_mappings_anchored_governed(
     template: &Template,
     doc: &Document,
-    index: &LabelIndex,
     anchor: TemplateNodeId,
     anchor_images: &[NodeId],
     keep: &[TemplateNodeId],
@@ -270,7 +267,7 @@ pub fn project_mappings_anchored_governed(
         std::slice::from_ref(&anchor),
         "anchored search requires the anchor to be the root's only child"
     );
-    let Some(final_masks) = edge_final_masks(template, index) else {
+    let Some(final_masks) = edge_final_masks(template, doc) else {
         return Ok(Vec::new());
     };
     let order: Vec<TemplateNodeId> = template
@@ -283,7 +280,7 @@ pub fn project_mappings_anchored_governed(
     let mut memo: CandidateMemo = HashMap::new();
     let mut cands =
         |w: TemplateNodeId, source: NodeId, memo: &mut CandidateMemo, budget: &mut Budget| {
-            candidates_dfa(template, doc, index, &final_masks, w, source, memo, budget)
+            candidates_dfa(template, doc, &final_masks, w, source, memo, budget)
         };
     let mut out = Vec::new();
     for &img in anchor_images {
@@ -310,11 +307,9 @@ pub fn project_mappings_anchored_governed(
 
 /// DFA engine: steps a single state id per node; prunes dead and non-live
 /// states, and whole subtrees whose label Bloom mask cannot end a match.
-#[allow(clippy::too_many_arguments)]
 fn candidates_dfa(
     template: &Template,
     doc: &Document,
-    index: &LabelIndex,
     final_masks: &[(u64, bool)],
     edge_head: TemplateNodeId,
     source: NodeId,
@@ -330,6 +325,7 @@ fn candidates_dfa(
         return candidates_nfa(template, doc, edge_head, source, memo, budget);
     };
     let (fmask, other_final) = final_masks[edge_head.index()];
+    let index = doc.index();
     // A subtree can contribute a candidate only if some node in it can be
     // the *last* letter of an accepted word.
     let viable = |n: NodeId| other_final || index.subtree_may_intersect(n, fmask);
@@ -469,16 +465,15 @@ fn assign(
 }
 
 /// Distinct projections of all mappings onto `keep` (in the given order),
-/// against a prebuilt label index for `doc` and under `budget`: aborts with
-/// the exhausted [`Resource`] once a cap or the deadline is crossed.
+/// under `budget`: aborts with the exhausted [`Resource`] once a cap or the
+/// deadline is crossed.
 pub fn project_mappings_governed(
     template: &Template,
     doc: &Document,
-    index: &LabelIndex,
     keep: &[TemplateNodeId],
     budget: &mut Budget,
 ) -> Result<Vec<Vec<NodeId>>, Resource> {
-    let mappings = enumerate_impl(template, doc, index, budget)?;
+    let mappings = enumerate_impl(template, doc, budget)?;
     Ok(dedup_projections(mappings, keep))
 }
 
@@ -497,16 +492,11 @@ fn dedup_projections(mappings: Vec<Mapping>, keep: &[TemplateNodeId]) -> Vec<Vec
 }
 
 /// Distinct images of `pattern`'s selected tuple under an unlimited
-/// budget, against a prebuilt label index for `doc`.
-pub(crate) fn evaluate_unlimited(
-    pattern: &RegularTreePattern,
-    doc: &Document,
-    index: &LabelIndex,
-) -> Vec<Vec<NodeId>> {
+/// budget.
+pub(crate) fn evaluate_unlimited(pattern: &RegularTreePattern, doc: &Document) -> Vec<Vec<NodeId>> {
     project_mappings_governed(
         pattern.template(),
         doc,
-        index,
         pattern.selected(),
         &mut Budget::unlimited(),
     )
@@ -673,9 +663,8 @@ mod tests {
         // Project onto the session node only: all 4 mappings collapse to 1.
         let t = p.template();
         let session = t.children(t.root())[0];
-        let index = LabelIndex::build(&doc);
         let mut budget = Budget::unlimited();
-        let proj = project_mappings_governed(t, &doc, &index, &[session], &mut budget).unwrap();
+        let proj = project_mappings_governed(t, &doc, &[session], &mut budget).unwrap();
         assert_eq!(proj.len(), 1);
     }
 
@@ -739,23 +728,16 @@ mod tests {
         let p = r2(&a);
         let t = p.template();
         let anchor = t.children(t.root())[0]; // the candidate node
-        let index = LabelIndex::build(&doc);
+        let index = doc.index();
         let keep = p.selected();
 
         let mut budget = Budget::unlimited();
-        let full = project_mappings_governed(t, &doc, &index, keep, &mut budget).unwrap();
+        let full = project_mappings_governed(t, &doc, keep, &mut budget).unwrap();
         // Anchoring at every candidate node reproduces the full result.
         let candidates = index.nodes_with_label(a.intern("candidate")).to_vec();
-        let anchored = project_mappings_anchored_governed(
-            t,
-            &doc,
-            &index,
-            anchor,
-            &candidates,
-            keep,
-            &mut budget,
-        )
-        .unwrap();
+        let anchored =
+            project_mappings_anchored_governed(t, &doc, anchor, &candidates, keep, &mut budget)
+                .unwrap();
         assert_eq!(anchored, full);
 
         // Anchoring at a single candidate yields exactly the projections
@@ -763,7 +745,6 @@ mod tests {
         let one = project_mappings_anchored_governed(
             t,
             &doc,
-            &index,
             anchor,
             &candidates[..1],
             keep,
@@ -786,7 +767,6 @@ mod tests {
         let none = project_mappings_anchored_governed(
             t,
             &doc,
-            &index,
             anchor,
             &[exam, doc.root()],
             keep,

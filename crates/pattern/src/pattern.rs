@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use regtree_xml::{Document, LabelIndex, NodeId};
+use regtree_xml::{Document, NodeId};
 
 use crate::template::{Template, TemplateNodeId};
 
@@ -77,7 +77,7 @@ impl RegularTreePattern {
     /// Evaluates the pattern on `doc`: the set of distinct selected-node
     /// image tuples, each denoting the tuple of sub-trees `(D(π(w_1)), …)`.
     pub fn evaluate(&self, doc: &Document) -> Vec<Vec<NodeId>> {
-        crate::eval::evaluate_unlimited(self, doc, &LabelIndex::build(doc))
+        crate::eval::evaluate_unlimited(self, doc)
     }
 
     /// All mappings of the pattern's template on `doc` (Definition 2).

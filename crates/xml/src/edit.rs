@@ -8,6 +8,9 @@
 //! conveniences (each expressible as a parent replacement).
 //!
 //! Edits tombstone detached nodes; ids of untouched nodes remain stable.
+//! The structural edits patch the document's label index when it has been
+//! built ([`Document::index`]); value edits leave it as it is, since labels
+//! do not change.
 
 use std::sync::Arc;
 
@@ -63,7 +66,8 @@ fn mark_detached(doc: &mut Document, n: NodeId) {
     doc.nodes[n.index()].parent = None;
 }
 
-fn ensure_editable(doc: &Document, n: NodeId) -> Result<NodeId, EditError> {
+/// The parent of `n`, if `n` is an attached non-root node.
+pub(crate) fn ensure_editable(doc: &Document, n: NodeId) -> Result<NodeId, EditError> {
     if n == doc.root() {
         return Err(EditError::CannotEditRoot);
     }
@@ -86,11 +90,13 @@ pub fn replace_subtree(
         .check(doc.alphabet())
         .map_err(EditError::BadSpec)?;
     let pos = doc.child_index(n).ok_or(EditError::Detached)?;
+    doc.patch_index(|index, doc| index.remove_subtree(doc, n));
     let new_root = replacement.instantiate(doc);
     mark_detached(doc, n);
     doc.nodes[new_root.index()].parent = Some(parent);
     doc.nodes[new_root.index()].pos = pos as u32;
     doc.nodes[parent.index()].children[pos] = new_root;
+    doc.patch_index(|index, doc| index.insert_subtree(doc, new_root));
     Ok(new_root)
 }
 
@@ -98,6 +104,7 @@ pub fn replace_subtree(
 pub fn delete_subtree(doc: &mut Document, n: NodeId) -> Result<(), EditError> {
     let parent = ensure_editable(doc, n)?;
     let pos = doc.child_index(n).ok_or(EditError::Detached)?;
+    doc.patch_index(|index, doc| index.remove_subtree(doc, n));
     mark_detached(doc, n);
     doc.nodes[parent.index()].children.remove(pos);
     doc.renumber_children(parent, pos);
@@ -128,6 +135,7 @@ pub fn insert_child(
     doc.nodes[new_root.index()].parent = Some(parent);
     doc.nodes[parent.index()].children.insert(index, new_root);
     doc.renumber_children(parent, index);
+    doc.patch_index(|index, doc| index.insert_subtree(doc, new_root));
     Ok(new_root)
 }
 

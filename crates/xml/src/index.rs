@@ -13,6 +13,9 @@
 //! not occur under `n` (one-sided: collisions on `sym % 64` may report a
 //! phantom occurrence, never miss a real one), letting evaluation skip the
 //! whole subtree without visiting it.
+//!
+//! The index belongs to its document: [`Document::index`] builds it once,
+//! and the edit primitives patch it from then on (see [`LabelIndex`]).
 
 use std::collections::HashMap;
 
@@ -28,9 +31,16 @@ pub fn label_mask(sym: Symbol) -> u64 {
 
 /// Precomputed occurrence lists and subtree label masks for one document.
 ///
-/// The index is a snapshot: it is invalidated by any mutation of the
-/// document and must be rebuilt after edits — unless the edits go through
-/// [`crate::VersionedDocument`], which maintains it incrementally.
+/// A document owns its index ([`Document::index`]) and the edit primitives
+/// in [`crate::edit`] keep it in step:
+///
+/// * occurrence lists — detached nodes are removed (binary search by
+///   document order, while their position is still defined), grafted
+///   subtrees are spliced in at their document-order position;
+/// * subtree Bloom masks — a grafted subtree's masks are computed
+///   bottom-up and OR-ed into every ancestor up to the root. Deletions
+///   leave ancestor masks untouched: masks are one-sided (`may contain`),
+///   so a phantom bit can cost a pruning opportunity, never a wrong answer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LabelIndex {
     /// Occurrences of each label, in document order.
@@ -41,7 +51,7 @@ pub struct LabelIndex {
 
 impl LabelIndex {
     /// Builds the index in a single preorder pass plus a reverse sweep.
-    pub fn build(doc: &Document) -> LabelIndex {
+    pub(crate) fn build(doc: &Document) -> LabelIndex {
         let mut by_label: HashMap<Symbol, Vec<NodeId>> = HashMap::new();
         let mut subtree = vec![0u64; doc.arena_len()];
         // `all_nodes` is preorder, so parents precede children; sweeping in
@@ -82,54 +92,70 @@ impl LabelIndex {
         self.subtree[n.index()] & mask != 0
     }
 
-    // ---- incremental maintenance (versioned edits) ----
+    // ---- maintenance under edits ----
 
-    /// Grows the mask table to cover `len` arena slots (new slots zeroed).
-    pub(crate) fn ensure_slots(&mut self, len: usize) {
-        if self.subtree.len() < len {
-            self.subtree.resize(len, 0);
-        }
-    }
-
-    /// Overwrites the subtree mask of `n`.
-    pub(crate) fn set_mask(&mut self, n: NodeId, mask: u64) {
-        self.subtree[n.index()] = mask;
-    }
-
-    /// ORs `mask` into the subtree mask of `n`.
-    pub(crate) fn or_mask(&mut self, n: NodeId, mask: u64) {
-        self.subtree[n.index()] |= mask;
-    }
-
-    /// Inserts `n` into its label's occurrence list at its document-order
-    /// position. `n` must already be attached to `doc`.
-    pub(crate) fn insert_occurrence(&mut self, doc: &Document, n: NodeId) {
-        let list = self.by_label.entry(doc.label(n)).or_default();
-        let at = list
-            .binary_search_by(|&m| doc.doc_order(m, n))
-            .unwrap_or_else(|i| i);
-        if list.get(at) != Some(&n) {
-            list.insert(at, n);
-        }
-    }
-
-    /// Removes `n` from its label's occurrence list. Must be called while
+    /// Removes the occurrences of the subtree rooted at `n`. Must run while
     /// `n` is still attached (document order still well defined).
-    pub(crate) fn remove_occurrence(&mut self, doc: &Document, n: NodeId) {
-        if let Some(list) = self.by_label.get_mut(&doc.label(n)) {
-            match list.binary_search_by(|&m| doc.doc_order(m, n)) {
-                Ok(at) => {
+    pub(crate) fn remove_subtree(&mut self, doc: &Document, n: NodeId) {
+        for d in doc.descendants_or_self(n) {
+            if let Some(list) = self.by_label.get_mut(&doc.label(d)) {
+                if let Ok(at) = list.binary_search_by(|&m| doc.doc_order(m, d)) {
                     list.remove(at);
-                }
-                Err(_) => {
-                    // Defensive: fall back to a linear scan if the order
-                    // probe misses (should not happen while `n` is attached).
-                    if let Some(at) = list.iter().position(|&m| m == n) {
-                        list.remove(at);
-                    }
                 }
             }
         }
+    }
+
+    /// Indexes the freshly grafted subtree rooted at `new_root`: occurrence
+    /// lists, its own masks (bottom-up), and the OR of its mask into every
+    /// ancestor up to the root.
+    pub(crate) fn insert_subtree(&mut self, doc: &Document, new_root: NodeId) {
+        if self.subtree.len() < doc.arena_len() {
+            self.subtree.resize(doc.arena_len(), 0);
+        }
+        let order = doc.descendants_or_self(new_root);
+        for &d in &order {
+            self.subtree[d.index()] = label_mask(doc.label(d));
+            let list = self.by_label.entry(doc.label(d)).or_default();
+            let at = list
+                .binary_search_by(|&m| doc.doc_order(m, d))
+                .unwrap_or_else(|i| i);
+            list.insert(at, d);
+        }
+        for &d in order[1..].iter().rev() {
+            let p = doc.parent(d).expect("subtree node has a parent");
+            self.subtree[p.index()] |= self.subtree[d.index()];
+        }
+        let mask = self.subtree[new_root.index()];
+        let mut cur = doc.parent(new_root);
+        while let Some(a) = cur {
+            self.subtree[a.index()] |= mask;
+            cur = doc.parent(a);
+        }
+    }
+}
+
+/// Asserts that `doc`'s index agrees with a fresh build: equal occurrence
+/// lists, and masks that contain (⊇) the fresh ones.
+#[cfg(test)]
+pub(crate) fn assert_index_sound(doc: &Document) {
+    let fresh = LabelIndex::build(doc);
+    for s in doc.alphabet().symbols() {
+        assert_eq!(
+            doc.index().nodes_with_label(s),
+            fresh.nodes_with_label(s),
+            "occurrences of {:?} drifted",
+            doc.alphabet().name(s)
+        );
+    }
+    for n in doc.all_nodes() {
+        let exact = fresh.subtree_mask(n);
+        assert_eq!(
+            doc.index().subtree_mask(n) & exact,
+            exact,
+            "mask at {} lost bits",
+            doc.dewey_string(n)
+        );
     }
 }
 

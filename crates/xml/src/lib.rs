@@ -7,6 +7,8 @@
 //!
 //! * [`Document`]/[`NodeId`] — the arena tree with Dewey positions, document
 //!   order and ancestor queries;
+//! * [`LabelIndex`] — per-label occurrence lists and subtree label masks,
+//!   owned by the document ([`Document::index`]) and patched by every edit;
 //! * [`TreeSpec`] — owned subtree values used as update payloads;
 //! * [`parse_document`]/[`to_xml`] — a from-scratch XML subset parser and
 //!   serializer;
@@ -14,8 +16,8 @@
 //!   canonical hash FD checking buckets by;
 //! * [`edit`] — subtree replacement (the paper's primitive update), plus
 //!   insert/delete/set-value conveniences;
-//! * [`VersionedDocument`] — in-place delta edits with an incrementally
-//!   maintained index.
+//! * [`VersionedDocument`] — in-place edits recorded as a versioned
+//!   [`Delta`].
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -89,6 +91,44 @@ mod proptests {
                 TreeSpec::elem(regtree_alphabet::Symbol(s), children)
             })
         })
+    }
+
+    /// One `edit` call against a node picked from the live tree. Picks that
+    /// the primitive rejects (the root, a leaf parent, an element's value)
+    /// leave the document as it is.
+    #[derive(Clone, Debug)]
+    enum EditStep {
+        Replace(prop::sample::Index, TreeSpec),
+        Insert(prop::sample::Index, prop::sample::Index, TreeSpec),
+        Delete(prop::sample::Index),
+        SetValue(prop::sample::Index, String),
+    }
+
+    impl EditStep {
+        fn apply(&self, doc: &mut Document) {
+            let nodes = doc.all_nodes();
+            let pick = |i: &prop::sample::Index| nodes[i.index(nodes.len())];
+            let _ = match self {
+                EditStep::Replace(i, spec) => edit::replace_subtree(doc, pick(i), spec).map(drop),
+                EditStep::Insert(i, at, spec) => {
+                    let parent = pick(i);
+                    let at = at.index(doc.children(parent).len() + 1);
+                    edit::insert_child(doc, parent, at, spec).map(drop)
+                }
+                EditStep::Delete(i) => edit::delete_subtree(doc, pick(i)),
+                EditStep::SetValue(i, value) => edit::set_value(doc, pick(i), value),
+            };
+        }
+    }
+
+    fn arb_edit() -> impl Strategy<Value = EditStep> {
+        let index = any::<prop::sample::Index>;
+        prop_oneof![
+            (index(), arb_spec()).prop_map(|(i, s)| EditStep::Replace(i, s)),
+            (index(), index(), arb_spec()).prop_map(|(i, at, s)| EditStep::Insert(i, at, s)),
+            index().prop_map(EditStep::Delete),
+            (index(), "[a-z]{1,3}").prop_map(|(i, v)| EditStep::SetValue(i, v)),
+        ]
     }
 
     proptest! {
@@ -193,6 +233,39 @@ mod proptests {
             doc.compact();
             prop_assert_eq!(doc.arena_len(), before - removed);
             prop_assert!(doc.check_well_formed().is_ok());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// An indexed document stays indexed through edits: after every
+        /// `edit` call, made directly or inside
+        /// [`VersionedDocument::apply_opaque`], the occurrence lists equal a
+        /// fresh build's and every mask contains the fresh one.
+        #[test]
+        fn edits_keep_the_index_sound(
+            spec in arb_spec(),
+            direct in prop::collection::vec(arb_edit(), 0..8),
+            opaque in prop::collection::vec(arb_edit(), 0..8),
+        ) {
+            let a = test_alphabet();
+            prop_assume!(spec.check(&a).is_ok());
+            let wrapped = TreeSpec::elem_named(&a, "wrap", vec![spec]);
+            let mut doc = document_from_specs(a, &[wrapped]);
+            doc.index();
+            for step in &direct {
+                step.apply(&mut doc);
+                index::assert_index_sound(&doc);
+            }
+            let mut v = VersionedDocument::new(doc);
+            v.apply_opaque(|doc| {
+                for step in &opaque {
+                    step.apply(doc);
+                    index::assert_index_sound(doc);
+                }
+            });
+            index::assert_index_sound(v.doc());
         }
     }
 }

@@ -11,9 +11,11 @@
 //! in place; detached nodes stay in the arena as tombstones.
 
 use std::cmp::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use regtree_alphabet::{Alphabet, LabelKind, Symbol};
+
+use crate::index::LabelIndex;
 
 /// Stable handle to a node in a [`Document`] arena.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -45,10 +47,15 @@ pub(crate) struct Node {
 }
 
 /// An XML document: an arena-backed unranked ordered labeled tree.
+///
+/// The document owns its [`LabelIndex`]: the first [`Document::index`] call
+/// builds it, and every structural edit in [`crate::edit`] patches it from
+/// then on, so readers never rebuild it.
 #[derive(Clone, Debug)]
 pub struct Document {
     alphabet: Alphabet,
     pub(crate) nodes: Vec<Node>,
+    index: OnceLock<LabelIndex>,
 }
 
 impl Document {
@@ -65,6 +72,23 @@ impl Document {
         Document {
             alphabet,
             nodes: vec![root],
+            index: OnceLock::new(),
+        }
+    }
+
+    /// The document's label index, built on the first call and kept in
+    /// step with every edit after it (masks may over-approximate after
+    /// deletions; see [`crate::index`]).
+    pub fn index(&self) -> &LabelIndex {
+        self.index.get_or_init(|| LabelIndex::build(self))
+    }
+
+    /// Runs `patch` on the index if one has been built (an unbuilt index
+    /// has nothing to keep in step).
+    pub(crate) fn patch_index(&mut self, patch: impl FnOnce(&mut LabelIndex, &Document)) {
+        if let Some(mut index) = self.index.take() {
+            patch(&mut index, self);
+            self.index = OnceLock::from(index);
         }
     }
 
@@ -375,6 +399,7 @@ impl Document {
                 .collect();
         }
         self.nodes = new_nodes;
+        self.index = OnceLock::new();
         // Rebuild the cached sibling positions.
         for i in 0..self.nodes.len() {
             let children = self.nodes[i].children.clone();

@@ -1,28 +1,17 @@
-//! Versioned documents: delta edits with an incrementally maintained index.
+//! Versioned documents: in-place edits that record what they touched.
 //!
-//! The naive update loop clones the whole tree per update
-//! (`Update::apply_cloned` in `regtree-core`) and rebuilds the
-//! [`LabelIndex`] from scratch before every recheck. A
-//! [`VersionedDocument`] instead applies the `edit` primitives *in place*
-//! and patches the index as it goes (`Update::apply_versioned` drives the
-//! same update code through these methods):
-//!
-//! * occurrence lists — detached nodes are removed (binary search by
-//!   document order, while their position is still defined), inserted
-//!   subtrees are spliced in at their document-order position;
-//! * subtree Bloom masks — an inserted subtree's masks are computed
-//!   bottom-up and OR-ed into every ancestor up to the root (dirty-path
-//!   propagation). Deletions leave ancestor masks untouched: masks are
-//!   one-sided (`may contain`), so an over-approximation stays sound — a
-//!   phantom bit can cost a pruning opportunity, never a wrong answer.
-//!
-//! Each mutation bumps a version counter and is recorded in a [`Delta`]
-//! (edit sites, detached/inserted subtree roots, touched value leaves, and
-//! a Bloom mask over every touched label) that incremental FD checking
-//! consumes to scope its rechecks.
+//! A [`VersionedDocument`] is a [`Document`] plus a version counter and the
+//! [`Delta`] of the edits since the last [`VersionedDocument::take_delta`].
+//! Its methods run the [`crate::edit`] primitives in place, which keep the
+//! document's own label index in step ([`Document::index`]); each one bumps
+//! the version and records its edit sites, detached and grafted subtree
+//! roots, touched value leaves and a Bloom mask over every touched label.
+//! Incremental FD checking consumes the delta to scope its rechecks, and
+//! `Update::apply` in `regtree-core` runs every update through these
+//! methods.
 
 use crate::edit::{self, EditError};
-use crate::index::{label_mask, LabelIndex};
+use crate::index::label_mask;
 use crate::model::{Document, NodeId};
 use crate::spec::TreeSpec;
 
@@ -60,27 +49,22 @@ impl Delta {
     }
 }
 
-/// A [`Document`] whose [`LabelIndex`] is maintained across edits.
+/// A [`Document`] whose edits are versioned and recorded as a [`Delta`].
 ///
 /// All mutation goes through the delta methods below (or
-/// [`apply_opaque`](VersionedDocument::apply_opaque) for arbitrary surgery,
-/// which falls back to an index rebuild). Accessors hand out shared
-/// references only, so index and tree cannot drift apart.
+/// [`apply_opaque`](VersionedDocument::apply_opaque) for arbitrary surgery).
 #[derive(Clone, Debug)]
 pub struct VersionedDocument {
     doc: Document,
-    index: LabelIndex,
     version: u64,
     pending: Delta,
 }
 
 impl VersionedDocument {
-    /// Wraps a document, building its index.
+    /// Wraps a document at version 0 with an empty delta.
     pub fn new(doc: Document) -> VersionedDocument {
-        let index = LabelIndex::build(&doc);
         VersionedDocument {
             doc,
-            index,
             version: 0,
             pending: Delta::default(),
         }
@@ -91,10 +75,9 @@ impl VersionedDocument {
         &self.doc
     }
 
-    /// The maintained label index (masks may over-approximate after
-    /// deletions; see the module docs).
-    pub fn index(&self) -> &LabelIndex {
-        &self.index
+    /// Unwraps the document, dropping the version and any pending delta.
+    pub fn into_doc(self) -> Document {
+        self.doc
     }
 
     /// Monotone edit counter (bumped once per mutation).
@@ -107,70 +90,23 @@ impl VersionedDocument {
         std::mem::take(&mut self.pending)
     }
 
-    fn ensure_editable(&self, n: NodeId) -> Result<NodeId, EditError> {
-        if n == self.doc.root() {
-            return Err(EditError::CannotEditRoot);
-        }
-        if !self.doc.is_alive(n) {
-            return Err(EditError::Detached);
-        }
-        self.doc.parent(n).ok_or(EditError::Detached)
-    }
-
-    fn remove_subtree_occurrences(&mut self, n: NodeId) {
-        for d in self.doc.descendants_or_self(n) {
-            self.index.remove_occurrence(&self.doc, d);
-        }
-    }
-
-    /// Indexes a freshly grafted subtree: occurrence lists, its own masks
-    /// (bottom-up), and the dirty-path OR up to the root. Returns the
-    /// subtree's mask.
-    fn index_new_subtree(&mut self, new_root: NodeId) -> u64 {
-        self.index.ensure_slots(self.doc.arena_len());
-        let order = self.doc.descendants_or_self(new_root);
-        for &d in &order {
-            self.index.set_mask(d, label_mask(self.doc.label(d)));
-            self.index.insert_occurrence(&self.doc, d);
-        }
-        for &d in order.iter().rev() {
-            if d != new_root {
-                let m = self.index.subtree_mask(d);
-                let p = self.doc.parent(d).expect("subtree node has parent");
-                self.index.or_mask(p, m);
-            }
-        }
-        let mask = self.index.subtree_mask(new_root);
-        let mut cur = self.doc.parent(new_root);
-        while let Some(a) = cur {
-            self.index.or_mask(a, mask);
-            cur = self.doc.parent(a);
-        }
-        mask
-    }
-
     /// [`edit::replace_subtree`] as a delta.
     pub fn replace_subtree(&mut self, n: NodeId, spec: &TreeSpec) -> Result<NodeId, EditError> {
-        let parent = self.ensure_editable(n)?;
-        spec.check(self.doc.alphabet())
-            .map_err(EditError::BadSpec)?;
-        let old_mask = self.index.subtree_mask(n);
-        self.remove_subtree_occurrences(n);
+        let parent = edit::ensure_editable(&self.doc, n)?;
+        let old_mask = self.doc.index().subtree_mask(n);
         let new_root = edit::replace_subtree(&mut self.doc, n, spec)?;
-        let new_mask = self.index_new_subtree(new_root);
         self.pending.sites.push(parent);
         self.pending.removed.push((parent, n));
         self.pending.inserted.push(new_root);
-        self.pending.dirty_mask |= old_mask | new_mask;
+        self.pending.dirty_mask |= old_mask | self.doc.index().subtree_mask(new_root);
         self.version += 1;
         Ok(new_root)
     }
 
     /// [`edit::delete_subtree`] as a delta.
     pub fn delete_subtree(&mut self, n: NodeId) -> Result<(), EditError> {
-        let parent = self.ensure_editable(n)?;
-        let old_mask = self.index.subtree_mask(n);
-        self.remove_subtree_occurrences(n);
+        let parent = edit::ensure_editable(&self.doc, n)?;
+        let old_mask = self.doc.index().subtree_mask(n);
         edit::delete_subtree(&mut self.doc, n)?;
         self.pending.sites.push(parent);
         self.pending.removed.push((parent, n));
@@ -187,10 +123,9 @@ impl VersionedDocument {
         spec: &TreeSpec,
     ) -> Result<NodeId, EditError> {
         let new_root = edit::insert_child(&mut self.doc, parent, index, spec)?;
-        let new_mask = self.index_new_subtree(new_root);
         self.pending.sites.push(parent);
         self.pending.inserted.push(new_root);
-        self.pending.dirty_mask |= new_mask;
+        self.pending.dirty_mask |= self.doc.index().subtree_mask(new_root);
         self.version += 1;
         Ok(new_root)
     }
@@ -206,7 +141,7 @@ impl VersionedDocument {
         self.insert_child(parent, len, spec)
     }
 
-    /// [`edit::set_value`] as a delta (no structural index change).
+    /// [`edit::set_value`] as a delta.
     pub fn set_value(&mut self, n: NodeId, value: &str) -> Result<(), EditError> {
         edit::set_value(&mut self.doc, n, value)?;
         if let Some(p) = self.doc.parent(n) {
@@ -218,11 +153,11 @@ impl VersionedDocument {
         Ok(())
     }
 
-    /// Arbitrary document surgery: runs `f`, then rebuilds the index from
-    /// scratch and marks the delta opaque (scoped rechecking impossible).
+    /// Arbitrary document surgery: runs `f` and marks the delta opaque
+    /// (scoped rechecking impossible). Edits inside `f` keep the label
+    /// index in step like any other edit.
     pub fn apply_opaque<R>(&mut self, f: impl FnOnce(&mut Document) -> R) -> R {
         let r = f(&mut self.doc);
-        self.index = LabelIndex::build(&self.doc);
         self.pending.opaque = true;
         self.version += 1;
         r
@@ -232,6 +167,7 @@ impl VersionedDocument {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::assert_index_sound;
     use crate::parse::parse_document;
     use crate::serialize::to_xml;
     use regtree_alphabet::Alphabet;
@@ -247,30 +183,6 @@ mod tests {
         (a, VersionedDocument::new(doc))
     }
 
-    /// The maintained occurrence lists must equal a from-scratch rebuild,
-    /// and the maintained masks must cover (⊇) the rebuilt ones.
-    fn assert_index_sound(v: &VersionedDocument) {
-        let fresh = LabelIndex::build(v.doc());
-        for s in v.doc().alphabet().symbols() {
-            assert_eq!(
-                v.index().nodes_with_label(s),
-                fresh.nodes_with_label(s),
-                "occurrences of {:?} drifted",
-                v.doc().alphabet().name(s)
-            );
-        }
-        for n in v.doc().all_nodes() {
-            let maintained = v.index().subtree_mask(n);
-            let exact = fresh.subtree_mask(n);
-            assert_eq!(
-                maintained & exact,
-                exact,
-                "mask at {} lost bits",
-                v.doc().dewey_string(n)
-            );
-        }
-    }
-
     #[test]
     fn versioned_edits_maintain_index() {
         let (a, mut v) = setup();
@@ -280,19 +192,19 @@ mod tests {
 
         v.append_child(session, &TreeSpec::elem_named(&a, "closing", vec![]))
             .unwrap();
-        assert_index_sound(&v);
+        assert_index_sound(v.doc());
         v.replace_subtree(
             lvl,
             &TreeSpec::elem_named(&a, "level", vec![TreeSpec::text("C")]),
         )
         .unwrap();
-        assert_index_sound(&v);
+        assert_index_sound(v.doc());
         let c2 = v.doc().children(session)[1];
         v.delete_subtree(c2).unwrap();
-        assert_index_sound(&v);
+        assert_index_sound(v.doc());
         let idn = v.doc().children(v.doc().children(session)[0])[0];
         v.set_value(idn, "42").unwrap();
-        assert_index_sound(&v);
+        assert_index_sound(v.doc());
         assert_eq!(v.version(), 4);
 
         let delta = v.take_delta();
@@ -307,11 +219,12 @@ mod tests {
     fn opaque_mutations_rebuild() {
         let (_a, mut v) = setup();
         let session = v.doc().children(v.doc().root())[0];
+        v.doc().index();
         v.apply_opaque(|doc| {
             let c = doc.children(session)[0];
             edit::delete_subtree(doc, c).unwrap();
         });
-        assert_index_sound(&v);
+        assert_index_sound(v.doc());
         assert!(v.take_delta().opaque);
     }
 
@@ -335,7 +248,7 @@ mod tests {
         assert_eq!(to_xml(v.doc()), before);
         assert_eq!(v.version(), 0);
         assert!(v.take_delta().is_empty());
-        assert_index_sound(&v);
+        assert_index_sound(v.doc());
     }
 
     #[test]
@@ -353,7 +266,7 @@ mod tests {
         assert_eq!(to_xml(v.doc()), before);
         assert_eq!(v.version(), 0);
         assert!(v.take_delta().is_empty());
-        assert!(v.index().nodes_with_label(a.intern("x")).is_empty());
-        assert_index_sound(&v);
+        assert!(v.doc().index().nodes_with_label(a.intern("x")).is_empty());
+        assert_index_sound(v.doc());
     }
 }

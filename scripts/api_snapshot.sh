@@ -32,17 +32,24 @@ lines = []
 for root in ROOTS:
     for path in sorted(root.rglob("*.rs")):
         in_test = False
+        opened = False
         depth = 0
         for raw in path.read_text(encoding="utf-8").splitlines():
             stripped = raw.strip()
-            # Skip #[cfg(test)] modules: their `pub` items are not surface.
+            # Skip the one item a #[cfg(test)] marks (a test module, or a
+            # single test-only fn, impl or use): it is not surface. The item
+            # ends at its `;`, or where its braces balance again.
             if stripped.startswith("#[cfg(test)]"):
                 in_test = True
+                opened = False
                 depth = 0
                 continue
             if in_test:
+                if not opened and stripped.startswith("#["):
+                    continue  # a further attribute on the same item
                 depth += raw.count("{") - raw.count("}")
-                if "{" in raw and depth <= 0:
+                opened = opened or "{" in raw
+                if (opened and depth <= 0) or (not opened and stripped.endswith(";")):
                     in_test = False
                 continue
             if ITEM.match(raw):

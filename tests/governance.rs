@@ -2,11 +2,14 @@
 //! verdict — only a graceful `Unknown { exhausted }` — and partial results
 //! (matrix cells, batch outcomes) are always complete and well-formed.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use regtree::prelude::*;
 use regtree_core::RunOverrides;
 use regtree_gen as gen;
+use regtree_xml::VersionedDocument;
 
 /// A starved run (1-state budget) must either agree with the unlimited run
 /// or report `Unknown { exhausted: Some(States) }` — never flip a verdict.
@@ -193,4 +196,58 @@ fn starved_fd_batch_is_unknown_with_metrics() {
         }
     }
     assert!(!starved.all_satisfied(), "Unknown counts as not-satisfied");
+}
+
+/// Seeding an incremental checker runs its FDs under one deadline, as
+/// `check_fds` and every recheck round do. With the deadline at twice one
+/// FD's seed time, most of sixteen FDs must come back
+/// `Unknown { exhausted: Deadline }` and the call must return within a few
+/// deadlines; a fresh deadline per FD would run all sixteen to the end.
+#[test]
+fn checker_seeding_shares_one_deadline() {
+    let a = gen::exam_alphabet();
+    let doc = gen::generate_session(&a, 400, 3, &mut SmallRng::seed_from_u64(24));
+    let vdoc = VersionedDocument::new(doc);
+    let fd = parse_fd(&a, "/session/candidate : exam/discipline -> exam/rank").expect("fd");
+    vdoc.doc().index();
+    let one = (0..5)
+        .map(|_| {
+            let t = Instant::now();
+            IncrementalChecker::new(vec![fd.clone()], &vdoc);
+            t.elapsed()
+        })
+        .min()
+        .expect("five runs");
+    let deadline = one * 2;
+
+    let t = Instant::now();
+    let checker = IncrementalChecker::with_governance(
+        vec![fd; 16],
+        &vdoc,
+        RunLimits::default().with_deadline(deadline),
+        TraceHandle::default(),
+        None,
+    );
+    let elapsed = t.elapsed();
+    let unknown = checker
+        .outcomes()
+        .iter()
+        .filter(|o| {
+            matches!(
+                o,
+                FdOutcome::Unknown {
+                    exhausted: Resource::Deadline,
+                    ..
+                }
+            )
+        })
+        .count();
+    assert!(
+        unknown >= 8,
+        "only {unknown} of 16 FDs ran out of a {deadline:?} deadline"
+    );
+    assert!(
+        elapsed <= deadline * 6,
+        "seeding took {elapsed:?} under a {deadline:?} deadline"
+    );
 }

@@ -10,27 +10,26 @@
 //! * [`parse_regex`] — the concrete `candidate/exam/discipline`-style syntax;
 //! * [`Nfa`] / [`NfaBuilder`] — Thompson automata plus a direct builder used
 //!   for hedge-automaton horizontal languages;
-//! * [`Dfa`] — complete DFAs with product/complement/minimization/emptiness;
-//! * [`inclusion`] — the PSPACE-hard regex inclusion problem (classical and
-//!   antichain engines) behind the paper's Proposition 1;
-//! * [`LangSampler`] — random members of a regular language, used to
-//!   materialize witness documents (Figure 8).
+//! * [`EdgeDfa`] — the determinized edge automaton the pattern matcher
+//!   runs, exact over the open-ended label alphabet.
+//!
+//! It is the matcher's word layer and nothing more. Complete DFAs, the
+//! regex-inclusion engines behind Proposition 1 and the language sampler
+//! live in the unpublished `regtree-oracle` crate, which only tests,
+//! benches and examples use.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ast;
 pub mod dfa;
-pub mod inclusion;
 pub mod nfa;
 pub mod parser;
-pub mod sample;
 
 pub use ast::Regex;
-pub use dfa::{Dfa, EdgeDfa, EDGE_DEAD};
+pub use dfa::{EdgeDfa, EDGE_DEAD};
 pub use nfa::{Letter, Nfa, NfaBuilder, NfaLabel, StateId};
 pub use parser::{parse_regex, ParseError};
-pub use sample::LangSampler;
 
 #[cfg(test)]
 mod proptests {
@@ -62,83 +61,6 @@ mod proptests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// NFA, DFA and derivative matchers agree on membership.
-        #[test]
-        fn engines_agree(r in arb_regex(3), w in arb_word(3)) {
-            let nfa = Nfa::from_regex(&r);
-            let universe: Vec<Letter> = (2..5).collect();
-            let dfa = Dfa::from_nfa(&nfa, &universe);
-            let letters: Vec<Letter> = w.iter().map(|s| s.0).collect();
-            let by_deriv = r.matches(&w);
-            prop_assert_eq!(nfa.accepts(&letters), by_deriv);
-            prop_assert_eq!(dfa.accepts(&letters), by_deriv);
-        }
-
-        /// Minimization preserves membership.
-        #[test]
-        fn minimize_preserves(r in arb_regex(3), w in arb_word(3)) {
-            let universe: Vec<Letter> = (2..5).collect();
-            let dfa = Dfa::from_nfa(&Nfa::from_regex(&r), &universe);
-            let min = dfa.minimize();
-            let letters: Vec<Letter> = w.iter().map(|s| s.0).collect();
-            prop_assert_eq!(dfa.accepts(&letters), min.accepts(&letters));
-        }
-
-        /// Complement is an involution and flips membership.
-        #[test]
-        fn complement_laws(r in arb_regex(3), w in arb_word(3)) {
-            let universe: Vec<Letter> = (2..5).collect();
-            let dfa = Dfa::from_nfa(&Nfa::from_regex(&r), &universe);
-            let letters: Vec<Letter> = w.iter().map(|s| s.0).collect();
-            let comp = dfa.complement();
-            prop_assert_eq!(dfa.accepts(&letters), !comp.accepts(&letters));
-            prop_assert_eq!(comp.complement().accepts(&letters), dfa.accepts(&letters));
-        }
-
-        /// Product automata implement boolean language operations.
-        #[test]
-        fn product_laws(r1 in arb_regex(3), r2 in arb_regex(3), w in arb_word(3)) {
-            let universe: Vec<Letter> = (2..5).collect();
-            let d1 = Dfa::from_nfa(&Nfa::from_regex(&r1), &universe);
-            let d2 = Dfa::from_nfa(&Nfa::from_regex(&r2), &universe);
-            let letters: Vec<Letter> = w.iter().map(|s| s.0).collect();
-            let (m1, m2) = (d1.accepts(&letters), d2.accepts(&letters));
-            prop_assert_eq!(d1.intersect(&d2).accepts(&letters), m1 && m2);
-            prop_assert_eq!(d1.union(&d2).accepts(&letters), m1 || m2);
-            prop_assert_eq!(d1.difference(&d2).accepts(&letters), m1 && !m2);
-        }
-
-        /// Antichain and classical inclusion agree; witnesses are genuine.
-        #[test]
-        fn inclusion_engines_agree(r1 in arb_regex(2), r2 in arb_regex(2)) {
-            let universe: Vec<Letter> = (2..4).collect();
-            let n1 = Nfa::from_regex(&r1);
-            let n2 = Nfa::from_regex(&r2);
-            let anti = inclusion::nfa_included(&n1, &n2, &universe);
-            let d1 = Dfa::from_nfa(&n1, &universe);
-            let d2 = Dfa::from_nfa(&n2, &universe);
-            let classic = inclusion::dfa_included(&d1, &d2);
-            prop_assert_eq!(anti.is_ok(), classic.is_ok());
-            if let Err(w) = anti {
-                prop_assert!(n1.accepts(&w));
-                prop_assert!(!n2.accepts(&w));
-            }
-        }
-
-        /// Sampled words are language members.
-        #[test]
-        fn samples_are_members(r in arb_regex(3), seed in any::<u64>(), len in 0usize..12) {
-            use rand::SeedableRng;
-            let nfa = Nfa::from_regex(&r);
-            let universe: Vec<Letter> = (2..5).collect();
-            let sampler = LangSampler::new(&nfa, &universe);
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-            match sampler.sample(&mut rng, len) {
-                Some(w) => prop_assert!(nfa.accepts(&w)),
-                None => prop_assert!(nfa.is_empty_language()),
-            }
-        }
 
         /// `is_proper` is exactly “does not accept the empty word, and accepts
         /// something”.

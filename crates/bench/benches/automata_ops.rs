@@ -1,13 +1,14 @@
-//! Substrate bench: the word-automata toolbox (Thompson construction,
-//! subset construction, product, emptiness, minimization) that everything
-//! above is built from.
+//! Substrate bench: word automata. Thompson construction and NFA
+//! membership are the product's; subset construction, product,
+//! emptiness, minimization and sampling run on `regtree-oracle`'s
+//! complete DFAs, the classical baseline the matcher's edge DFAs replace.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use regtree_automata::{parse_regex, Dfa, LangSampler, Nfa};
+use regtree_automata::{parse_regex, Nfa};
 use regtree_bench::rng;
-use regtree_gen::random_proper_regex;
+use regtree_oracle::{random_proper_regex, Dfa, LangSampler};
 
 fn bench_automata(c: &mut Criterion) {
     let a = regtree_alphabet::Alphabet::with_labels(["p", "q", "r"]);

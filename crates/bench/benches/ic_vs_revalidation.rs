@@ -5,7 +5,8 @@
 //! Three maintenance strategies for `fd1` under a stream of level updates
 //! (a class the criterion proves independent):
 //!
-//! * `revalidate_full`  — apply + full re-verification, per document size;
+//! * `revalidate_full`  — apply on a copy + full re-verification
+//!   ([`check_fd`]), per document size;
 //! * `incremental`      — delta-scoped [`IncrementalChecker`] recheck over a
 //!   [`VersionedDocument`], per document size;
 //! * `criterion_once`   — the IC, **independent of any document**.
@@ -24,7 +25,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use regtree_bench::{
     fd_with_conditions, fresh_independence, fresh_matrix, session, update_chain, CANDIDATE_COUNTS,
 };
-use regtree_core::{revalidate_full, revalidate_full_many, IncrementalChecker, Update, UpdateOp};
+use regtree_core::{check_fd, Analyzer, IncrementalChecker, Update, UpdateOp};
 use regtree_oracle::check_independence_eager;
 use regtree_xml::VersionedDocument;
 
@@ -53,7 +54,7 @@ fn bench_strategies(c: &mut Criterion) {
     for &n in &CANDIDATE_COUNTS {
         let doc = session(&a, n);
         group.bench_with_input(BenchmarkId::new("revalidate_full", n), &doc, |b, d| {
-            b.iter(|| revalidate_full(&fd1, &update, d).expect("applies").is_ok())
+            b.iter(|| check_fd(&fd1, &update.apply_cloned(d).expect("applies")).is_ok())
         });
         group.bench_with_input(BenchmarkId::new("incremental", n), &doc, |b, d| {
             // Seed once outside the timing loop (amortized across the
@@ -73,6 +74,7 @@ fn bench_strategies(c: &mut Criterion) {
     group.finish();
 
     // Maintaining several FDs at once: one apply, parallel re-checks.
+    let analyzer = Analyzer::builder().build();
     let fds = vec![
         regtree_gen::fd1(&a),
         regtree_gen::fd2(&a),
@@ -89,7 +91,9 @@ fn bench_strategies(c: &mut Criterion) {
             |b, d| {
                 b.iter(|| {
                     fds.iter()
-                        .filter(|fd| revalidate_full(fd, &update, d).expect("applies").is_ok())
+                        .filter(|fd| {
+                            check_fd(fd, &update.apply_cloned(d).expect("applies")).is_ok()
+                        })
                         .count()
                 })
             },
@@ -99,10 +103,12 @@ fn bench_strategies(c: &mut Criterion) {
             &doc,
             |b, d| {
                 b.iter(|| {
-                    revalidate_full_many(&fds, &update, d)
-                        .expect("applies")
+                    let after = update.apply_cloned(d).expect("applies");
+                    analyzer
+                        .check_fds(&fds, &after)
+                        .outcomes
                         .iter()
-                        .filter(|r| r.is_ok())
+                        .filter(|o| o.is_satisfied())
                         .count()
                 })
             },

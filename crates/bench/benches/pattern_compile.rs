@@ -6,7 +6,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use regtree_bench::rng;
 use regtree_core::parse_update_class;
-use regtree_gen::random_pattern;
+use regtree_oracle::random_pattern;
 use regtree_pattern::compile_pattern;
 
 fn bench_compile(c: &mut Criterion) {

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use regtree_bench::{session, CANDIDATE_COUNTS};
-use regtree_pattern::{compile_pattern, enumerate_mappings, enumerate_mappings_nfa, evaluate_many};
+use regtree_pattern::{compile_pattern, enumerate_mappings, enumerate_mappings_nfa, parallel_map};
 
 fn bench_eval(c: &mut Criterion) {
     let a = regtree_gen::exam_alphabet();
@@ -67,10 +67,15 @@ fn bench_eval(c: &mut Criterion) {
     batch
         .sample_size(10)
         .measurement_time(Duration::from_secs(3));
-    let patterns = vec![regtree_gen::pattern_r2(&a), regtree_gen::pattern_r3(&a)];
+    let patterns = [regtree_gen::pattern_r2(&a), regtree_gen::pattern_r3(&a)];
     let docs: Vec<_> = CANDIDATE_COUNTS.iter().map(|&n| session(&a, n)).collect();
     batch.bench_function("evaluate_many_2x4", |b| {
-        b.iter(|| evaluate_many(&patterns, &docs).len())
+        b.iter(|| {
+            parallel_map(&docs, |d| {
+                patterns.iter().map(|p| p.evaluate(d)).collect::<Vec<_>>()
+            })
+            .len()
+        })
     });
     batch.bench_function("evaluate_sequential_2x4", |b| {
         b.iter(|| {

@@ -12,9 +12,9 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use regtree_automata::{inclusion, parse_regex, Dfa, Nfa, Regex};
+use regtree_automata::{parse_regex, Nfa, Regex};
 use regtree_bench::fresh_independence;
-use regtree_core::{build_patterns, gadget_alphabet};
+use regtree_oracle::{build_patterns, gadget_alphabet, inclusion, Dfa};
 
 /// `(a|b)* a (a|b)^n` over the gadget labels B, D.
 fn hard_regex(n: usize) -> String {

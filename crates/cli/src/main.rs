@@ -46,9 +46,9 @@ use regtree_core::api::{
     PatternParseResponse, UpdateCheckEntry, UpdateResponse,
 };
 use regtree_core::{
-    parse_fd, parse_update_class, Analyzer, ChromeTraceSink, Error as CoreError, FdOutcome, FdSet,
-    RunLimits, RunMetrics, SpanId, SpanKind, SummarySink, TraceFormat, TraceSummary, Tracer,
-    UpdateClass, Verdict,
+    parse_fd, parse_update_class, Analyzer, ApplyError, ChromeTraceSink, Error as CoreError,
+    FdOutcome, FdSet, RunLimits, RunMetrics, SpanId, SpanKind, SummarySink, TraceFormat,
+    TraceSummary, Tracer, UpdateClass, Verdict,
 };
 use regtree_hedge::Schema;
 use regtree_pattern::CompiledPattern;
@@ -596,9 +596,19 @@ fn cmd_fd_check_updates(
         let bad = |e: String| runtime(format!("updates line {}: {e}", lineno + 1));
         let request = Json::parse(line).map_err(bad)?;
         let update = parse_update_json(alphabet, &request).map_err(bad)?;
-        let report = checker
-            .apply_and_recheck(&mut vdoc, &update)
-            .map_err(|e| bad(e.to_string()))?;
+        let report = match checker.apply_and_recheck(&mut vdoc, &update) {
+            Ok(report) => report,
+            Err(e @ ApplyError::Exhausted(_)) => {
+                let msg = format!("updates line {}: {e}", lineno + 1);
+                return Err(CliError::Exhausted(if json {
+                    let error = Json::Obj(vec![("error".into(), Json::str(&msg))]);
+                    format!("{}\n", error.to_pretty())
+                } else {
+                    format!("{msg}\n")
+                }));
+            }
+            Err(e) => return Err(bad(e.to_string())),
+        };
         totals.merge(&report.metrics);
         let checks: Vec<UpdateCheckEntry> = names
             .iter()
@@ -1349,6 +1359,39 @@ mod tests {
         assert!(out.contains("scopes=[unaffected] satisfied"), "{out}");
         assert!(out.contains("scopes=[localized] fd: VIOLATED"), "{out}");
         assert!(out.contains("final state has violations"), "{out}");
+
+        // A selection that runs out of budget stops the stream (exit 3)
+        // at its line, before any edit; JSON mode still prints JSON.
+        for format in ["text", "json"] {
+            let err = run(&[
+                "fd-check",
+                "--fd",
+                fd,
+                "--updates",
+                stream.0.to_str().unwrap(),
+                "--max-memo",
+                "0",
+                "--format",
+                format,
+                doc.0.to_str().unwrap(),
+            ]);
+            let Err(CliError::Exhausted(out)) = err else {
+                panic!("expected exhaustion, got {err:?}");
+            };
+            let msg = match format {
+                "json" => Json::parse(&out)
+                    .unwrap_or_else(|e| panic!("not JSON: {e}\n{out}"))
+                    .get("error")
+                    .and_then(Json::as_str)
+                    .map(str::to_string)
+                    .unwrap_or_default(),
+                _ => out.clone(),
+            };
+            assert!(
+                msg.starts_with("updates line 2: update selection ran out of budget (memo)"),
+                "{out}"
+            );
+        }
 
         // A benign-only stream exits cleanly, and the JSON shape carries
         // the per-update scopes.

@@ -187,8 +187,9 @@ impl IncrementalChecker {
     /// [`IncrementalChecker::new`] with explicit limits, tracing, and an
     /// optional cancellation token; the initial verification and every
     /// later recheck run under the same governance (one deadline covers
-    /// the initial verification of all FDs, and each recheck round arms a
-    /// fresh one shared across its FDs) until
+    /// the initial verification of all FDs, and each
+    /// [`IncrementalChecker::apply_and_recheck`] arms a fresh one shared
+    /// by the update's selection and every FD's recheck) until
     /// [`IncrementalChecker::set_limits`] /
     /// [`IncrementalChecker::set_cancel`] replace it.
     pub fn with_governance(
@@ -255,20 +256,27 @@ impl IncrementalChecker {
     }
 
     /// Applies `update` as a delta and rechecks every FD at the smallest
-    /// sound scope. The update's application errors leave the checker
-    /// usable (partial edits are in the document, and the *next* recheck
-    /// will see their delta).
+    /// sound scope. One deadline covers the update's selection and the
+    /// recheck round. Selection runs under the checker's limits and
+    /// cancel token; if it runs out, the call returns
+    /// [`ApplyError::Exhausted`] before any edit, leaving `vdoc`, its
+    /// version and its delta untouched. Other application errors leave
+    /// the checker usable (partial edits are in the document, and the
+    /// *next* recheck will see their delta).
     pub fn apply_and_recheck(
         &mut self,
         vdoc: &mut VersionedDocument,
         update: &Update,
     ) -> Result<RecheckReport, ApplyError> {
+        let deadline_at = Budget::new(&self.limits).deadline_at();
         let touched = {
             let _span = self.trace.span(SpanKind::DeltaApply, "");
-            update.apply_versioned(vdoc)?
+            let mut budget =
+                round_budget(&self.limits, deadline_at, self.cancel.as_ref(), &self.trace);
+            update.apply_versioned_governed(vdoc, &mut budget)?
         };
         let delta = vdoc.take_delta();
-        let mut report = self.recheck_delta(vdoc, &delta);
+        let mut report = self.recheck_delta(vdoc, &delta, deadline_at);
         report.touched = touched;
         report.metrics.deltas_applied += 1;
         Ok(report)
@@ -279,16 +287,17 @@ impl IncrementalChecker {
     ///
     /// The delta must correspond to *one* logical update: a batch in which
     /// a removal's former parent was itself detached by a later edit
-    /// cannot be scoped and falls back to a global recheck.
+    /// cannot be scoped and falls back to a global recheck. Every FD's
+    /// recheck shares the deadline `deadline_at`.
     pub(crate) fn recheck_delta(
         &mut self,
         vdoc: &VersionedDocument,
         delta: &Delta,
+        deadline_at: Option<Instant>,
     ) -> RecheckReport {
         let search = Stopwatch::start();
         let _span = self.trace.span(SpanKind::ScopeClassify, "");
         let doc = vdoc.doc();
-        let deadline_at = Budget::new(&self.limits).deadline_at();
         let mut metrics = RunMetrics::default();
         let mut scopes = Vec::with_capacity(self.fds.len());
         let mut outcomes = Vec::with_capacity(self.fds.len());
@@ -806,7 +815,7 @@ fn affected_contexts(scope: &ContextScope, doc: &Document, delta: &Delta) -> Opt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::revalidate::revalidate_full;
+    use crate::satisfy::check_fd;
     use crate::textfd::parse_fd;
     use crate::update::{update_class_from_edges, UpdateOp};
     use regtree_alphabet::Alphabet;
@@ -865,8 +874,7 @@ mod tests {
         assert_eq!(report.scopes, vec![RecheckScope::Localized]);
         assert!(!report.all_satisfied());
         // Agreement with the clone-and-recheck baseline.
-        let baseline = revalidate_full(&fd, &up, &d).unwrap();
-        assert!(baseline.is_err());
+        assert!(check_fd(&fd, &up.apply_cloned(&d).unwrap()).is_err());
     }
 
     #[test]
@@ -952,11 +960,11 @@ mod tests {
         };
         v.delete_subtree(session).unwrap();
         let delta = v.take_delta();
-        let report = checker.recheck_delta(&v, &delta);
+        let report = checker.recheck_delta(&v, &delta, None);
         assert_eq!(report.scopes, vec![RecheckScope::Global]);
         // No contexts left: satisfied again, agreeing with a fresh check.
         assert!(report.all_satisfied(), "{:?}", report.outcomes);
-        assert!(crate::satisfy::check_fd(&fd, v.doc()).is_ok());
+        assert!(check_fd(&fd, v.doc()).is_ok());
     }
 
     #[test]
@@ -1088,7 +1096,7 @@ mod tests {
         };
         v.delete_subtree(lvl).unwrap();
         let delta = v.take_delta();
-        let report = checker.recheck_delta(&v, &delta);
+        let report = checker.recheck_delta(&v, &delta, None);
         assert_eq!(report.scopes, vec![RecheckScope::Unaffected]);
         assert!(report.all_satisfied());
         // Deleting a whole exam does remove a trace: localized recheck.
@@ -1100,7 +1108,7 @@ mod tests {
         };
         v.delete_subtree(exam).unwrap();
         let delta = v.take_delta();
-        let report = checker.recheck_delta(&v, &delta);
+        let report = checker.recheck_delta(&v, &delta, None);
         assert_eq!(report.scopes, vec![RecheckScope::Localized]);
         assert!(report.all_satisfied());
     }

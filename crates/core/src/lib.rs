@@ -20,13 +20,14 @@
 //!   engine explores the FD × update × schema product on the fly and
 //!   decides its emptiness, with a witness document when it is nonempty
 //!   (Definition 6, Propositions 2–3), behind [`Analyzer::independence`];
-//! * [`reduction`] — the PSPACE-hardness gadgets (Proposition 1,
-//!   Figures 7–8);
-//! * [`revalidate`] — the document-at-hand baseline (\[14\]-style) the paper
-//!   compares the criterion against;
 //! * [`incremental`] — impact-scoped FD rechecking over
-//!   [`regtree_xml::VersionedDocument`] deltas (the production successor
-//!   of the baselines above).
+//!   [`regtree_xml::VersionedDocument`] deltas, in place of the
+//!   document-at-hand baseline (\[14\]-style) of applying the update and
+//!   re-verifying with [`check_fd`].
+//!
+//! The PSPACE-hardness gadgets of Proposition 1 (Figures 7–8) are
+//! experiment code, not product: they live in the unpublished
+//! `regtree-oracle` crate.
 
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
@@ -41,8 +42,6 @@ pub mod independence;
 mod lazy_ic;
 pub mod matrix;
 mod pathfd;
-pub mod reduction;
-pub mod revalidate;
 pub mod satisfy;
 pub mod textfd;
 pub mod update;
@@ -55,8 +54,6 @@ pub use incremental::{IncrementalChecker, RecheckReport, RecheckScope};
 pub use independence::{IndependenceAnalysis, Verdict};
 pub use matrix::{CellProvenance, IndependenceMatrix, MatrixCell};
 pub use pathfd::{expressible_in_path_formalism, Inexpressibility, PathFdError};
-pub use reduction::{build_patterns, build_reduction, gadget_alphabet, ReductionInstance};
-pub use revalidate::{revalidate_full, revalidate_full_many};
 pub use satisfy::{check_fd, satisfies, FdBatchReport, FdOutcome, FdViolation};
 pub use textfd::{parse_fd, parse_update_class};
 // Re-exported so downstreams govern runs without a direct dependency on

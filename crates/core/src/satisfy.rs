@@ -295,9 +295,8 @@ impl FdBatchReport {
 }
 
 /// Checks many FDs on one document over scoped worker threads, under a
-/// shared budget: the engine behind [`crate::Analyzer::check_fds`] and
-/// [`crate::revalidate_full_many`]. The wall-clock deadline is global to
-/// the batch; count caps apply per FD. Cancellation aborts pending checks,
+/// shared budget: the engine behind [`crate::Analyzer::check_fds`]. The
+/// wall-clock deadline is global to the batch; count caps apply per FD. Cancellation aborts pending checks,
 /// which report `Unknown { exhausted: Cancelled }`.
 pub(crate) fn check_fds_governed(
     fds: &[Fd],

@@ -13,11 +13,15 @@
 //! Every update runs through the delta methods of a [`VersionedDocument`]:
 //! [`Update::apply`] wraps a plain document for the call. Selection reads
 //! the document's own label index, which those edits keep in step.
+//! [`crate::IncrementalChecker::apply_and_recheck`] runs selection under
+//! the request's budget, and stops before any edit when it runs out
+//! ([`ApplyError::Exhausted`]).
 
 use std::fmt;
 use std::sync::Arc;
 
-use regtree_pattern::{RegularTreePattern, Template, TemplateNodeId};
+use regtree_pattern::{project_mappings_governed, RegularTreePattern, Template, TemplateNodeId};
+use regtree_runtime::{Budget, Resource};
 use regtree_xml::{edit, Document, EditError, NodeId, TreeSpec, VersionedDocument};
 
 /// A class of updates `U = (T_U, s̄_U)`.
@@ -78,16 +82,26 @@ impl UpdateClass {
     /// The set of nodes this class would update on `doc` (deduplicated,
     /// document order).
     pub fn selected_nodes(&self, doc: &Document) -> Vec<NodeId> {
-        let mut keyed: Vec<(Vec<u32>, NodeId)> = self
-            .pattern
-            .evaluate(doc)
-            .into_iter()
-            .flatten()
-            .map(|n| (doc.dewey(n), n))
-            .collect();
+        self.selected_nodes_governed(doc, &mut Budget::unlimited())
+            .expect("an unlimited budget cannot be exhausted")
+    }
+
+    /// [`UpdateClass::selected_nodes`] under `budget`.
+    fn selected_nodes_governed(
+        &self,
+        doc: &Document,
+        budget: &mut Budget,
+    ) -> Result<Vec<NodeId>, Resource> {
+        let pattern = &self.pattern;
+        let mut keyed: Vec<(Vec<u32>, NodeId)> =
+            project_mappings_governed(pattern.template(), doc, pattern.selected(), budget)?
+                .into_iter()
+                .flatten()
+                .map(|n| (doc.dewey(n), n))
+                .collect();
         keyed.sort();
         keyed.dedup_by(|a, b| a.1 == b.1);
-        keyed.into_iter().map(|(_, n)| n).collect()
+        Ok(keyed.into_iter().map(|(_, n)| n).collect())
     }
 }
 
@@ -166,6 +180,9 @@ pub enum ApplyError {
         /// The root label of the replacement spec.
         got: String,
     },
+    /// Selecting the nodes to update ran out of budget; nothing was
+    /// edited.
+    Exhausted(Resource),
 }
 
 impl fmt::Display for ApplyError {
@@ -176,6 +193,11 @@ impl fmt::Display for ApplyError {
                 f,
                 "replacement must keep the updated node's label '{expected}', got '{got}' \
                  (independence soundness requires label-preserving updates)"
+            ),
+            ApplyError::Exhausted(r) => write!(
+                f,
+                "update selection ran out of budget ({}); the document is unchanged",
+                r.name()
             ),
         }
     }
@@ -222,7 +244,21 @@ impl Update {
     /// [`UpdateOp::Custom`] ops run under
     /// [`VersionedDocument::apply_opaque`] (opaque delta).
     pub fn apply_versioned(&self, v: &mut VersionedDocument) -> Result<Vec<NodeId>, ApplyError> {
-        let targets = self.class.selected_nodes(v.doc());
+        self.apply_versioned_governed(v, &mut Budget::unlimited())
+    }
+
+    /// [`Update::apply_versioned`] with selection under `budget`. A
+    /// selection that exhausts it returns [`ApplyError::Exhausted`]
+    /// before any edit, so `v`, its version and its delta are untouched.
+    pub(crate) fn apply_versioned_governed(
+        &self,
+        v: &mut VersionedDocument,
+        budget: &mut Budget,
+    ) -> Result<Vec<NodeId>, ApplyError> {
+        let targets = self
+            .class
+            .selected_nodes_governed(v.doc(), budget)
+            .map_err(ApplyError::Exhausted)?;
         let mut touched = Vec::new();
         let (op, only_first) = match &self.op {
             UpdateOp::FirstOnly(inner) => (inner.as_ref(), true),

@@ -16,6 +16,16 @@
 //! * [`membership`] — the bottom-up run of a hedge automaton on a document,
 //!   the reference membership test for every compiled automaton.
 //!
+//! It also holds the paper's experiment code that no binary runs:
+//!
+//! * [`reduction`] — the PSPACE-hardness gadgets of Proposition 1
+//!   (Figures 7–8), behind E7;
+//! * [`inclusion`] — regular-expression inclusion, with a classical
+//!   engine over complete [`Dfa`]s ([`dfa`]) and an antichain engine;
+//! * [`sample`] — [`LangSampler`], random members of a regular language;
+//! * [`random`] — random schema-valid documents, regexes, patterns and
+//!   update payloads for the soundness proptests and scaling benches.
+//!
 //! It is never published, and no product crate may take a normal
 //! dependency on it: the root package and `regtree-bench` take it as a
 //! dev-dependency only.
@@ -23,12 +33,18 @@
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod dfa;
 pub mod eager_ic;
 pub mod emptiness;
 pub mod impact;
+pub mod inclusion;
 pub mod membership;
 pub mod product;
+pub mod random;
+pub mod reduction;
+pub mod sample;
 
+pub use dfa::Dfa;
 pub use eager_ic::{
     build_ic_automaton, check_independence_eager, in_language_naive, EagerAnalysis,
 };
@@ -39,12 +55,16 @@ pub use emptiness::{
 pub use impact::{classify_pair, search_impact, ImpactWitness, PairClassification};
 pub use membership::{accepts, run};
 pub use product::intersect;
+pub use random::{random_document, random_pattern, random_proper_regex, random_regex, random_spec};
+pub use reduction::{build_patterns, build_reduction, gadget_alphabet, ReductionInstance};
+pub use sample::LangSampler;
 
 #[cfg(test)]
 mod proptests {
     use super::*;
     use proptest::prelude::*;
     use regtree_alphabet::{Alphabet, LabelKind, Symbol};
+    use regtree_automata::{Letter, Nfa, Regex};
     use regtree_hedge::Schema;
     use regtree_pattern::{compile_pattern, RegularTreePattern, Template};
     use regtree_xml::{document_from_specs, Document, NodeId, TreeSpec};
@@ -267,6 +287,109 @@ mod proptests {
             let m = schema.compile();
             if let Some(w) = witness_document(&m, &a) {
                 prop_assert!(schema.validate(&w).is_ok());
+            }
+        }
+    }
+
+    /// Strategy producing arbitrary regexes over `k` letters.
+    fn arb_regex(k: u32) -> impl Strategy<Value = Regex> {
+        let leaf = prop_oneof![
+            (0..k).prop_map(|i| Regex::Atom(Symbol(i + 2))), // skip reserved
+            Just(Regex::AnyAtom),
+            Just(Regex::Epsilon),
+        ];
+        leaf.prop_recursive(4, 24, 3, |inner| {
+            prop_oneof![
+                prop::collection::vec(inner.clone(), 1..3).prop_map(Regex::seq),
+                prop::collection::vec(inner.clone(), 1..3).prop_map(Regex::alt),
+                inner.clone().prop_map(Regex::star),
+                inner.clone().prop_map(Regex::plus),
+                inner.prop_map(Regex::opt),
+            ]
+        })
+    }
+
+    fn arb_word(k: u32) -> impl Strategy<Value = Vec<Symbol>> {
+        prop::collection::vec((0..k).prop_map(|i| Symbol(i + 2)), 0..6)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// NFA, DFA and derivative matchers agree on membership.
+        #[test]
+        fn engines_agree(r in arb_regex(3), w in arb_word(3)) {
+            let nfa = Nfa::from_regex(&r);
+            let universe: Vec<Letter> = (2..5).collect();
+            let dfa = Dfa::from_nfa(&nfa, &universe);
+            let letters: Vec<Letter> = w.iter().map(|s| s.0).collect();
+            let by_deriv = r.matches(&w);
+            prop_assert_eq!(nfa.accepts(&letters), by_deriv);
+            prop_assert_eq!(dfa.accepts(&letters), by_deriv);
+        }
+
+        /// Minimization preserves membership.
+        #[test]
+        fn minimize_preserves(r in arb_regex(3), w in arb_word(3)) {
+            let universe: Vec<Letter> = (2..5).collect();
+            let dfa = Dfa::from_nfa(&Nfa::from_regex(&r), &universe);
+            let min = dfa.minimize();
+            let letters: Vec<Letter> = w.iter().map(|s| s.0).collect();
+            prop_assert_eq!(dfa.accepts(&letters), min.accepts(&letters));
+        }
+
+        /// Complement is an involution and flips membership.
+        #[test]
+        fn complement_laws(r in arb_regex(3), w in arb_word(3)) {
+            let universe: Vec<Letter> = (2..5).collect();
+            let dfa = Dfa::from_nfa(&Nfa::from_regex(&r), &universe);
+            let letters: Vec<Letter> = w.iter().map(|s| s.0).collect();
+            let comp = dfa.complement();
+            prop_assert_eq!(dfa.accepts(&letters), !comp.accepts(&letters));
+            prop_assert_eq!(comp.complement().accepts(&letters), dfa.accepts(&letters));
+        }
+
+        /// Product automata implement boolean language operations.
+        #[test]
+        fn product_laws(r1 in arb_regex(3), r2 in arb_regex(3), w in arb_word(3)) {
+            let universe: Vec<Letter> = (2..5).collect();
+            let d1 = Dfa::from_nfa(&Nfa::from_regex(&r1), &universe);
+            let d2 = Dfa::from_nfa(&Nfa::from_regex(&r2), &universe);
+            let letters: Vec<Letter> = w.iter().map(|s| s.0).collect();
+            let (m1, m2) = (d1.accepts(&letters), d2.accepts(&letters));
+            prop_assert_eq!(d1.intersect(&d2).accepts(&letters), m1 && m2);
+            prop_assert_eq!(d1.union(&d2).accepts(&letters), m1 || m2);
+            prop_assert_eq!(d1.difference(&d2).accepts(&letters), m1 && !m2);
+        }
+
+        /// Antichain and classical inclusion agree; witnesses are genuine.
+        #[test]
+        fn inclusion_engines_agree(r1 in arb_regex(2), r2 in arb_regex(2)) {
+            let universe: Vec<Letter> = (2..4).collect();
+            let n1 = Nfa::from_regex(&r1);
+            let n2 = Nfa::from_regex(&r2);
+            let anti = inclusion::nfa_included(&n1, &n2, &universe);
+            let d1 = Dfa::from_nfa(&n1, &universe);
+            let d2 = Dfa::from_nfa(&n2, &universe);
+            let classic = inclusion::dfa_included(&d1, &d2);
+            prop_assert_eq!(anti.is_ok(), classic.is_ok());
+            if let Err(w) = anti {
+                prop_assert!(n1.accepts(&w));
+                prop_assert!(!n2.accepts(&w));
+            }
+        }
+
+        /// Sampled words are language members.
+        #[test]
+        fn samples_are_members(r in arb_regex(3), seed in any::<u64>(), len in 0usize..12) {
+            use rand::SeedableRng;
+            let nfa = Nfa::from_regex(&r);
+            let universe: Vec<Letter> = (2..5).collect();
+            let sampler = LangSampler::new(&nfa, &universe);
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            match sampler.sample(&mut rng, len) {
+                Some(w) => prop_assert!(nfa.accepts(&w)),
+                None => prop_assert!(Dfa::from_nfa(&nfa, &universe).is_empty_language()),
             }
         }
     }

@@ -30,7 +30,6 @@ use regtree_automata::EDGE_DEAD;
 use regtree_runtime::{Budget, Resource};
 use regtree_xml::{label_mask, Document, NodeId};
 
-use crate::pattern::RegularTreePattern;
 use crate::template::{Template, TemplateNodeId};
 
 /// A mapping of a template on a document: one image per template node.
@@ -90,7 +89,7 @@ pub fn enumerate_mappings(template: &Template, doc: &Document) -> Vec<Mapping> {
 
 /// Why an unlimited [`Budget`] cannot come back exhausted: no caps, no
 /// deadline and no cancel token.
-const UNLIMITED_CANNOT_EXHAUST: &str = "an unlimited budget cannot be exhausted";
+pub(crate) const UNLIMITED_CANNOT_EXHAUST: &str = "an unlimited budget cannot be exhausted";
 
 /// Per-edge pruning data: the Bloom mask of letters that can end an
 /// accepted word, and whether unmentioned letters can (wildcard endings).
@@ -491,21 +490,10 @@ fn dedup_projections(mappings: Vec<Mapping>, keep: &[TemplateNodeId]) -> Vec<Vec
     out.into_iter().map(|p| p.to_vec()).collect()
 }
 
-/// Distinct images of `pattern`'s selected tuple under an unlimited
-/// budget.
-pub(crate) fn evaluate_unlimited(pattern: &RegularTreePattern, doc: &Document) -> Vec<Vec<NodeId>> {
-    project_mappings_governed(
-        pattern.template(),
-        doc,
-        pattern.selected(),
-        &mut Budget::unlimited(),
-    )
-    .expect(UNLIMITED_CANNOT_EXHAUST)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pattern::RegularTreePattern;
     use regtree_alphabet::Alphabet;
     use regtree_xml::parse_document;
 

@@ -26,7 +26,7 @@ pub mod lang;
 pub mod pattern;
 pub mod template;
 
-pub use batch::{evaluate_many, parallel_map};
+pub use batch::parallel_map;
 pub use compile::{compile_pattern, PatternAutomaton};
 pub use eval::{
     enumerate_mappings, enumerate_mappings_nfa, project_mappings_anchored_governed,

@@ -3,8 +3,10 @@
 
 use std::fmt;
 
+use regtree_runtime::Budget;
 use regtree_xml::{Document, NodeId};
 
+use crate::eval::{project_mappings_governed, UNLIMITED_CANNOT_EXHAUST};
 use crate::template::{Template, TemplateNodeId};
 
 /// An n-ary regular tree pattern `R = (T, s̄)`.
@@ -77,7 +79,9 @@ impl RegularTreePattern {
     /// Evaluates the pattern on `doc`: the set of distinct selected-node
     /// image tuples, each denoting the tuple of sub-trees `(D(π(w_1)), …)`.
     pub fn evaluate(&self, doc: &Document) -> Vec<Vec<NodeId>> {
-        crate::eval::evaluate_unlimited(self, doc)
+        let mut budget = Budget::unlimited();
+        project_mappings_governed(&self.template, doc, &self.selected, &mut budget)
+            .expect(UNLIMITED_CANNOT_EXHAUST)
     }
 
     /// All mappings of the pattern's template on `doc` (Definition 2).

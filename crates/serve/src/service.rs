@@ -38,9 +38,9 @@ use regtree_core::api::{
     PatternParseResponse, UpdateCheckEntry, UpdateResponse, PROTOCOL_VERSION,
 };
 use regtree_core::{
-    parse_fd, parse_update_class, Analyzer, Budget, CancelToken, Error as CoreError, Fd, FdOutcome,
-    FdSet, IncrementalChecker, Resource, RunLimits, RunOverrides, TraceHandle, UpdateClass,
-    Verdict,
+    parse_fd, parse_update_class, Analyzer, ApplyError, Budget, CancelToken, Error as CoreError,
+    Fd, FdOutcome, FdSet, IncrementalChecker, Resource, RunLimits, RunOverrides, TraceHandle,
+    UpdateClass, Verdict,
 };
 use regtree_hedge::Schema;
 use regtree_pattern::CompiledPattern;
@@ -536,7 +536,9 @@ impl Service {
     /// request's effective merged limits and its cancel token are
     /// (re)applied to the checker before the recheck, so a warm checker
     /// honors per-request governance and `$/cancelRequest` aborts a slow
-    /// recheck mid-flight.
+    /// selection or recheck mid-flight. A selection that runs out edits
+    /// nothing: the error's `data` names the document and its unchanged
+    /// version.
     fn document_update(&self, params: &Json, cancel: &CancelToken) -> Result<Json, RpcError> {
         let session = self.session(params)?;
         session.requests.fetch_add(1, Ordering::Relaxed);
@@ -573,9 +575,17 @@ impl Service {
         // round about to run.
         checker.set_limits(merged);
         checker.set_cancel(Some(cancel.clone()));
-        let report = checker
-            .apply_and_recheck(vdoc, &update)
-            .map_err(|e| invalid_params(format!("update: {e}")))?;
+        let report = match checker.apply_and_recheck(vdoc, &update) {
+            Ok(report) => report,
+            Err(ApplyError::Exhausted(resource)) => {
+                let untouched = Json::Obj(vec![
+                    ("name".into(), Json::str(name)),
+                    ("version".into(), Json::u64(vdoc.version())),
+                ]);
+                return Err(exhausted_error(resource, untouched));
+            }
+            Err(e) => return Err(invalid_params(format!("update: {e}"))),
+        };
         let mut worst: Option<Resource> = None;
         let checks = named
             .iter()
@@ -1150,6 +1160,69 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err.code, rpc::CANCELLED, "{}", err.message);
+    }
+
+    #[test]
+    fn document_update_selection_honors_cancellation() {
+        let service = Service::new(ServerConfig::default());
+        let cancel = CancelToken::new();
+        let open = service
+            .dispatch("session/open", &Json::Obj(vec![]), &cancel)
+            .expect("session opens");
+        let sid = open.get("sessionId").and_then(Json::as_u64).expect("id");
+        // Selecting over 1,000 candidates takes well over the 256 budget
+        // ticks between polls, so the selection sees a cancelled token.
+        let candidates = "<candidate><exam><discipline>math</discipline><rank>1</rank></exam>\
+             <level>B</level></candidate>"
+            .repeat(1_000);
+        service
+            .dispatch(
+                "document/load",
+                &obj(vec![
+                    ("sessionId", Json::u64(sid)),
+                    ("name", Json::str("exams")),
+                    ("xml", Json::str(format!("<session>{candidates}</session>"))),
+                ]),
+                &cancel,
+            )
+            .expect("document loads");
+        let update = |token: &CancelToken| {
+            let fds = Json::Arr(vec![Json::Arr(vec![
+                Json::str("disc-rank"),
+                Json::str("/session : candidate/exam/discipline -> candidate/exam/rank"),
+            ])]);
+            let edit = obj(vec![
+                ("select", Json::str("/session/candidate/level")),
+                ("op", Json::str("set_text")),
+                ("value", Json::str("C")),
+                ("first_only", Json::Bool(true)),
+            ]);
+            service.dispatch(
+                "document/update",
+                &obj(vec![
+                    ("sessionId", Json::u64(sid)),
+                    ("name", Json::str("exams")),
+                    ("fds", fds),
+                    ("update", edit),
+                ]),
+                token,
+            )
+        };
+        let version = |json: &Json| json.get("version").and_then(Json::as_u64);
+        // Seed the warm checker with one edit.
+        let seeded = update(&cancel).expect("seeding update answers");
+        assert_eq!(version(&seeded), Some(1));
+        // A token cancelled beforehand stops the selection before any edit.
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        let err = update(&cancelled).unwrap_err();
+        assert_eq!(err.code, rpc::CANCELLED, "{}", err.message);
+        let data = err.data.expect("the untouched document rides in data");
+        assert_eq!(version(&data), Some(1));
+        assert_eq!(data.get("name").and_then(Json::as_str), Some("exams"));
+        // The next update edits the document the cancelled one left alone.
+        let next = update(&cancel).expect("next update answers");
+        assert_eq!(version(&next), Some(2));
     }
 
     #[test]

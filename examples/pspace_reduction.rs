@@ -9,7 +9,7 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use regtree::prelude::*;
-use regtree_core::{build_patterns, build_reduction, gadget_alphabet};
+use regtree_oracle::{build_patterns, build_reduction, gadget_alphabet};
 
 fn main() {
     let a = gadget_alphabet();

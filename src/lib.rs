@@ -17,17 +17,17 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`alphabet`] | interned label alphabets |
-//! | [`automata`] | word regexes, NFAs/DFAs, inclusion, sampling |
+//! | [`automata`] | word regexes, NFAs and the matcher's edge DFAs |
 //! | [`xml`] | the document model, XML parser/serializer, value equality, edits |
 //! | [`hedge`] | bottom-up unranked tree automata, schemas, the compiled form the lazy IC engine runs on |
 //! | [`pattern`] | regular tree patterns: evaluation & automaton compilation |
-//! | [`core`] | FDs, update classes, the independence criterion, the PSPACE reduction |
-//! | [`gen`] | the paper's running example and random workload generators |
+//! | [`core`] | FDs, update classes, the independence criterion, incremental FD checking |
+//! | [`gen`] | the paper's running example |
 //!
-//! The reference engines the parity tests compare against (eager IC
-//! product, hedge intersection and emptiness, impact search) live in the
-//! test-only `regtree-oracle` crate, a dev-dependency of this package; they
-//! are not part of this API.
+//! The parity tests' reference engines and the experiment code no binary
+//! runs (the Proposition 1 reduction, regex inclusion, complete DFAs, the
+//! language sampler, the random generators) live in the test-only
+//! `regtree-oracle` crate, a dev-dependency; they are not part of this API.
 //!
 //! ## Quickstart
 //!
@@ -62,20 +62,19 @@ pub use regtree_xml as xml;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use regtree_alphabet::{Alphabet, LabelKind, Symbol};
-    pub use regtree_automata::{parse_regex, Dfa, LangSampler, Nfa, Regex};
+    pub use regtree_automata::{parse_regex, Nfa, Regex};
     pub use regtree_core::{
-        build_reduction, check_fd, expressible_in_path_formalism, parse_fd, parse_update_class,
-        revalidate_full, revalidate_full_many, satisfies, Analyzer, AnalyzerBuilder, Budget,
-        CancelToken, CellProvenance, ChromeTraceSink, DroppedFd, EqualityType, Error, Fd,
-        FdBatchReport, FdOutcome, FdSet, Implication, IncrementalChecker, IndependenceMatrix,
-        Minimization, RecheckReport, RecheckScope, Resource, RunLimits, RunMetrics, SpanId,
-        SpanKind, SummarySink, TraceFormat, TraceHandle, TraceSummary, Tracer, Update, UpdateClass,
-        UpdateOp, Verdict,
+        check_fd, expressible_in_path_formalism, parse_fd, parse_update_class, satisfies, Analyzer,
+        AnalyzerBuilder, Budget, CancelToken, CellProvenance, ChromeTraceSink, DroppedFd,
+        EqualityType, Error, Fd, FdBatchReport, FdOutcome, FdSet, Implication, IncrementalChecker,
+        IndependenceMatrix, Minimization, RecheckReport, RecheckScope, Resource, RunLimits,
+        RunMetrics, SpanId, SpanKind, SummarySink, TraceFormat, TraceHandle, TraceSummary, Tracer,
+        Update, UpdateClass, UpdateOp, Verdict,
     };
     pub use regtree_hedge::{HedgeAutomaton, Schema};
     pub use regtree_pattern::{
-        compile_pattern, evaluate_many, parse_pattern, CompiledPattern, RegularTreePattern,
-        Template, TemplateNodeId,
+        compile_pattern, parse_pattern, CompiledPattern, RegularTreePattern, Template,
+        TemplateNodeId,
     };
     pub use regtree_xml::{
         parse_document, to_xml, value_eq, value_hash, Document, LabelIndex, NodeId, TreeSpec,

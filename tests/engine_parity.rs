@@ -15,7 +15,8 @@ use rand::{Rng, SeedableRng};
 use regtree::prelude::*;
 use regtree_core::update_class_from_edges;
 use regtree_gen as gen;
-use regtree_pattern::{enumerate_mappings, enumerate_mappings_nfa, evaluate_many};
+use regtree_oracle::{random_document, random_pattern};
+use regtree_pattern::{enumerate_mappings, enumerate_mappings_nfa, parallel_map};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1000))]
@@ -27,13 +28,13 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let a = gen::exam_alphabet();
         let schema = gen::exam_schema(&a);
-        let doc = gen::random_document(&schema, rng.gen_range(1..5usize), &mut rng);
+        let doc = random_document(&schema, rng.gen_range(1..5usize), &mut rng);
         let labels: Vec<Symbol> = a
             .symbols()
             .into_iter()
             .filter(|&s| s != Alphabet::ROOT)
             .collect();
-        let pattern = gen::random_pattern(&a, &labels, rng.gen_range(1..4usize), &mut rng);
+        let pattern = random_pattern(&a, &labels, rng.gen_range(1..4usize), &mut rng);
         let fast = enumerate_mappings(pattern.template(), &doc);
         let reference = enumerate_mappings_nfa(pattern.template(), &doc);
         prop_assert_eq!(fast, reference);
@@ -109,13 +110,15 @@ fn batch_evaluate_many_agrees_with_sequential() {
     let docs: Vec<Document> = (0..4)
         .map(|i| gen::generate_session(&a, 2 + i, 2, &mut rng))
         .collect();
-    let patterns = vec![
+    let patterns = [
         gen::pattern_r1(&a),
         gen::pattern_r2(&a),
         gen::pattern_r3(&a),
         gen::pattern_r4(&a),
     ];
-    let batch = evaluate_many(&patterns, &docs);
+    let batch = parallel_map(&docs, |doc| {
+        patterns.iter().map(|p| p.evaluate(doc)).collect::<Vec<_>>()
+    });
     for (d, doc) in docs.iter().enumerate() {
         for (p, pat) in patterns.iter().enumerate() {
             assert_eq!(batch[d][p], pat.evaluate(doc), "doc {d} pattern {p}");
@@ -139,14 +142,20 @@ fn revalidate_full_many_agrees_with_single() {
             }
         })),
     );
+    let analyzer = Analyzer::builder().build();
     let q1 = gen::update_q1(&a);
     for update in [&q1, &uneven_ranks] {
-        let many = revalidate_full_many(&fds, update, &doc).unwrap();
-        for (fd, m) in fds.iter().zip(&many) {
-            let single = revalidate_full(fd, update, &doc).unwrap();
-            assert_eq!(m.is_ok(), single.is_ok(), "{:?}", update.op);
+        let after = update.apply_cloned(&doc).unwrap();
+        let many = analyzer.check_fds(&fds, &after);
+        for (fd, m) in fds.iter().zip(&many.outcomes) {
+            let single = check_fd(fd, &after);
+            assert_eq!(m.is_satisfied(), single.is_ok(), "{:?}", update.op);
         }
     }
-    let many = revalidate_full_many(&fds, &uneven_ranks, &doc).unwrap();
-    assert!(many[0].is_err(), "uneven ranks violate fd1");
+    let after = uneven_ranks.apply_cloned(&doc).unwrap();
+    let many = analyzer.check_fds(&fds, &after);
+    assert!(
+        matches!(many.outcomes[0], FdOutcome::Violated(_)),
+        "uneven ranks violate fd1"
+    );
 }

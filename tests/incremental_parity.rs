@@ -25,6 +25,7 @@ use rand::{Rng, SeedableRng};
 use regtree::prelude::*;
 use regtree_core::update_class_from_edges;
 use regtree_gen as gen;
+use regtree_oracle::random_spec;
 use regtree_xml::VersionedDocument;
 
 const LEVELS: &[&str] = &["A", "B", "C", "D", "E"];
@@ -64,7 +65,7 @@ fn random_update(a: &Alphabet, rng: &mut SmallRng) -> Update {
                 .into_iter()
                 .filter(|&s| s != Alphabet::ROOT)
                 .collect();
-            let spec = gen::random_spec(a, &labels, rng.gen_range(1..5usize), rng);
+            let spec = random_spec(a, &labels, rng.gen_range(1..5usize), rng);
             Update::new(
                 edges(&["session/candidate"]),
                 first_only(UpdateOp::AppendChild(spec), rng),
@@ -104,7 +105,7 @@ fn random_driver_update(a: &Alphabet, rng: &mut SmallRng) -> Update {
                 .into_iter()
                 .filter(|&s| s != Alphabet::ROOT)
                 .collect();
-            let spec = gen::random_spec(a, &labels, rng.gen_range(1..5usize), rng);
+            let spec = random_spec(a, &labels, rng.gen_range(1..5usize), rng);
             Update::new(edges(&["session/candidate"]), UpdateOp::PrependChild(spec))
         }
         10 => {

@@ -151,7 +151,7 @@ fn randomized_cross_engine_agreement_on_schema_docs() {
     let fd = parse_fd(&a, "/inventory/warehouse : pallet/product -> pallet/qty").expect("parses");
     let mut rng = rand::rngs::SmallRng::seed_from_u64(31337);
     for _ in 0..12 {
-        let doc = regtree_gen::random_document(&schema, 5, &mut rng);
+        let doc = regtree_oracle::random_document(&schema, 5, &mut rng);
         schema.validate(&doc).expect("generator respects schema");
         // Automaton ≡ evaluator on the FD pattern.
         let auto = compile_pattern(fd.pattern(), false);
